@@ -162,21 +162,21 @@ def _cmd_hurst(args) -> int:
         raise UsageError("--window must be at least 8")
     if args.shift < 1:
         raise UsageError("--shift must be at least 1")
-    series = parse_regular_series(Path(args.input).read_text())
-    if args.boxes:
-        try:
+    try:
+        if args.boxes:
             lo, hi, count = (int(p) for p in args.boxes.split(":"))
-        except ValueError:
-            raise UsageError(f"--boxes expects min:max:count, got {args.boxes!r}")
-        sizes = tuple(np.unique(np.round(np.geomspace(lo, hi, count)).astype(int)))
-        config = DfaConfig(box_sizes=sizes, poly_order=args.order)
-    else:
-        config = DfaConfig.for_length(args.window - 1, poly_order=args.order)
+            sizes = tuple(np.unique(np.round(np.geomspace(lo, hi, count)).astype(int)))
+            config = DfaConfig(box_sizes=sizes, poly_order=args.order)
+        else:
+            config = DfaConfig.for_length(args.window - 1, poly_order=args.order)
+    except ValueError as exc:
+        raise UsageError(f"bad --boxes MIN:MAX:COUNT or --order: {exc}")
+    series = parse_regular_series(Path(args.input).read_text())
     hs = local_hurst(series, args.window, args.shift, config)
 
-    rows = ["# columns: t,h,stderr"]
-    for t, h, se in zip(hs.times, hs.h, hs.stderr):
-        rows.append(f"{int(t)},{_fmt(h)},{_fmt(se)}")
+    rows = ["# columns: t,h,stderr,spans_boundary"]
+    for t, h, se, spans in zip(hs.times, hs.h, hs.stderr, hs.spans_boundary):
+        rows.append(f"{int(t)},{_fmt(h)},{_fmt(se)},{int(spans)}")
     finite = hs.h[np.isfinite(hs.h)]
     summary = {
         "mean": float(finite.mean()) if finite.size else None,

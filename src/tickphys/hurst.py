@@ -16,8 +16,6 @@ against log2 n with the regression's slope standard error attached.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +33,6 @@ __all__ = [
     "hurst_pdf",
     "avg_hurst_vs_scale",
 ]
-
-
-def max_threads() -> int:
-    """Parallelism cap: TICKPHYS_THREADS when set, else machine width."""
-    env = os.environ.get("TICKPHYS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -123,13 +110,6 @@ class HurstSeries:
     def __len__(self) -> int:
         return self.times.size
 
-    @property
-    def estimates(self) -> list:
-        return [
-            HurstEstimate(float(h), float(s), self.n_points)
-            for h, s in zip(self.h, self.stderr)
-        ]
-
 
 # ---------------------------------------------------------------------- cores
 
@@ -193,61 +173,59 @@ def hurst_exponent(series, config: DfaConfig | None = None) -> HurstEstimate:
     return HurstEstimate(h=fit.slope, stderr=fit.stderr, n_points=len(pairs))
 
 
-def _box_offsets(m: int, n: int) -> np.ndarray:
-    """Start offsets (in price coordinates) of the forward and backward box
-    partitions of a window with m increments."""
-    k = m // n
-    return np.concatenate([np.arange(k) * n, (m - k * n) + np.arange(k) * n]) + 1
+def _segment_rss(x, n, order, inc_fft, fft_len):
+    """RSS of the degree-``order`` fit to every segment ``x[b : b + n]``,
+    b = 0 .. x.size - n, and whether it vanishes (flat or exactly
+    polynomial segments).
 
-
-def _window_mean_rss_order1(x, starts_a, m, n):
-    """Mean degree-1 box RSS per window, O(1) per box via prefix sums.
-
-    The box fit of the windowed profile equals, in exact arithmetic, the
-    same polynomial fit applied to the raw price segment covering the box
+    A box fit of a window's profile equals, in exact arithmetic, the same
+    polynomial fit applied to the raw price segment covering the box
     (window-mean and profile-offset terms are affine and absorbed for
-    poly_order >= 1), so each box costs six prefix lookups.
+    poly_order >= 1).  ``inc_fft`` is ``rfft(diff(x), fft_len)``.
     """
-    xc = x - x.mean()  # keeps the prefix magnitudes small
-    p1 = np.concatenate([[0.0], np.cumsum(xc)])
-    p2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
-    q1 = np.concatenate([[0.0], np.cumsum(np.arange(xc.size) * xc)])
-    offs = _box_offsets(m, n)
-    sxx = n * (n * n - 1) / 12.0
-    half = (n - 1) / 2.0
+    n_seg = x.size - n + 1
+    # Squared deviations from the segment mean, from moment sums taken
+    # within aligned blocks of n points relative to each block's first
+    # value: a segment spans at most two blocks, joined through their
+    # level step, so rounding follows the segment's own variation rather
+    # than the price level of the whole series.
+    n_blk = -(-x.size // n)
+    blk = np.pad(x, (0, n_blk * n - x.size), mode="edge").reshape(n_blk, n)
+    lead = blk[:, 0]
+    y = blk - lead[:, None]
+    p1 = np.zeros((n_blk + 1, n + 1))
+    p2 = np.zeros((n_blk + 1, n + 1))
+    np.cumsum(y, axis=1, out=p1[:-1, 1:])
+    np.cumsum(y * y, axis=1, out=p2[:-1, 1:])
+    r = np.arange(n)
+    step = np.append(np.diff(lead), 0.0)[:, None]
+    t1 = p1[1:, :n]
+    s1 = p1[:-1, n:] - p1[:-1, :n] + t1 + r * step
+    s2 = p2[:-1, n:] - p2[:-1, :n] + p2[1:, :n] + step * (2.0 * t1 + r * step)
+    s1 = s1.ravel()[:n_seg]
+    s2 = s2.ravel()[:n_seg]
+    # Projections on the non-constant basis columns, by summation by parts:
+    # each column q sums to zero, so sum_i q[i] x[b+i] = -sum_j Q[j] dx[b+j]
+    # with Q the column's running sum, one cross-correlation per column.
+    run = np.cumsum(_poly_basis(n, order)[:, 1:], axis=0)[:-1].T
+    proj = np.fft.irfft(inc_fft * np.conj(np.fft.rfft(run, fft_len)), fft_len)[:, :n_seg]
+    quad = s1 * s1 / n + np.einsum("ij,ij->j", proj, proj)
+    rss = s2 - quad
     # cancellation floor: differences this far below the subtracted terms
     # are rounding residue of an exactly-fitting box, not signal
-    tiny = 64.0 * np.finfo(float).eps
-    acc = np.zeros(starts_a.size)
-    for off in offs:
-        s = starts_a + off
-        e = s + n
-        a = p1[e] - p1[s]
-        b = q1[e] - q1[s] - s * a  # sum of (i - s) x[i] over the box
-        c1 = b - half * a
-        s2 = p2[e] - p2[s]
-        quad = a * a / n + c1 * c1 / sxx
-        rss = s2 - quad
-        rss[rss <= tiny * (s2 + quad)] = 0.0
-        acc += rss
-    return acc / offs.size
+    flat = rss <= 64.0 * np.finfo(float).eps * (s2 + quad)
+    rss[flat] = 0.0
+    return rss, flat
 
 
-def _window_mean_rss(x, starts_a, m, n, order, chunk_elems=8_000_000):
-    """Mean degree-``order`` box RSS per window (gathered segment fits)."""
-    if order == 1:
-        return _window_mean_rss_order1(x, starts_a, m, n)
-    offs = _box_offsets(m, n)
-    starts = (starts_a[:, None] + offs[None, :]).ravel()
-    uniq, inv = np.unique(starts, return_inverse=True)
-    q = _poly_basis(n, order)
-    rss_u = np.empty(uniq.size)
-    rows_per_chunk = max(1, chunk_elems // n)
-    for i in range(0, uniq.size, rows_per_chunk):
-        u = uniq[i : i + rows_per_chunk]
-        seg = x[u[:, None] + np.arange(n)[None, :]]
-        rss_u[i : i + rows_per_chunk] = _box_rss(seg, q)
-    return rss_u[inv].reshape(starts_a.size, offs.size).mean(axis=1)
+def _strided_sums(v, firsts, n, k):
+    """``sum(v[a + j * n] for j in range(k))`` for every a in ``firsts``,
+    as two lookups into running sums within each residue class mod n."""
+    rows = -(-v.size // n) + 1
+    c = np.zeros(rows * n, dtype=v.dtype)
+    c[n : n + v.size] = v
+    c = np.cumsum(c.reshape(rows, n), axis=0).ravel()
+    return c[firsts + k * n] - c[firsts]
 
 
 def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None) -> HurstSeries:
@@ -280,19 +258,22 @@ def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None
     starts = times - window
     sizes = np.array(config.box_sizes)
 
+    # Every box's RSS once per size, then each window's forward and
+    # backward partitions as strided sums; box starts are in price
+    # coordinates, one past the window start.  The correlations read no
+    # wrapped lag once the transform holds all n_obs - 1 increments.
+    fft_len = 1 << (n_obs - 2).bit_length()
+    inc_fft = np.fft.rfft(np.diff(arr), fft_len)
     f2 = np.empty((times.size, sizes.size))
-
-    def fill(j: int) -> None:
-        mean_rss = _window_mean_rss(arr, starts, m, int(sizes[j]), config.poly_order)
-        f2[:, j] = mean_rss / sizes[j]
-
-    workers = min(max_threads(), sizes.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(sizes.size)))
-    else:
-        for j in range(sizes.size):
-            fill(j)
+    for j, n in enumerate(config.box_sizes):
+        k = m // n
+        rss, flat = _segment_rss(arr, n, config.poly_order, inc_fft, fft_len)
+        flat = flat.astype(np.int64)
+        firsts = (starts + 1, starts + 1 + m - k * n)
+        total = sum(_strided_sums(rss, a, n, k) for a in firsts)
+        n_flat = sum(_strided_sums(flat, a, n, k) for a in firsts)
+        total[n_flat == 2 * k] = 0.0
+        f2[:, j] = total / (2 * k * n)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logf = 0.5 * np.log2(f2)
@@ -314,9 +295,7 @@ def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None
         se[ok] = np.sqrt(np.maximum(rss, 0.0) / dof / sxx)
 
     inner = boundaries[(boundaries > 0) & (boundaries < n_obs)]
-    spans = np.zeros(times.size, dtype=bool)
-    for b in inner:
-        spans |= (starts < b) & (b < times)
+    spans = np.searchsorted(inner, times) > np.searchsorted(inner, starts, side="right")
 
     return HurstSeries(
         times=times,

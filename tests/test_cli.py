@@ -5,6 +5,7 @@ parsed back; exit codes are pinned per failure class.  Reruns must be
 byte-identical apart from the manifest timestamps.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from tickphys import FitDiverged, cli, parse_regular_series
+from tickphys import FitDiverged, cli, parse_regular_series, serialize_regular_series
 from tickphys.selftest import _synthetic_book_text
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -67,17 +68,33 @@ def test_hurst_artifacts(tmp_path):
     )
     assert rc == 0
     lines = (out / "hurst.csv").read_text().splitlines()
-    assert lines[0] == "# columns: t,h,stderr"
+    assert lines[0] == "# columns: t,h,stderr,spans_boundary"
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0"}  # one session
     assert len(lines) - 1 == (2048 - 512) // 64 + 1
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"mean", "sd", "n_windows"}
     assert 0.2 < summary["mean"] < 0.8
     assert summary["n_windows"] == len(lines) - 1
-    # malformed --boxes is a usage problem
+    # a day break at 1024: windows (t - 512, t) holding it are flagged
+    two_days = dataclasses.replace(
+        parse_regular_series((src / "series.csv").read_text()), session_boundaries=(0, 1024)
+    )
+    (tmp_path / "two_days.csv").write_text(serialize_regular_series(two_days))
     assert cli.run(
-        ["hurst", "--input", str(src / "series.csv"), "--window", "512",
-         "--boxes", "nope", "--out", str(tmp_path / "c")]
-    ) == 1
+        ["hurst", "--input", str(tmp_path / "two_days.csv"), "--window", "512",
+         "--shift", "64", "--out", str(tmp_path / "d")]
+    ) == 0
+    rows = [line.split(",") for line in (tmp_path / "d" / "hurst.csv").read_text().splitlines()[1:]]
+    assert [int(r[3]) for r in rows] == [int(int(r[0]) - 512 < 1024 < int(r[0])) for r in rows]
+    assert any(r[3] == "1" for r in rows)
+    # malformed or inconsistent --boxes / --order is a usage problem
+    for bad in (["--boxes", "nope"], ["--boxes", "8:8:5"], ["--boxes", "0:100:10"],
+                ["--boxes", "8:100:-3"], ["--boxes", "2:200:10", "--order", "2"],
+                ["--order", "0"]):
+        assert cli.run(
+            ["hurst", "--input", str(src / "series.csv"), "--window", "512",
+             *bad, "--out", str(tmp_path / "c")]
+        ) == 1, bad
 
 
 def test_invstat_artifacts(tmp_path):

@@ -24,7 +24,6 @@ from tickphys import (
     hurst_pdf,
     local_hurst,
 )
-from tickphys.hurst import max_threads
 
 
 def test_dfa_config_validation():
@@ -113,14 +112,36 @@ def test_local_hurst_higher_order_matches_global_estimator():
         assert abs(h - ref.h) < 1e-9
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.95])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_local_hurst_matches_direct_estimator_to_rounding(hurst, order):
+    # a long persistent path wanders far from its mean, so any sum taken
+    # over the whole series loses digits that the per-window fit keeps;
+    # the shift is below the window and does not divide it
+    path = gen_fbm(FbmSpec(hurst=hurst, n=50_000, seed=17))
+    cfg = DfaConfig.for_length(2047, poly_order=order)
+    hs = local_hurst(path, window=2048, shift=1500, config=cfg)
+    assert hs.times.size == (50_000 - 2048) // 1500 + 1
+    for t, h in zip(hs.times, hs.h):
+        ref = hurst_exponent(path[t - 2048 : t], cfg)
+        assert abs(h - ref.h) <= 1e-11
+
+
 def test_local_hurst_flat_windows_are_nan():
+    # a flat stretch and a straight ramp: every box fit is exact at every order
     path = gen_brownian(1000, seed=8).copy()
     path[300:400] = 5.0
-    hs = local_hurst(path, window=64, shift=16)
-    flat = (hs.times - 64 >= 300) & (hs.times <= 400)
-    assert flat.sum() >= 2
-    assert np.all(np.isnan(hs.h[flat]))
-    assert np.all(np.isfinite(hs.h[~flat]))
+    path[600:700] = path[600] + 3.0 * np.arange(100)
+    for order in (1, 2, 3):
+        cfg = DfaConfig.for_length(63, poly_order=order)
+        hs = local_hurst(path, window=64, shift=16, config=cfg)
+        flat = np.zeros(hs.times.size, dtype=bool)
+        for a, b in ((300, 400), (600, 700)):
+            inside = (hs.times - 64 >= a) & (hs.times <= b)
+            assert inside.sum() >= 2
+            flat |= inside
+        assert np.all(np.isnan(hs.h[flat]))
+        assert np.all(np.isfinite(hs.h[~flat]))
 
 
 def test_local_hurst_flags_boundary_windows():
@@ -165,9 +186,3 @@ def test_avg_hurst_vs_scale_rows():
         assert 0.0 < row.mean_h < 1.0
         assert row.sd_h >= 0.0
 
-
-def test_max_threads_env_override(monkeypatch):
-    monkeypatch.setenv("TICKPHYS_THREADS", "2")
-    assert max_threads() == 2
-    monkeypatch.setenv("TICKPHYS_THREADS", "not-a-number")
-    assert max_threads() >= 1
