@@ -38,6 +38,7 @@ from .errors import (
 from .market_data import (
     TickEvent,
     BookSnapshot,
+    Book,
     Session,
     RegularSeries,
     DayTicks,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, FitError, TickphysError, UsageError
+from .errors import DataError, FitError, SeriesTooShort, TickphysError, UsageError
 from .hurst import DfaConfig, local_hurst
 from .invstat import (
     ExitTimeConfig,
@@ -169,8 +169,10 @@ def _cmd_hurst(args) -> int:
             config = DfaConfig(box_sizes=sizes, poly_order=args.order)
         else:
             config = DfaConfig.for_length(args.window - 1, poly_order=args.order)
-    except ValueError as exc:
-        raise UsageError(f"bad --boxes MIN:MAX:COUNT or --order: {exc}")
+    except (ValueError, SeriesTooShort) as exc:
+        raise UsageError(f"bad --boxes MIN:MAX:COUNT, --order or --window: {exc}")
+    if config.box_sizes[-1] * config.min_boxes > args.window - 1:
+        raise UsageError(f"--window {args.window} is too short for boxes of {config.box_sizes[-1]}")
     series = parse_regular_series(Path(args.input).read_text())
     hs = local_hurst(series, args.window, args.shift, config)
 
@@ -260,8 +262,10 @@ def _cmd_relax(args) -> int:
         raise UsageError("--kappa values must lie in (0, 1)")
     if args.depth < 1:
         raise UsageError("--depth must be at least 1")
-    snaps, _, _ = parse_book(Path(args.input).read_text())
-    sig = imbalance_series(snaps, depth=args.depth)
+    book, _, file_depth = parse_book(Path(args.input).read_text())
+    if args.depth > file_depth:
+        raise UsageError(f"--depth {args.depth} exceeds the depth {file_depth} of {args.input}")
+    sig = imbalance_series(book, depth=args.depth)
     clock = {"ticks": "event", "trades": "trade"}[args.clock]
 
     files = {}

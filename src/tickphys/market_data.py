@@ -14,6 +14,11 @@ Book CSV:      ``# tick_size=<decimal> depth=<N>`` then rows
                (deeper unused levels are empty fields)
 Regular CSV:   rows ``timestamp_ns,price`` followed by a
                ``# session_boundaries=i1;i2;...`` footer comment
+
+In tick and book files every number is ASCII ``-?digits(.digits)?`` with
+at most 19 digits, read exactly as integers and ticks that fit int64 (no
+exponent, "+", "_", spaces or bare dot).  Lines end in ``\n`` or ``\r\n``;
+lines of spaces and tabs are skipped but keep their numbers.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .errors import (
 __all__ = [
     "TickEvent",
     "BookSnapshot",
+    "Book",
     "Session",
     "RegularSeries",
     "DayTicks",
@@ -82,6 +88,24 @@ class BookSnapshot:
     trade_count_delta: int
     bids: tuple
     asks: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class Book:
+    """Book snapshots as int64 columns: ``timestamps_ns`` and
+    ``trade_count_delta`` of shape (n,), and ``bid_px``, ``bid_vol``,
+    ``ask_px``, ``ask_vol`` of shape (n, depth), best level first, prices in
+    ticks.  An empty level has price and volume 0."""
+
+    timestamps_ns: np.ndarray = field(repr=False)
+    trade_count_delta: np.ndarray = field(repr=False)
+    bid_px: np.ndarray = field(repr=False)
+    bid_vol: np.ndarray = field(repr=False)
+    ask_px: np.ndarray = field(repr=False)
+    ask_vol: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.timestamps_ns.size
 
 
 @dataclass(frozen=True)
@@ -194,17 +218,12 @@ class SessionizedTicks:
 
 _TICK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s*$")
 _BOOK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s+depth=(\d+)\s*$")
-
-
-def _to_ticks(text: str, tick_size: Fraction, lineno: int) -> int:
-    try:
-        price = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
-        raise MalformedRow(lineno, f"bad price {text!r}")
-    ratio = price / tick_size
-    if ratio.denominator != 1:
-        raise TickSizeViolation(lineno, f"price {text} is not a multiple of the tick size")
-    return int(ratio)
+_BLOCK_LINES = 1 << 13  # lines per vectorized pass: temporaries stay O(block)
+_I64_MAX = np.iinfo(np.int64).max
+# Per byte, a weight whose sum over a cell counts dots, 32 x minus signs and
+# 1024 x bytes no cell may hold; "," and "\\n", which pad short cells, weigh 0.
+_WEIGHT = np.full(256, 1024, np.int32)
+_WEIGHT[[10, 44, *range(48, 58)]], _WEIGHT[46], _WEIGHT[45] = 0, 1, 32
 
 
 def _parse_tick_size(text: str, lineno: int) -> tuple[Fraction, Decimal]:
@@ -217,43 +236,103 @@ def _parse_tick_size(text: str, lineno: int) -> tuple[Fraction, Decimal]:
     return Fraction(d), d
 
 
+def _number(blk, s, e):
+    """``(value, frac, ok)`` of the cells ``blk[s:e]``: a cell of the grammar
+    ``-?digits(.digits)?`` with at most 19 digits is exactly
+    value * 10**-frac, and ok is False for any other cell and beyond int64."""
+    shape, s, e = s.shape, s.ravel(), e.ravel()
+    width = int(np.clip((e - s).max(), 1, 21))  # a sign, 19 digits and a dot
+    # row j: byte j of each cell right-aligned, the separator before it as padding
+    b = blk[np.maximum(e - width + np.arange(width)[:, None], s - 1)]
+    mant = np.zeros(s.size, np.uint64)  # 19 digits fit in uint64
+    frac = np.zeros(s.size, np.int64)  # digits after the dot; ok is False for 2 dots
+    for j, row in enumerate(b):
+        digit = row - np.uint8(48)  # other bytes wrap to 10 and above
+        mant = np.where(digit < 10, mant * 10 + digit, mant)
+        frac[row == 46] = width - 1 - j
+    weight, neg = _WEIGHT[b].sum(0), blk[s] == 45
+    dots, digits = weight & 31, e - s - neg - (weight & 31)
+    ok = (weight >> 5 == neg) & (dots <= 1) & ((dots == 0) | (frac > 0)) & (frac < digits)
+    ok &= (digits <= 19) & (mant <= _I64_MAX)
+    value = np.where(neg, -mant.astype(np.int64), mant.astype(np.int64))
+    return value.reshape(shape), frac.reshape(shape), ok.reshape(shape)
+
+
+def _ticks(mant, frac, tick: Fraction):
+    """Exact ``mant * 10**-frac / tick`` as int64, with the masks of the
+    cells on the tick grid and of those whose tick count fits int64."""
+    ticks, on_grid, fits = np.zeros_like(mant), *np.zeros((2, *mant.shape), bool)
+    for f in np.unique(frac).tolist():
+        r = Fraction(tick.denominator, tick.numerator * 10**f)  # ticks per unit of mant
+        at, m = frac == f, mant[frac == f]
+        q, rem = np.divmod(m, r.denominator) if r.denominator <= _I64_MAX else (0 * m, m)
+        on_grid[at], fits[at] = rem == 0, np.abs(q) <= _I64_MAX // r.numerator
+        ticks[at] = q * min(r.numerator, _I64_MAX)
+    return ticks, on_grid, fits
+
+
+def _blocks(text: str, n_fields: int):
+    """Yield ``(lineno, blk, s, e)`` per block of the non-blank rows after the
+    header, cell j of row i being ``blk[s[i, j]:e[i, j]]``.  A row without
+    ``n_fields`` fields raises after the rows before it, which may hold an
+    earlier error, are yielded."""
+    buf = np.frombuffer((text + "\n").encode("ascii", "replace"), np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    for first in range(1, ends.size, _BLOCK_LINES):
+        lo, e = ends[first - 1] + 1, ends[first : first + _BLOCK_LINES]
+        blk, e = buf[lo : e[-1] + 1], e - lo
+        s = np.concatenate(([0], e[:-1] + 1))
+        e -= (e > s) & (blk[e - 1] == 13)  # \r\n ends a line as \n does
+        blank = np.flatnonzero((blk == 32) | (blk == 9) | (blk == 13))
+        ink = np.searchsorted(blank, e) - np.searchsorted(blank, s) < e - s
+        lineno, s, e = np.flatnonzero(ink) + first + 1, s[ink], e[ink]
+        commas = np.flatnonzero(blk == 44)
+        got = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
+        wrong = np.flatnonzero(got != n_fields)
+        n = int(wrong[0]) if wrong.size else e.size
+        if n:
+            cut = commas[: n * (n_fields - 1)].reshape(n, n_fields - 1)
+            yield lineno[:n], blk, np.column_stack((s[:n], cut + 1)), np.column_stack((cut, e[:n]))
+        if wrong.size:
+            raise MalformedRow(int(lineno[n]), f"expected {n_fields} fields, got {got[n]}")
+
+
+def _raise_first(lineno, checks):
+    """Raise the first (mask, error, message) check of the first row flagged."""
+    for row in np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in checks]))[:1]:
+        _, error, message = next(c for c in checks if c[0][row])
+        raise error(int(lineno[row]), message)
+
+
 def parse_ticks(text: str) -> tuple[list[TickEvent], Decimal]:
     """Parse a tick CSV into events with integer-tick prices.
 
     Returns ``(events, tick_size)``.  Raises MalformedRow, TickSizeViolation
     or NonMonotonicTime with the offending line number.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedRow(1, "missing tick_size header")
-    m = _TICK_HEADER.match(lines[0])
+    m = _TICK_HEADER.match(text.partition("\n")[0])
     if not m:
         raise MalformedRow(1, "missing tick_size header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
     events: list[TickEvent] = []
-    prev_ts = -1
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise MalformedRow(lineno, f"expected 4 fields, got {len(parts)}")
-        try:
-            ts = int(parts[0])
-            volume = int(parts[3])
-        except ValueError:
-            raise MalformedRow(lineno, "bad integer field")
-        if ts <= 0:
-            raise MalformedRow(lineno, "timestamp must be positive")
-        if volume < 0:
-            raise MalformedRow(lineno, "volume must be non-negative")
-        kind = parts[2]
-        if kind not in ("Q", "T"):
-            raise MalformedRow(lineno, f"kind must be Q or T, got {kind!r}")
-        if ts < prev_ts:
-            raise NonMonotonicTime(lineno, "timestamps must be non-decreasing")
-        prev_ts = ts
-        events.append(TickEvent(ts, _to_ticks(parts[1], tick_frac, lineno), kind, volume))
+    prev = -1
+    for lineno, blk, s, e in _blocks(text, 4):
+        (ts, volume), int_frac, int_ok = (a.T for a in _number(blk, s[:, [0, 3]], e[:, [0, 3]]))
+        price, frac, price_ok = _number(blk, s[:, 1], e[:, 1])
+        price, on_grid, fits = _ticks(price, frac, tick_frac)
+        kind = np.where(e[:, 2] - s[:, 2] == 1, blk[s[:, 2]], 0)
+        _raise_first(lineno, [
+            (~(int_ok & (int_frac == 0)).all(0), MalformedRow, "bad integer field"),
+            (ts <= 0, MalformedRow, "timestamp must be positive"),
+            (volume < 0, MalformedRow, "volume must be non-negative"),
+            ((kind != 81) & (kind != 84), MalformedRow, "kind must be Q or T"),
+            (ts < np.concatenate(([prev], ts[:-1])), NonMonotonicTime, "timestamps must be non-decreasing"),
+            (~(price_ok & fits), MalformedRow, "bad price"),
+            (~on_grid, TickSizeViolation, "price is not a multiple of the tick size"),
+        ])
+        prev = ts[-1]
+        kinds = np.where(kind == 81, "Q", "T").tolist()
+        events += map(TickEvent, ts.tolist(), price.tolist(), kinds, volume.tolist())
     return events, tick_dec
 
 
@@ -270,81 +349,57 @@ def serialize_ticks(events, tick_size: Decimal) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_book(text: str, depth: int | None = None) -> tuple[list[BookSnapshot], Decimal, int]:
-    """Parse a book CSV into snapshots.
+def parse_book(text: str, depth: int | None = None) -> tuple[Book, Decimal, int]:
+    """Parse a book CSV into int64 columns.
 
     ``depth``, when given, must match the header's declared depth.  Returns
-    ``(snapshots, tick_size, depth)``.
+    ``(book, tick_size, depth)``.  The first bad row raises with its line
+    number and the error a reader going row by row would raise.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedRow(1, "missing book header")
-    m = _BOOK_HEADER.match(lines[0])
+    m = _BOOK_HEADER.match(text.partition("\n")[0])
     if not m:
         raise MalformedRow(1, "missing 'tick_size=... depth=...' header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
-    file_depth = int(m.group(2))
-    if file_depth < 1:
+    d = int(m.group(2))
+    if d < 1:
         raise MalformedRow(1, "depth must be >= 1")
-    if depth is not None and depth != file_depth:
-        raise MalformedRow(1, f"requested depth {depth} but file declares {file_depth}")
-
-    snaps: list[BookSnapshot] = []
-    prev_ts = -1
-    n_fields = 2 + 4 * file_depth
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != n_fields:
-            raise MalformedRow(lineno, f"expected {n_fields} fields, got {len(parts)}")
-        try:
-            ts = int(parts[0])
-            tcd = int(parts[1])
-        except ValueError:
-            raise MalformedRow(lineno, "bad integer field")
-        if ts <= 0:
-            raise MalformedRow(lineno, "timestamp must be positive")
-        if tcd < 0:
-            raise MalformedRow(lineno, "trade_count_delta must be non-negative")
-        if ts < prev_ts:
-            raise NonMonotonicTime(lineno, "timestamps must be non-decreasing")
-        prev_ts = ts
-
-        def read_side(offset: int) -> tuple:
-            levels = []
-            ended = False
-            for lvl in range(file_depth):
-                px_text = parts[offset + 2 * lvl]
-                vol_text = parts[offset + 2 * lvl + 1]
-                if px_text == "" and vol_text == "":
-                    ended = True
-                    continue
-                if ended:
-                    raise MalformedRow(lineno, "non-contiguous book levels")
-                if px_text == "" or vol_text == "":
-                    raise MalformedRow(lineno, "price/volume must be both present or both empty")
-                try:
-                    vol_i = int(vol_text)
-                except ValueError:
-                    raise MalformedRow(lineno, "bad volume field")
-                if vol_i <= 0:
-                    raise MalformedRow(lineno, "level volume must be positive")
-                levels.append((_to_ticks(px_text, tick_frac, lineno), vol_i))
-            return tuple(levels)
-
-        bids = read_side(2)
-        asks = read_side(2 + 2 * file_depth)
-        bid_px = [p for p, _ in bids]
-        ask_px = [p for p, _ in asks]
-        if any(b >= a for a, b in zip(bid_px, bid_px[1:])):
-            raise LadderOrderViolation(lineno, "bid prices must be strictly decreasing")
-        if any(b <= a for a, b in zip(ask_px, ask_px[1:])):
-            raise LadderOrderViolation(lineno, "ask prices must be strictly increasing")
-        if bids and asks and bids[0][0] >= asks[0][0]:
-            raise CrossedBook(lineno, "best bid is at or above best ask")
-        snaps.append(BookSnapshot(ts, tcd, bids, asks))
-    return snaps, tick_dec, file_depth
+    if depth is not None and depth != d:
+        raise MalformedRow(1, f"requested depth {depth} but file declares {d}")
+    px_cols = 2 + 2 * np.arange(2 * d)  # bid levels best first, then ask levels
+    rows, prev = [(np.zeros(0, np.int64),) * 2 + (np.zeros((0, 2 * d), np.int64),) * 2], -1
+    for lineno, blk, s, e in _blocks(text, 2 + 4 * d):
+        (ts, tcd), int_frac, int_ok = (a.T for a in _number(blk, s[:, :2], e[:, :2]))
+        px, frac, px_ok = _number(blk, s[:, px_cols], e[:, px_cols])
+        px, on_grid, fits = _ticks(px, frac, tick_frac)
+        vol, vol_frac, vol_ok = _number(blk, s[:, px_cols + 1], e[:, px_cols + 1])
+        pe, ve = (s == e)[:, px_cols], (s == e)[:, px_cols + 1]
+        gone = (pe & ve).reshape(-1, 2, d)
+        gap = (np.cumsum(gone, axis=2) > gone).reshape(-1, 2 * d)  # an empty level came before
+        held = ~pe & ~ve
+        level = [
+            (gap & ~(pe & ve), MalformedRow, "non-contiguous book levels"),
+            (pe ^ ve, MalformedRow, "price/volume must be both present or both empty"),
+            (held & ~(vol_ok & (vol_frac == 0)), MalformedRow, "bad volume field"),
+            (held & (vol <= 0), MalformedRow, "level volume must be positive"),
+            (held & ~(px_ok & fits), MalformedRow, "bad price"),
+            (held & ~on_grid, TickSizeViolation, "price is not a multiple of the tick size"),
+        ]
+        _raise_first(lineno, [
+            (~(int_ok & (int_frac == 0)).all(0), MalformedRow, "bad integer field"),
+            (ts <= 0, MalformedRow, "timestamp must be positive"),
+            (tcd < 0, MalformedRow, "trade_count_delta must be non-negative"),
+            (ts < np.concatenate(([prev], ts[:-1])), NonMonotonicTime, "timestamps must be non-decreasing"),
+            *[(mask[:, j], error, msg) for j in range(2 * d) for mask, error, msg in level],
+            ((held[:, 1:d] & (px[:, 1:d] >= px[:, : d - 1])).any(1), LadderOrderViolation,
+             "bid prices must be strictly decreasing"),
+            ((held[:, d + 1 :] & (px[:, d + 1 :] <= px[:, d:-1])).any(1), LadderOrderViolation,
+             "ask prices must be strictly increasing"),
+            (held[:, 0] & held[:, d] & (px[:, 0] >= px[:, d]), CrossedBook, "best bid is at or above best ask"),
+        ])
+        rows.append((ts, tcd, px, vol))
+        prev = ts[-1]
+    ts, tcd, px, vol = (np.concatenate(c) for c in zip(*rows))
+    return Book(ts, tcd, px[:, :d], vol[:, :d], px[:, d:], vol[:, d:]), tick_dec, d
 
 
 def serialize_book(snaps, tick_size: Decimal, depth: int) -> str:

@@ -84,32 +84,27 @@ class ImbalanceSeries:
         )
 
 
-def imbalance_series(snaps, depth: int) -> ImbalanceSeries:
-    """Depth imbalance of one day of book snapshots.
+def imbalance_series(book, depth: int) -> ImbalanceSeries:
+    """Depth imbalance of one day of a market_data.Book.
 
-    Volumes are summed as exact integers before the single float division;
-    a snapshot with no volume on either side within ``depth`` has no
-    defined imbalance and raises EmptySide.
+    Volumes are summed as exact integers before the single float division,
+    so each level volume within ``depth`` must stay below 2**53 / (2 depth);
+    a snapshot with no volume on either side within ``depth`` has no defined
+    imbalance and raises EmptySide.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    n = len(snaps)
-    values = np.empty(n)
-    ts = np.empty(n, dtype=np.int64)
-    trades = np.empty(n, dtype=np.int64)
-    running = 0
-    for i, snap in enumerate(snaps):
-        bid = sum(v for _, v in snap.bids[:depth])
-        ask = sum(v for _, v in snap.asks[:depth])
-        total = bid + ask
-        if total == 0:
-            raise EmptySide(f"snapshot {i}: no volume within depth {depth}")
-        values[i] = (bid - ask) / total
-        ts[i] = snap.timestamp_ns
-        running += snap.trade_count_delta
-        trades[i] = running
+    bid, ask = book.bid_vol[:, :depth], book.ask_vol[:, :depth]
+    if max(np.abs(bid).max(initial=0), np.abs(ask).max(initial=0)) >= 2**53 // (2 * depth):
+        raise ValueError(f"level volumes must stay below 2**53 / {2 * depth} to sum exactly")
+    bid, ask = bid.sum(axis=1), ask.sum(axis=1)
+    total = bid + ask
+    empty = np.flatnonzero(total == 0)
+    if empty.size:
+        raise EmptySide(f"snapshot {empty[0]}: no volume within depth {depth}")
     return ImbalanceSeries(
-        values=values, timestamps_ns=ts, trades=trades, day_boundaries=(0,), depth=depth
+        values=(bid - ask) / total, timestamps_ns=book.timestamps_ns,
+        trades=np.cumsum(book.trade_count_delta), day_boundaries=(0,), depth=depth,
     )
 
 

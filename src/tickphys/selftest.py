@@ -18,13 +18,14 @@ import math
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import hurst, invstat, numerics, obrelax, synth
 from .invstat import ExitTimeConfig
+from .market_data import Book
 from .obrelax import ImbalanceSeries, StretchedExpFit
 
 __all__ = ["CriterionResult", "run_selftest", "format_line", "CRITERIA"]
@@ -288,15 +289,7 @@ def _random_book(rng) -> tuple:
         ask_v[:] = 0
     if bid_v.sum() + ask_v.sum() == 0:
         bid_v[0] = 1
-    bids = tuple((int(p), int(v)) for p, v in zip(bid_px, bid_v))
-    asks = tuple((int(p), int(v)) for p, v in zip(ask_px, ask_v))
-    return bids, asks
-
-
-def _imbalance_of(bids, asks, depth: int = 5) -> float:
-    b = sum(v for _, v in bids[:depth])
-    a = sum(v for _, v in asks[:depth])
-    return (b - a) / (b + a)
+    return bid_px, bid_v, ask_px, ask_v
 
 
 def criterion_10() -> CriterionResult:
@@ -305,24 +298,16 @@ def criterion_10() -> CriterionResult:
     rng = np.random.default_rng(10)
     # odd-mantissa levels: no rational with denominator < 2^52 can hit them
     kappa1, kappa2 = 0.28915, 0.61073
-    failures = 0
-    values = []
-    for _ in range(10_000):
-        bids, asks = _random_book(rng)
-        s = _imbalance_of(bids, asks)
-        values.append(s)
-        if not -1.0 <= s <= 1.0:
-            failures += 1
-        if _imbalance_of(asks, bids) != -s:
-            failures += 1
-        for m in (2, 7, 1000):
-            scaled = _imbalance_of(
-                tuple((p, v * m) for p, v in bids), tuple((p, v * m) for p, v in asks)
-            )
-            if scaled != s:
-                failures += 1
+    ladders = [np.array(c) for c in zip(*(_random_book(rng) for _ in range(10_000)))]
+    book = Book(np.ones(10_000, np.int64), np.zeros(10_000, np.int64), *ladders)
+    vals = obrelax.imbalance_series(book, 5).values
+    mirrored = Book(book.timestamps_ns, book.trade_count_delta, *ladders[2:], *ladders[:2])
+    failures = int(np.sum(~((vals >= -1.0) & (vals <= 1.0))))
+    failures += int(np.sum(obrelax.imbalance_series(mirrored, 5).values != -vals))
+    for m in (2, 7, 1000):
+        scaled = replace(book, bid_vol=book.bid_vol * m, ask_vol=book.ask_vol * m)
+        failures += int(np.sum(obrelax.imbalance_series(scaled, 5).values != vals))
     # entry-set nesting, checked on 100 sequences of 100 books each
-    vals = np.array(values)
     for chunk in vals.reshape(100, 100):
         e1 = set(obrelax.entry_times(chunk, kappa1).tolist())
         for t in obrelax.entry_times(chunk, kappa2):

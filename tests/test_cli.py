@@ -6,6 +6,7 @@ byte-identical apart from the manifest timestamps.
 """
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -87,14 +88,16 @@ def test_hurst_artifacts(tmp_path):
     rows = [line.split(",") for line in (tmp_path / "d" / "hurst.csv").read_text().splitlines()[1:]]
     assert [int(r[3]) for r in rows] == [int(int(r[0]) - 512 < 1024 < int(r[0])) for r in rows]
     assert any(r[3] == "1" for r in rows)
-    # malformed or inconsistent --boxes / --order is a usage problem
+    # malformed or inconsistent --boxes / --order / --window is a usage
+    # problem, found before the input is read
     for bad in (["--boxes", "nope"], ["--boxes", "8:8:5"], ["--boxes", "0:100:10"],
                 ["--boxes", "8:100:-3"], ["--boxes", "2:200:10", "--order", "2"],
-                ["--order", "0"]):
-        assert cli.run(
-            ["hurst", "--input", str(src / "series.csv"), "--window", "512",
-             *bad, "--out", str(tmp_path / "c")]
-        ) == 1, bad
+                ["--order", "0"], ["--window", "20"], ["--boxes", "8:300:10"]):
+        for series in (src / "series.csv", tmp_path / "absent.csv"):
+            assert cli.run(
+                ["hurst", "--input", str(series), "--window", "512",
+                 *bad, "--out", str(tmp_path / "c")]
+            ) == 1, bad
 
 
 def test_invstat_artifacts(tmp_path):
@@ -122,7 +125,18 @@ def test_invstat_artifacts(tmp_path):
     assert len(scaling) == 3
 
 
-def test_relax_artifacts(tmp_path):
+# SHA-256 of the relax artifacts on _synthetic_book_text(), as the
+# row-by-row parser produced them.
+RELAX_SHA256 = {
+    "fit_k0.2.json": "8b8727844e66e081378a9b05787ec2540baa8aba8847aed3e4a6247fd351c279",
+    "fit_k0.4.json": "e6b8a7d116d4cff4fa764210309deec9bf31cea4067f75038379adf7349ed652",
+    "mean_vs_kappa.csv": "e087ebcc422801048ea1acc9846b1ea8c63aebc371fd11e1b4b0118b0866da38",
+    "pdf_k0.2.csv": "97839ee3126eecc6c77f5682b3e7dc5289ccaaf40dcf0575ced4d5c22b0661db",
+    "pdf_k0.4.csv": "66812fe0b544596f0f286417b339dfee959e7d84693bd5bba64ca15d2f1b75d8",
+}
+
+
+def test_relax_artifacts(tmp_path, capsys):
     book = tmp_path / "book.csv"
     book.write_text(_synthetic_book_text())
     out = tmp_path / "art"
@@ -141,6 +155,18 @@ def test_relax_artifacts(tmp_path):
     mean_lines = (out / "mean_vs_kappa.csv").read_text().splitlines()
     assert mean_lines[0] == "# columns: kappa,mean_tau,n_resolved,n_censored"
     assert len(mean_lines) == 3
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    digests.pop("manifest.json")
+    assert digests == RELAX_SHA256
+    # a depth the file cannot supply is a usage problem naming both depths
+    capsys.readouterr()
+    assert cli.run(
+        ["relax", "--input", str(book), "--kappa", "0.2", "--depth", "5",
+         "--out", str(tmp_path / "deep")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert "--depth 5" in err and "depth 3" in err
+    assert not (tmp_path / "deep").exists()
 
 
 def test_selftest_single_criterion_report(tmp_path, capsys):

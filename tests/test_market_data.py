@@ -7,20 +7,23 @@ line number, since the CLI surfaces both.
 
 import datetime as dt
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_book as reference
+from _reference_book import assert_same_columns, snapshots
 from tickphys import (
-    BookSnapshot,
     CrossedBook,
     DayTicks,
     EmptyDay,
     LadderOrderViolation,
     MalformedRow,
     NonMonotonicTime,
+    ParseError,
     RegularSeries,
     Session,
     TickEvent,
@@ -34,6 +37,7 @@ from tickphys import (
     serialize_ticks,
     sessionize,
 )
+from tickphys import market_data
 
 NS = 1_000_000_000
 
@@ -112,12 +116,14 @@ def test_tick_roundtrip_property(data):
 
 
 def test_parse_book_levels_and_short_side():
-    snaps, tick_size, depth = parse_book(BOOK)
+    book, tick_size, depth = parse_book(BOOK)
     assert (tick_size, depth) == (Decimal("0.5"), 2)
-    assert snaps[0].bids == ((199, 10), (198, 4))
-    assert snaps[0].asks == ((200, 7), (201, 2))
-    assert snaps[1].bids == ((199, 12),)  # second level empty
-    assert snaps[1].trade_count_delta == 3
+    assert len(book) == 2
+    assert list(zip(book.bid_px[0], book.bid_vol[0])) == [(199, 10), (198, 4)]
+    assert list(zip(book.ask_px[0], book.ask_vol[0])) == [(200, 7), (201, 2)]
+    assert list(zip(book.bid_px[1], book.bid_vol[1]))[:1] == [(199, 12)]
+    assert book.bid_vol[1, 1] == 0  # second level empty
+    assert book.trade_count_delta[1] == 3
 
 
 def test_parse_book_rejects_bad_ladders():
@@ -139,8 +145,143 @@ def test_parse_book_rejects_bad_ladders():
 
 
 def test_book_roundtrip():
-    snaps, tick_size, depth = parse_book(BOOK)
-    assert parse_book(serialize_book(snaps, tick_size, depth))[0] == snaps
+    book, tick_size, depth = parse_book(BOOK)
+    again = parse_book(serialize_book(snapshots(book), tick_size, depth))[0]
+    assert snapshots(again) == snapshots(book)
+    assert_same_columns(again, snapshots(book), depth)
+
+
+@st.composite
+def book_texts(draw, min_rows=0):
+    """Valid book files over several tick sizes: short and empty sides,
+    negative prices, trailing zeros or none, blank and whitespace-only
+    lines, and \\n or \\r\\n endings."""
+    tick = Decimal(draw(st.sampled_from(["0.5", "0.25", "0.01", "0.0001"])))
+    depth = draw(st.integers(1, 4))
+    lines = [f"# tick_size={tick} depth={depth}"]
+    ts = 0
+    for _ in range(draw(st.integers(min_rows, 12))):
+        ts += draw(st.sampled_from([0, 1, 10**9, 10**17]))  # ties allowed
+        mid = draw(st.integers(-(10**6), 10**6))
+        cells = [str(ts + 1), str(draw(st.integers(0, 3)))]
+        for sign in (-1, 1):
+            n = draw(st.integers(0, depth))
+            px = mid + sign * np.cumsum(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n)))
+            for level in range(depth):
+                if level < n:
+                    value = Decimal(int(px[level])) * tick
+                    value = value.normalize() if draw(st.booleans()) else value
+                    cells += [format(value, "f"), str(draw(st.integers(1, 10**9)))]
+                else:
+                    cells += ["", ""]
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=1))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse, text):
+    try:
+        book = parse(text)[0]
+    except ParseError as exc:
+        return type(exc), exc.line
+    return snapshots(book) if isinstance(book, market_data.Book) else book
+
+
+# Small blocks put block edges between rows, blank lines and bad rows.
+block_lines = st.sampled_from([1, 2, 3, market_data._BLOCK_LINES])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=book_texts(), block=block_lines)
+def test_parse_book_matches_row_by_row_reference(text, block):
+    ref_snaps, ref_tick, ref_depth = reference.parse_book(text)
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        book, tick_size, depth = parse_book(text)
+    assert (tick_size, depth) == (ref_tick, ref_depth)
+    assert len(book) == len(ref_snaps)
+    assert_same_columns(book, ref_snaps, depth)
+
+
+# Replacement cells that both readers judge alike; the row-by-row reader
+# also took "+5", "1_0", " 5", "1e3", ".5" and "5.", which are now errors.
+corrupt_cells = st.one_of(
+    st.sampled_from(["", "abc", "x1", "1.2.3", "--1", "-", ".", "0", "-0", "-1", "1", str(10**18), "1,2", "\u00e9", "NaN"]),
+    st.integers(-(10**12), 10**18).map(str),
+    st.tuples(st.integers(-(10**8), 10**8), st.integers(1, 6)).map(
+        lambda t: format(Decimal(t[0]).scaleb(-t[1]), "f")
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), block=block_lines)
+def test_corrupt_cell_fails_like_reference(data, block):
+    lines = data.draw(book_texts(min_rows=1)).split("\n")
+    i = data.draw(st.sampled_from([k for k, line in enumerate(lines) if k and line.strip()]))
+    cells = lines[i].split(",")
+    cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(corrupt_cells)
+    lines[i] = ",".join(cells)
+    text = "\n".join(lines)
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        assert _outcome(parse_book, text) == _outcome(reference.parse_book, text)
+
+
+def test_parse_book_time_order_across_block_edges():
+    rows = [f"{t},0,99.5,1,100.0,1" for t in (1, 2, 2, 3, 1)]
+    text = "# tick_size=0.5 depth=1\n" + "\n\n".join(rows) + "\n"
+    for block in (1, 2, 3, 4):
+        with mock.patch.object(market_data, "_BLOCK_LINES", block):
+            with pytest.raises(NonMonotonicTime) as err:
+                parse_book(text)
+        assert err.value.line == 10
+
+
+BOOK_HEAD = "# tick_size=0.01 depth=1\r\n1,0,99.99,5,100.01,5\r\n\r\n \t\r\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "9223372036854775808,0,99.99,5,100.01,5",  # timestamp beyond int64
+        "2,99999999999999999999,99.99,5,100.01,5",  # trade count beyond int64
+        "2,0,99.99,5,100000000000000000000.01,5",  # price beyond int64
+        "2,0,99.99,5,100000000000000000,5",  # tick count beyond int64
+        "2,0,99.99,9223372036854775808,100.01,5",  # volume beyond int64
+        "2,0,99.99,5\u00e9,100.01,5",  # a non-ASCII byte
+        "2\u2028,0,99.99,5,100.01,5",
+        "2,+1,99.99,5,100.01,5",  # cells outside -?digits(.digits)?
+        "2,0,99.99,1_0,100.01,5",
+        "2,0,1e2,5,100.01,5",
+        "2,0,99.99,5,100.01, 5",
+        "2,0,99 .99,5,100.01,5",
+        "2,0,.99,5,100.01,5",
+        "2,0,99.,5,100.01,5",
+        "2,0,-99.99-,5,100.01,5",
+        "2,0,99.99,5,000000000000000000100.01,5",  # more than 19 digits
+    ],
+)
+def test_parse_book_edge_cells_are_malformed_rows(row):
+    with pytest.raises(MalformedRow) as err:
+        parse_book(BOOK_HEAD + row + "\r\n")
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "row", ["9223372036854775808,1.00,T,1", "2,1.00,T,1\u00e9", "2,+1.00,T,1", "2,1.00,T,1e1"]
+)
+def test_parse_ticks_edge_cells_are_malformed_rows(row):
+    with pytest.raises(MalformedRow) as err:
+        parse_ticks("# tick_size=0.01\n1,1.00,Q,1\n\n" + row + "\n")
+    assert err.value.line == 4
+
+
+def test_parse_book_int64_edges():
+    top = "9223372036854775807"
+    book = parse_book(f"# tick_size=0.01 depth=1\n{top},{top},-92233720368547758.07,{top},,\n")[0]
+    assert book.timestamps_ns[0] == book.trade_count_delta[0] == book.bid_vol[0, 0] == int(top)
+    assert book.bid_px[0, 0] == -int(top)
+    assert parse_book("# tick_size=0.01 depth=1\n1,0,0000000000000001.00,1,,\n")[0].bid_px[0, 0] == 100
 
 
 def test_session_validation_and_bounds():

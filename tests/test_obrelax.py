@@ -15,6 +15,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_book as reference
+from _reference_book import book_of
 from tickphys import (
     BookSnapshot,
     EmptySide,
@@ -42,8 +44,12 @@ def book(bids, asks, ts=1, tcd=0):
     return BookSnapshot(timestamp_ns=ts, trade_count_delta=tcd, bids=tuple(bids), asks=tuple(asks))
 
 
+def imbalance(snaps, depth):
+    return imbalance_series(book_of(snaps), depth=depth)
+
+
 def test_imbalance_sixty_forty():
-    sig = imbalance_series([book([(99, 60)], [(101, 40)])], depth=1)
+    sig = imbalance([book([(99, 60)], [(101, 40)])], depth=1)
     assert sig.values[0] == 0.2  # exact, not approximate
     assert sig.depth == 1
 
@@ -53,7 +59,7 @@ def test_imbalance_depth_slicing_and_trades():
         book([(99, 10), (98, 30)], [(101, 10), (102, 5)], ts=1, tcd=2),
         book([(99, 7)], [(101, 7), (102, 1)], ts=2, tcd=3),
     ]
-    sig = imbalance_series(snaps, depth=1)
+    sig = imbalance(snaps, depth=1)
     assert sig.values.tolist() == [0.0, 0.0]  # second levels ignored
     assert sig.trades.tolist() == [2, 5]  # cumulative
     assert sig.timestamps_ns.tolist() == [1, 2]
@@ -61,13 +67,13 @@ def test_imbalance_depth_slicing_and_trades():
 
 def test_imbalance_empty_side_detection():
     with pytest.raises(EmptySide):
-        imbalance_series([book([], [])], depth=2)
+        imbalance([book([], [])], depth=2)
     with pytest.raises(EmptySide):
         # volume exists only below the requested depth
-        imbalance_series([book([], [(101, 0)]) ], depth=1)
+        imbalance([book([], [(101, 0)]) ], depth=1)
     with pytest.raises(ValueError):
-        imbalance_series([book([(99, 1)], [])], depth=0)
-    one_sided = imbalance_series([book([(99, 5)], [])], depth=1)
+        imbalance([book([(99, 1)], [])], depth=0)
+    one_sided = imbalance([book([(99, 5)], [])], depth=1)
     assert one_sided.values[0] == 1.0
 
 
@@ -83,14 +89,37 @@ def test_imbalance_algebra_bitwise(bid_v, ask_v, m):
     bids = [(100 - i, v) for i, v in enumerate(bid_v)]
     asks = [(101 + i, v) for i, v in enumerate(ask_v)]
     depth = max(len(bids), len(asks))
-    s = imbalance_series([book(bids, asks)], depth=depth).values[0]
+    s = imbalance([book(bids, asks)], depth=depth).values[0]
     assert -1.0 <= s <= 1.0
-    mirrored = imbalance_series([book(asks, bids)], depth=depth).values[0]
+    mirrored = imbalance([book(asks, bids)], depth=depth).values[0]
     assert mirrored == -s
-    scaled = imbalance_series(
+    scaled = imbalance(
         [book([(p, v * m) for p, v in bids], [(p, v * m) for p, v in asks])], depth=depth
     ).values[0]
     assert scaled == s
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(volumes, volumes), min_size=1, max_size=20),
+    depth=st.integers(1, 5),
+)
+def test_imbalance_matches_per_snapshot_loop(rows, depth):
+    snaps = [
+        book([(100 - i, v) for i, v in enumerate(b)], [(101 + i, v) for i, v in enumerate(a)], ts=k + 1, tcd=k)
+        for k, (b, a) in enumerate(rows)
+        if sum(b[:depth]) + sum(a[:depth]) > 0
+    ]
+    if snaps:
+        sig = imbalance(snaps, depth=depth)
+        assert sig.values.tolist() == reference.imbalance(snaps, depth)
+        assert sig.trades.tolist() == np.cumsum([s.trade_count_delta for s in snaps]).tolist()
+
+
+def test_imbalance_rejects_volumes_too_large_to_sum_exactly():
+    with pytest.raises(ValueError):
+        imbalance([book([(99, 2**52)], [(101, 1)])], depth=1)
+    assert imbalance([book([(99, 2**52 - 1)], [(101, 1)])], depth=1).values[0] > 0.99
 
 
 def test_entry_times_hand_case():
