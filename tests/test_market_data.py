@@ -203,8 +203,9 @@ def test_parse_book_matches_row_by_row_reference(text, block):
     assert_same_columns(book, ref_snaps, depth)
 
 
-# Replacement cells that both readers judge alike; the row-by-row reader
-# also took "+5", "1_0", " 5", "1e3", ".5" and "5.", which are now errors.
+# Replacement cells that both readers judge alike, apart from prices whose
+# tick count leaves int64 (see _int64_ticks); the row-by-row reader also
+# took "+5", "1_0", " 5", "1e3", ".5" and "5.", which are now errors.
 corrupt_cells = st.one_of(
     st.sampled_from(["", "abc", "x1", "1.2.3", "--1", "-", ".", "0", "-0", "-1", "1", str(10**18), "1,2", "\u00e9", "NaN"]),
     st.integers(-(10**12), 10**18).map(str),
@@ -212,6 +213,18 @@ corrupt_cells = st.one_of(
         lambda t: format(Decimal(t[0]).scaleb(-t[1]), "f")
     ),
 )
+
+
+def _int64_ticks(text, tick_size, lineno):
+    """The reference's price reader with the one rule the columnar reader
+    adds: a price whose tick count is beyond int64 is a malformed row."""
+    ticks = _reference_ticks(text, tick_size, lineno)
+    if abs(ticks) > np.iinfo(np.int64).max:
+        raise MalformedRow(lineno, "bad price")
+    return ticks
+
+
+_reference_ticks = reference._to_ticks
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,7 +237,9 @@ def test_corrupt_cell_fails_like_reference(data, block):
     lines[i] = ",".join(cells)
     text = "\n".join(lines)
     with mock.patch.object(market_data, "_BLOCK_LINES", block):
-        assert _outcome(parse_book, text) == _outcome(reference.parse_book, text)
+        got = _outcome(parse_book, text)
+    with mock.patch.object(reference, "_to_ticks", _int64_ticks):
+        assert got == _outcome(reference.parse_book, text)
 
 
 def test_parse_book_time_order_across_block_edges():
