@@ -25,6 +25,7 @@ from .errors import (
     WindowTooLarge,
     TooFewSamples,
     TooFewBins,
+    PriceRangeTooWide,
     EmptySide,
     FitError,
     FitDiverged,
@@ -63,6 +64,7 @@ from .hurst import (
     avg_hurst_vs_scale,
 )
 from .invstat import (
+    CrossingIndex,
     ExitTimeConfig,
     ExitTimes,
     FirstPassageFit,

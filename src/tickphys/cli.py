@@ -1,11 +1,12 @@
 """Command line front end: one subcommand per pipeline plus synthetic
 generation and the built-in acceptance suite.
 
-Every subcommand requires --out DIR and drops a manifest.json next to its
-artifacts.  Artifacts are collected in memory and written together, so a
-failing run leaves no partial output; reruns with identical flags and
-inputs are byte-identical except for the manifest's started/finished
-stamps.  Exit codes: 0 success, 1 usage, 2 data, 3 fit failure.
+Every subcommand requires --out DIR, which must be absent or empty, and
+drops a manifest.json next to its artifacts.  Artifacts are collected in
+memory and written together, so a failing run leaves no partial output;
+reruns with identical flags and inputs into fresh directories are
+byte-identical except for the manifest's started/finished stamps.  Exit
+codes: 0 success, 1 usage, 2 data, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from . import __version__
 from .errors import DataError, FitError, SeriesTooShort, TickphysError, UsageError
 from .hurst import DfaConfig, local_hurst
 from .invstat import (
-    ExitTimeConfig,
+    CrossingIndex,
     entry_time_distribution,
-    exit_times,
     first_passage_hist,
     fit_first_passage,
     fit_tail_power_law,
@@ -76,6 +76,15 @@ def _manifest(subcommand: str, params: dict, input_paths, started: str) -> str:
         "finished": _utcnow(),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _require_empty_out(out_dir: str) -> None:
+    """Refuse an --out that already holds files: a rerun with fewer
+    targets or kappas would otherwise leave the old run's artifacts
+    beside the new ones."""
+    out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise UsageError(f"--out {out_dir} exists and is not an empty directory")
 
 
 def _write_all(out_dir: str, files: dict) -> None:
@@ -209,12 +218,12 @@ def _cmd_invstat(args) -> int:
     if any(r < 1 for r in targets):
         raise UsageError("--target values must be >= 1 tick")
     series = parse_regular_series(Path(args.input).read_text())
+    index = CrossingIndex(series, args.direction)
 
     files = {}
     scaling_rows = ["# columns: R,tau_star"]
     for r in targets:
-        cfg = ExitTimeConfig(threshold=r, direction=args.direction, clock=args.clock)
-        exits = exit_times(series, cfg)
+        exits = index.exit_times(r, args.clock)
         hist = first_passage_hist(exits, args.bins_per_decade, min_samples=args.min_samples)
         fit = fit_first_passage(hist)
         tau_star = optimal_horizon(fit)
@@ -240,6 +249,7 @@ def _cmd_invstat(args) -> int:
                 )
         files[f"entry_R{r}.csv"] = "\n".join(entry_rows) + "\n"
         scaling_rows.append(f"{r},{_fmt(tau_star)}")
+        del exits  # one threshold's exits at a time beside the index
     files["scaling.csv"] = "\n".join(scaling_rows) + "\n"
 
     params = {
@@ -403,6 +413,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _require_empty_out(args.out)  # before any input is read
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -79,6 +79,10 @@ class TooFewBins(DataError):
     pass
 
 
+class PriceRangeTooWide(DataError):
+    """Price range times ladder length overflows the crossing index's keys."""
+
+
 class EmptySide(DataError):
     """Order book with zero total volume on both sides within depth."""
 

@@ -7,12 +7,16 @@ p(t+T) - p(t) >= threshold (direction "up"; "down" negates the path,
 days are independent, and entries whose exit does not arrive before the
 end of the day are counted as censored rather than dropped silently.
 
-Crossings are resolved exactly for arbitrary integer jump sizes: each
-upward jump a -> b is expanded into the virtual ladder a+1 .. b at the
-arrival index, so "first index at or above level c" becomes "first
-virtual element equal to c after the entry's virtual position", which a
-stable sort plus one vectorized binary search answers for all entries at
-once.
+Crossings are resolved exactly for arbitrary integer jump sizes.  The
+first j > t with p[j] >= p[t] + R follows p[j-1] < p[t] + R, so it is an
+upward move that passes that level.  ``CrossingIndex`` therefore keeps,
+per day and side, every level that each upward move passes, keyed
+level * n + time and sorted once, plus the entries' keys p[t] * n + t,
+also sorted once.  A threshold query lifts the entry keys by R levels,
+which keeps them ascending, and one vectorized binary search over the
+ladder finds every entry's exit.  ``horizon_scaling`` and the
+``invstat`` subcommand build one index and query it threshold by
+threshold; ``exit_times`` is a one-threshold query of a fresh index.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     FitDiverged,
+    PriceRangeTooWide,
     TickSizeViolation,
     TooFewBins,
     TooFewSamples,
@@ -34,6 +39,7 @@ from .market_data import NS_PER_S, DayTicks, RegularSeries, SessionizedTicks
 from .numerics import LogBinnedPdf, linfit, log_bin
 
 __all__ = [
+    "CrossingIndex",
     "ExitTimeConfig",
     "ExitTimes",
     "FirstPassageFit",
@@ -100,65 +106,33 @@ class ExitTimes:
         return self.tau.size
 
 
-def _first_crossing(prices: np.ndarray, threshold: int) -> np.ndarray:
-    """Per entry t, index of the first j > t with p[j] >= p[t] + threshold.
+# Price range times ladder size must stay below this: it bounds the ladder
+# and keeps keys, lifted by any threshold below the range, within int64.
+_KEY_LIMIT = 2**62
 
-    Returns -1 where the level is never reached.  The first qualifying
-    index is always entered by an upward jump, so it owns the virtual
-    ladder element exactly at the target level.
-    """
-    p = prices
-    n = p.size
-    if n < 2:
-        return np.full(n, -1, dtype=np.int64)
-    d = np.diff(p)
-    up = d > 0
-    lens = np.ones(n, dtype=np.int64)
-    lens[1:][up] = d[up]
-    starts = np.cumsum(lens) - lens
-    total = int(starts[-1] + lens[-1])
-    orig = np.repeat(np.arange(n, dtype=np.int64), lens)
-    base = np.empty(n, dtype=np.int64)
-    base[0] = p[0]
-    base[1:] = np.where(up, p[:-1] + 1, p[1:])
-    vp = np.repeat(base - starts, lens) + np.arange(total, dtype=np.int64)
 
-    order = np.argsort(vp, kind="stable")  # within equal levels: by position
-    svp = vp[order]
-    vmin = int(svp[0])
-    span = int(svp[-1]) - vmin + 1
-    if span >= (2**62) // max(total, 1):
-        raise OverflowError("price range times event count exceeds int64 keys")
-    skey = (svp - vmin) * np.int64(total) + order  # ascending by construction
-
-    entry_virtual = starts + lens - 1
-    targets = p + np.int64(threshold)
-    qkey = (targets - vmin) * np.int64(total) + entry_virtual
-    idx = np.searchsorted(skey, qkey, side="right")
-    hit = idx < total
-    safe = np.minimum(idx, total - 1)
-    hit &= svp[safe] == targets
-
-    out = np.full(n, -1, dtype=np.int64)
-    out[hit] = orig[order[safe[hit]]]
-    return out
+def _int_ticks(values, what: str) -> np.ndarray:
+    """Finite, integer-valued prices within int64 as int64 ticks."""
+    vals = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise TickSizeViolation(f"{what} are not finite")
+    ints = np.rint(vals)
+    if np.max(np.abs(vals - ints)) > 1e-6:
+        raise TickSizeViolation(f"{what} are not integer ticks")
+    if np.max(np.abs(ints)) >= 2.0**63:
+        raise TickSizeViolation(f"{what} lie beyond int64 ticks")
+    return ints.astype(np.int64)
 
 
 def _as_days(data) -> list:
-    """Normalize input to [(int prices, timestamps_ns or interval info)].
-
-    Yields (prices, ts_ns, open_ns) with ts_ns possibly None.
-    """
+    """Normalize input to [(int64 prices, timestamps_ns or None, open_ns)],
+    one entry per non-empty day."""
     if isinstance(data, SessionizedTicks):
         data = list(data.days)
     if isinstance(data, DayTicks):
         data = [data]
     if isinstance(data, RegularSeries):
-        vals = np.asarray(data.values, dtype=float)
-        ints = np.rint(vals)
-        if np.max(np.abs(vals - ints)) > 1e-6:
-            raise TickSizeViolation("regular series values are not integer ticks")
-        prices = ints.astype(np.int64)
+        prices = _int_ticks(data.values, "regular series values")
         bounds = list(data.session_boundaries) + [prices.size]
         out = []
         for a, b in zip(bounds, bounds[1:]):
@@ -167,75 +141,152 @@ def _as_days(data) -> list:
                 out.append((prices[a:b], ts, 0))
         return out
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], DayTicks):
-        out = []
-        for day in data:
-            open_ns = day.session_open_ns
-            if open_ns is None:
-                open_ns = int(day.timestamps_ns[0])
-            out.append((np.asarray(day.prices, dtype=np.int64), day.timestamps_ns, open_ns))
-        return out
+        return [(day.prices, day.timestamps_ns, day.session_open_ns) for day in data if len(day)]
     arr = np.asarray(data)
+    if arr.size == 0:
+        return []
     if not np.issubdtype(arr.dtype, np.integer):
-        ints = np.rint(arr.astype(float))
-        if np.max(np.abs(arr - ints)) > 1e-6:
-            raise TickSizeViolation("prices must be integer ticks")
-        arr = ints
+        arr = _int_ticks(arr, "prices")
     return [(arr.astype(np.int64), None, 0)]
+
+
+def _check_key_range(span: int, size: int) -> None:
+    """Refuse a day whose price range times ladder size reaches 2**62."""
+    if span >= _KEY_LIMIT // size:
+        raise PriceRangeTooWide(
+            f"price range of {span} ticks times {size} ladder elements exceeds int64 keys"
+        )
+
+
+class _Ladder:
+    """Every level that an upward move of one day and side passes, sorted.
+
+    A move up from a at t-1 to b at t passes the levels a+1 .. b, each
+    keyed level * n + t, with levels counted from the day's lowest price.
+    A move passes a level at most once, so the keys are unique and one
+    sort orders them by level and, within a level, by time.  The first
+    j > t with p[j] >= p[t] + R follows p[j-1] < p[t] + R, so j is a move
+    up that passes level p[t] + R: the first key above (p[t] + R) * n + t,
+    if that key is still on the level.
+    """
+
+    def __init__(self, levels: np.ndarray, span: int):
+        n = levels.size
+        d = np.diff(levels)
+        move = np.flatnonzero(d > 0) + 1  # indices entered by a move up
+        lens = d[move - 1]
+        # as large as the virtual ladder: one element per event plus the
+        # levels each move up jumps past
+        _check_key_range(span, n + int(lens.sum()) - lens.size)
+        nn = np.int64(n)
+        # Keys in time order as running sums: within a move the level
+        # rises by one (+n); from one move's top to the next move's first
+        # level, level and time both jump.
+        key = np.full(int(lens.sum()), nn)
+        if move.size:
+            key[0] = (levels[move[0] - 1] + 1) * nn + move[0]
+            starts = np.cumsum(lens[:-1])
+            key[starts] = (levels[move[1:] - 1] + 1 - levels[move[:-1]]) * nn + np.diff(move)
+        np.cumsum(key, out=key)
+        key.sort()  # the keys are unique, so any sort gives the one order
+        self.key = key
+        self.entry_key = np.sort(levels * nn + np.arange(n, dtype=np.int64))  # sorted needles
+        self.entry_t = self.entry_key % nn
+        self.span = span
+
+    def first_crossing(self, threshold: int) -> np.ndarray:
+        """Per entry t, the first j > t with p[j] >= p[t] + threshold, or -1."""
+        if threshold >= self.span or not self.key.size:  # no level to reach
+            return np.full(self.entry_key.size, -1, dtype=np.int64)
+        lift = np.int64(threshold) * np.int64(self.entry_key.size)
+        idx = np.searchsorted(self.key, self.entry_key + lift, side="right")
+        found = self.key[np.minimum(idx, self.key.size - 1)]
+        # found's time if it sits on the target level; a key at or below
+        # the query, where none is above it, gives j <= t
+        j = found - lift - self.entry_key + self.entry_t
+        out = np.empty_like(j)
+        out[self.entry_t] = np.where((j > self.entry_t) & (j < self.entry_key.size), j, -1)
+        return out
+
+
+_SIDES = {"up": (1,), "down": (-1,), "both": (1, -1)}
+
+
+class CrossingIndex:
+    """First-crossing index of a price path, built once per day and side.
+
+    The sorted ladder does not depend on the threshold, so every
+    ``exit_times(threshold, clock)`` query reuses it: one binary search
+    per entry, with needles already in ascending order.  ``direction``
+    "both" builds both sides.
+    """
+
+    def __init__(self, data, direction: str = "up"):
+        if direction not in DIRECTIONS:
+            raise ValueError(f"direction must be one of {DIRECTIONS}")
+        self.direction = direction
+        self._days = []
+        for prices, ts_ns, open_ns in _as_days(data):
+            lo, hi = int(prices.min()), int(prices.max())
+            span = hi - lo + 1
+            _check_key_range(span, prices.size)  # before any level arithmetic
+            # levels from the side's lowest price: p - min up, max - p down
+            ladders = [
+                _Ladder(prices - np.int64(lo) if side > 0 else np.int64(hi) - prices, span)
+                for side in _SIDES[direction]
+            ]
+            self._days.append((prices.size, ts_ns, open_ns, ladders))
+        if not self._days:
+            raise EmptyInput("no prices to scan")
+
+    def exit_times(self, threshold: int, clock: str = "tick") -> ExitTimes:
+        """Waiting times to the first crossing of ``threshold`` ticks."""
+        config = ExitTimeConfig(threshold=int(threshold), direction=self.direction, clock=clock)
+        if clock == "wall" and any(ts_ns is None for _, ts_ns, _, _ in self._days):
+            raise ValueError("wall clock needs timestamped input")
+        taus: list[np.ndarray] = []
+        entries: list[np.ndarray] = []
+        seconds: list[np.ndarray] = []
+        censored = 0
+        n_entries = 0
+        offset = 0
+        for n, ts_ns, open_ns, ladders in self._days:
+            n_entries += n
+            exit_idx = ladders[0].first_crossing(config.threshold)
+            if len(ladders) == 2:
+                dn_idx = ladders[1].first_crossing(config.threshold)
+                exit_idx = np.where(
+                    (exit_idx >= 0) & ((dn_idx < 0) | (exit_idx <= dn_idx)), exit_idx, dn_idx
+                )
+            hit = exit_idx >= 0
+            t = np.nonzero(hit)[0]
+            j = exit_idx[hit]
+            censored += n - t.size
+            if clock == "tick":
+                tau = j - t
+            else:
+                delta = ts_ns[j] - ts_ns[t]
+                tau = np.maximum((delta + NS_PER_S - 1) // NS_PER_S, 1)
+            taus.append(tau.astype(np.int64, copy=False))
+            entries.append(t + offset)
+            if ts_ns is None:
+                seconds.append(np.full(t.size, np.nan))
+            else:
+                seconds.append((ts_ns[t] - open_ns) / NS_PER_S)
+            offset += n
+        return ExitTimes(
+            tau=np.concatenate(taus),
+            entry_index=np.concatenate(entries),
+            entry_second=np.concatenate(seconds),
+            censored_count=censored,
+            n_entries=n_entries,
+            config=config,
+        )
 
 
 def exit_times(data, config: ExitTimeConfig) -> ExitTimes:
     """Waiting times to the first threshold crossing, day by day."""
-    days = _as_days(data)
-    if not days:
-        raise EmptyInput("no days to scan")
-
-    taus: list[np.ndarray] = []
-    entries: list[np.ndarray] = []
-    seconds: list[np.ndarray] = []
-    censored = 0
-    n_entries = 0
-    offset = 0
-
-    for prices, ts_ns, open_ns in days:
-        n = prices.size
-        n_entries += n
-        if config.direction == "up":
-            exit_idx = _first_crossing(prices, config.threshold)
-        elif config.direction == "down":
-            exit_idx = _first_crossing(-prices, config.threshold)
-        else:
-            up_idx = _first_crossing(prices, config.threshold)
-            dn_idx = _first_crossing(-prices, config.threshold)
-            exit_idx = np.where(
-                (up_idx >= 0) & ((dn_idx < 0) | (up_idx <= dn_idx)), up_idx, dn_idx
-            )
-        hit = exit_idx >= 0
-        censored += int(n - hit.sum())
-        t = np.nonzero(hit)[0]
-        j = exit_idx[hit]
-        if config.clock == "tick":
-            tau = j - t
-        else:
-            if ts_ns is None:
-                raise ValueError("wall clock needs timestamped input")
-            delta = ts_ns[j] - ts_ns[t]
-            tau = np.maximum((delta + NS_PER_S - 1) // NS_PER_S, 1)
-        taus.append(tau.astype(np.int64))
-        entries.append(t + offset)
-        if ts_ns is None:
-            seconds.append(np.full(t.size, np.nan))
-        else:
-            seconds.append((ts_ns[t] - open_ns) / NS_PER_S)
-        offset += n
-
-    return ExitTimes(
-        tau=np.concatenate(taus) if taus else np.empty(0, dtype=np.int64),
-        entry_index=np.concatenate(entries) if entries else np.empty(0, dtype=np.int64),
-        entry_second=np.concatenate(seconds) if seconds else np.empty(0),
-        censored_count=censored,
-        n_entries=n_entries,
-        config=config,
-    )
+    return CrossingIndex(data, config.direction).exit_times(config.threshold, config.clock)
 
 
 def first_passage_hist(
@@ -452,10 +503,10 @@ def horizon_scaling(
     """Optimal horizon per threshold, for the tau* ~ R^gamma diagnostic."""
     if method not in ("fit", "hist"):
         raise ValueError("method must be 'fit' or 'hist'")
+    index = CrossingIndex(data, direction)
     rows = []
     for r in thresholds:
-        cfg = ExitTimeConfig(threshold=int(r), direction=direction, clock=clock)
-        exits = exit_times(data, cfg)
+        exits = index.exit_times(int(r), clock)
         hist = first_passage_hist(exits, bins_per_decade, min_samples=min_samples)
         fit = fit_first_passage(hist) if method == "fit" else None
         tau_star = optimal_horizon(fit if fit is not None else hist)

@@ -125,6 +125,49 @@ def test_invstat_artifacts(tmp_path):
     assert len(scaling) == 3
 
 
+def test_non_empty_out_is_refused_before_the_input_is_read(tmp_path, capsys):
+    src = tmp_path / "src"
+    cli.run(["synth", "--model", "tickwalk", "--n", "20000", "--seed", "11", "--out", str(src)])
+    out = tmp_path / "art"
+    argv = ["invstat", "--input", str(src / "series.csv"), "--bins-per-decade", "8",
+            "--min-samples", "50", "--out", str(out)]
+    assert cli.run(argv[:1] + ["--target", "8,16"] + argv[1:]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"pdf_R16.csv", "fit_R16.json", "entry_R16.csv"} <= set(before)
+    capsys.readouterr()
+    # a rerun with fewer targets would leave the R16 files beside the new ones
+    assert cli.run(argv[:1] + ["--target", "8"] + argv[1:]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # refused before the input is read: an absent input still exits 1
+    absent = ["--input", str(tmp_path / "absent.csv")]
+    assert cli.run(["invstat", *absent, "--target", "8", "--out", str(out)]) == 1
+    assert cli.run(["hurst", *absent, "--window", "64", "--out", str(out)]) == 1
+    assert cli.run(["relax", *absent, "--kappa", "0.2", "--depth", "1", "--out", str(out)]) == 1
+    assert cli.run(["synth", "--model", "tickwalk", "--n", "10", "--seed", "1", "--out", str(out)]) == 1
+    assert cli.run(["selftest", "--criterion", "10", "--out", str(src / "series.csv")]) == 1
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.run(argv[:1] + ["--target", "8"] + argv[1:-1] + [str(empty)]) == 0
+
+
+def test_invstat_bad_series_are_data_errors(tmp_path, capsys):
+    cases = {
+        "nan.csv": ("0,1.0\n1,nan\n2,3.0\n", "line 2"),
+        "grid.csv": ("0,1.0\n10,2.0\n11,3.0\n500,4.0\n", "line 3"),
+        "wide.csv": (f"0,{float(2**61)!r}\n1,0.0\n2,1.0\n3,2.0\n", "int64 keys"),
+    }
+    for name, (text, message) in cases.items():
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        assert cli.run(
+            ["invstat", "--input", str(tmp_path / name), "--target", "1",
+             "--out", str(tmp_path / f"out_{name}")]
+        ) == 2, name
+        assert message in capsys.readouterr().err, name
+        assert not (tmp_path / f"out_{name}").exists()
+
+
 # SHA-256 of the relax artifacts on _synthetic_book_text(), as the
 # row-by-row parser produced them.
 RELAX_SHA256 = {

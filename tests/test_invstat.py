@@ -2,7 +2,8 @@
 
 The crossing engine is pinned down by hand-worked walks (including jumps
 over the target and censoring at the day end), by the exact first-passage
-law of the fair +-1 walk, and by a shift-invariance property.  The
+law of the fair +-1 walk, by a shift-invariance property, and bit for bit
+by the per-threshold search it replaced (``_reference_crossing``).  The
 parametric law is tested as sampler -> histogram -> fit recovery, with the
 sampler itself validated against its defining gamma transform.
 """
@@ -15,7 +16,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_crossing as reference
 from tickphys import (
+    CrossingIndex,
     DayTicks,
     EmptyInput,
     ExitTimeConfig,
@@ -36,6 +39,7 @@ from tickphys import (
     log_passage_density,
     optimal_horizon,
     passage_density,
+    PriceRangeTooWide,
     quadrature,
     sample_first_passage,
 )
@@ -144,6 +148,77 @@ def test_exit_times_shift_invariance(prices, shift, threshold):
     assert np.array_equal(base.tau, moved.tau)
     assert np.array_equal(base.entry_index, moved.entry_index)
     assert base.censored_count == moved.censored_count
+
+
+@st.composite
+def walk_days(draw):
+    """1-3 days of integer walks with jumps of -20..20 and increasing
+    nanosecond stamps, some of them less than a second apart."""
+    days = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=60))
+        start = draw(st.integers(min_value=-1000, max_value=1000))
+        jumps = draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=n - 1, max_size=n - 1))
+        gaps = draw(st.lists(st.integers(min_value=1, max_value=3 * NS), min_size=n, max_size=n))
+        days.append(
+            DayTicks(
+                timestamps_ns=np.cumsum(gaps),
+                prices=np.cumsum([start] + jumps),
+                session_open_ns=draw(st.integers(min_value=0, max_value=gaps[0])),
+            )
+        )
+    return days
+
+
+def assert_same_exits(got, want):
+    assert got.tau.dtype == want.tau.dtype == np.int64
+    assert got.tau.tobytes() == want.tau.tobytes()
+    assert got.entry_index.tobytes() == want.entry_index.tobytes()
+    assert got.entry_second.tobytes() == want.entry_second.tobytes()
+    assert (got.censored_count, got.n_entries, got.config) == (
+        want.censored_count, want.n_entries, want.config,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    days=walk_days(),
+    direction=st.sampled_from(("up", "down", "both")),
+    clock=st.sampled_from(("tick", "wall")),
+    thresholds=st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=6),
+)
+def test_crossing_index_matches_per_threshold_search(days, direction, clock, thresholds):
+    index = CrossingIndex(days, direction)
+    for r, want in zip(thresholds, reference.scan(days, thresholds, direction, clock)):
+        assert_same_exits(index.exit_times(r, clock), want)
+    if len(days) == 1 and clock == "tick":  # a bare array: one day, no clock
+        prices = days[0].prices
+        for r in thresholds:
+            cfg = ExitTimeConfig(threshold=r, direction=direction)
+            assert_same_exits(exit_times(prices, cfg), reference.exit_times(prices, cfg))
+
+
+def test_exit_times_refuses_keys_beyond_int64_before_building():
+    # 1e13 ticks up and back: the ladder alone would need 1e13 elements
+    with pytest.raises(PriceRangeTooWide):
+        exit_times([0, 10**13, 0], UP1)
+    with pytest.raises(PriceRangeTooWide):
+        exit_times(np.array([2**61, 0, 1, 2]), UP1)
+    # ranges beyond int64 itself, whose levels would wrap
+    for prices in ([2**62, -(2**62)], [-(2**63), -1, 2**63 - 2, 2**63 - 1]):
+        with pytest.raises(PriceRangeTooWide):
+            exit_times(np.array(prices), ExitTimeConfig(threshold=1, direction="both"))
+
+
+def test_exit_times_rejects_empty_and_non_finite_prices():
+    for empty in ([], np.array([], dtype=np.int64), [DayTicks(timestamps_ns=[], prices=[])]):
+        with pytest.raises(EmptyInput):
+            exit_times(empty, UP1)
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [0.0, 1e19]):
+        with pytest.raises(TickSizeViolation):
+            exit_times(np.array(bad), UP1)
+        with pytest.raises(TickSizeViolation):
+            exit_times(RegularSeries(start_ns=0, interval_ns=1, values=bad), UP1)
 
 
 def exact_plus_minus_one_law(tau: int) -> float:

@@ -400,3 +400,30 @@ def test_parse_regular_series_rejects_garbage():
         parse_regular_series("1,2,3\n")
     with pytest.raises(MalformedRow):
         parse_regular_series("1,abc\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0,1\n10,2\n11,3\n500,4\n", 3),  # off the grid 0 + k * 10
+        ("0,1\n10,2\n20,3\n35,4\n40,5\n", 4),
+        ("0,1\n10,2\n20,3\n", None),
+        ("0,1\n0,2\n", 2),  # no positive interval
+        ("10,1\n5,2\n", 2),
+        ("0,1\n10,nan\n20,3\n", 2),
+        ("# c\n\n0,1\n10,2\n\n20,-inf\n", 6),  # comments and blanks keep their numbers
+        ("0,inf\n", 1),
+        ("0,1\n10,2\n25,nan\n", 3),
+        ("0,1\n10,nan\n25,3\n", 2),  # the first bad row, whatever its fault
+        (f"{2**63},1\n", 1),  # beyond int64
+        (f"0,1\n{2**63 - 1},2\n", None),
+        (f"{-2**63},1\n0,2\n{2**63 - 1},3\n", 3),  # a spread beyond int64
+    ],
+)
+def test_parse_regular_series_rejects_off_grid_and_non_finite_rows(text, line):
+    if line is None:
+        parse_regular_series(text)
+        return
+    with pytest.raises(MalformedRow) as exc:
+        parse_regular_series(text)
+    assert exc.value.line == line
