@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_FIT = 3
+_NO_INPUT = hashlib.sha256().hexdigest()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,18 +61,22 @@ def _utcnow() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
 
 
-def _digest(paths) -> str:
-    h = hashlib.sha256()
-    for p in paths:
-        h.update(Path(p).read_bytes())
-    return h.hexdigest()
+def _load(path: str, parse):
+    """``parse`` of the text of an input file, read once, and the sha256 of
+    its bytes.  The text is what ``Path.read_text`` gives: decoded with the
+    locale's encoding, with universal newlines."""
+    raw = Path(path).read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    del raw  # the parse needs only the text
+    return parse(text), digest
 
 
-def _manifest(subcommand: str, params: dict, input_paths, started: str) -> str:
+def _manifest(subcommand: str, params: dict, digest: str, started: str) -> str:
     doc = {
         "subcommand": subcommand,
         "parameters": params,
-        "input_digest": _digest(input_paths),
+        "input_digest": digest,
         "tool_version": __version__,
         "started": started,
         "finished": _utcnow(),
@@ -159,7 +165,7 @@ def _cmd_synth(args) -> int:
         args.out,
         {
             "series.csv": serialize_regular_series(series),
-            "manifest.json": _manifest("synth", params, [], started),
+            "manifest.json": _manifest("synth", params, _NO_INPUT, started),
         },
     )
     return EXIT_OK
@@ -182,7 +188,7 @@ def _cmd_hurst(args) -> int:
         raise UsageError(f"bad --boxes MIN:MAX:COUNT, --order or --window: {exc}")
     if config.box_sizes[-1] * config.min_boxes > args.window - 1:
         raise UsageError(f"--window {args.window} is too short for boxes of {config.box_sizes[-1]}")
-    series = parse_regular_series(Path(args.input).read_text())
+    series, digest = _load(args.input, parse_regular_series)
     hs = local_hurst(series, args.window, args.shift, config)
 
     rows = ["# columns: t,h,stderr,spans_boundary"]
@@ -206,7 +212,7 @@ def _cmd_hurst(args) -> int:
         {
             "hurst.csv": "\n".join(rows) + "\n",
             "summary.json": _json(summary),
-            "manifest.json": _manifest("hurst", params, [args.input], started),
+            "manifest.json": _manifest("hurst", params, digest, started),
         },
     )
     return EXIT_OK
@@ -217,7 +223,7 @@ def _cmd_invstat(args) -> int:
     targets = _parse_int_list(args.target, "--target")
     if any(r < 1 for r in targets):
         raise UsageError("--target values must be >= 1 tick")
-    series = parse_regular_series(Path(args.input).read_text())
+    series, digest = _load(args.input, parse_regular_series)
     index = CrossingIndex(series, args.direction)
 
     files = {}
@@ -260,7 +266,7 @@ def _cmd_invstat(args) -> int:
         "bins_per_decade": args.bins_per_decade,
         "min_samples": args.min_samples,
     }
-    files["manifest.json"] = _manifest("invstat", params, [args.input], started)
+    files["manifest.json"] = _manifest("invstat", params, digest, started)
     _write_all(args.out, files)
     return EXIT_OK
 
@@ -272,7 +278,7 @@ def _cmd_relax(args) -> int:
         raise UsageError("--kappa values must lie in (0, 1)")
     if args.depth < 1:
         raise UsageError("--depth must be at least 1")
-    book, _, file_depth = parse_book(Path(args.input).read_text())
+    (book, _, file_depth), digest = _load(args.input, parse_book)
     if args.depth > file_depth:
         raise UsageError(f"--depth {args.depth} exceeds the depth {file_depth} of {args.input}")
     sig = imbalance_series(book, depth=args.depth)
@@ -315,7 +321,7 @@ def _cmd_relax(args) -> int:
         "bins_per_decade": args.bins_per_decade,
         "min_samples": args.min_samples,
     }
-    files["manifest.json"] = _manifest("relax", params, [args.input], started)
+    files["manifest.json"] = _manifest("relax", params, digest, started)
     _write_all(args.out, files)
     return EXIT_OK
 
@@ -347,7 +353,7 @@ def _cmd_selftest(args) -> int:
         args.out,
         {
             "report.json": _json(report),
-            "manifest.json": _manifest("selftest", params, [], started),
+            "manifest.json": _manifest("selftest", params, _NO_INPUT, started),
         },
     )
     return EXIT_OK

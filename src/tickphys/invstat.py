@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     FitDiverged,
+    NonFiniteObjective,
     PriceRangeTooWide,
     TickSizeViolation,
     TooFewBins,
@@ -330,13 +331,19 @@ def log_passage_density(tau, alpha: float, beta: float, nu: float = 1.0, tau0: f
     if np.any(t <= 0):
         raise ValueError("tau + tau0 must be positive")
     with np.errstate(over="ignore"):
-        return (
-            math.log(nu)
-            - math.lgamma(alpha / nu)
-            + 2.0 * alpha * math.log(beta)
-            - (alpha + 1.0) * np.log(t)
-            - (beta * beta / t) ** nu
-        )
+        return _log_passage_density(t, alpha, beta, nu)
+
+
+def _log_passage_density(t, alpha, beta, nu):
+    """log_passage_density at t = tau + tau0, unchecked: alpha, beta, nu and
+    t must be positive."""
+    return (
+        math.log(nu)
+        - math.lgamma(alpha / nu)
+        + 2.0 * alpha * math.log(beta)
+        - (alpha + 1.0) * np.log(t)
+        - (beta * beta / t) ** nu
+    )
 
 
 def passage_density(tau, alpha: float, beta: float, nu: float = 1.0, tau0: float = 0.0):
@@ -404,9 +411,9 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     hi = np.array([30.0, math.log(1e8), math.log(15.0), 3.0 * x[-1]])
 
     def objective(theta: np.ndarray) -> float:
-        alpha, lbeta, lnu, tau0 = theta
+        alpha, lbeta, lnu, tau0 = theta  # the bounds keep alpha, beta, nu > 0 and tau0 >= 0
         with np.errstate(over="ignore", invalid="ignore"):
-            model = log_passage_density(x, alpha, math.exp(lbeta), math.exp(lnu), tau0)
+            model = _log_passage_density(x + tau0, alpha, math.exp(lbeta), math.exp(lnu))
         if not np.all(np.isfinite(model)):
             return math.inf
         r = model - y
@@ -424,7 +431,7 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
         theta0 = np.clip(theta0, lo, hi)
         try:
             theta, sse = minimize(objective, theta0, bounds=list(zip(lo, hi)))
-        except Exception:
+        except NonFiniteObjective:
             continue
         if math.isfinite(sse) and (best is None or sse < best[0]):
             best = (sse, theta)

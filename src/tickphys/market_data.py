@@ -12,13 +12,37 @@ Tick CSV:      ``# tick_size=<decimal>`` then rows ``timestamp_ns,price,kind,vol
 Book CSV:      ``# tick_size=<decimal> depth=<N>`` then rows
                ``timestamp_ns,trade_count_delta,bid_px_1,bid_vol_1,...,ask_px_N,ask_vol_N``
                (deeper unused levels are empty fields)
-Regular CSV:   rows ``timestamp_ns,price`` followed by a
+Regular CSV:   rows ``timestamp_ns,value`` followed by a
                ``# session_boundaries=i1;i2;...`` footer comment
+
+All three are read by one kernel: the text's UTF-8 bytes are split into
+blocks of lines, and each block into cells by its commas.  Lines end in
+``\n`` or ``\r\n`` (a lone ``\r`` and the other breaks of
+``str.splitlines`` do not end a line); lines of spaces, tabs and ``\r``
+are skipped but keep their numbers.
 
 In tick and book files every number is ASCII ``-?digits(.digits)?`` with
 at most 19 digits, read exactly as integers and ticks that fit int64 (no
-exponent, "+", "_", spaces or bare dot).  Lines end in ``\n`` or ``\r\n``;
-lines of spaces and tabs are skipped but keep their numbers.
+exponent, "+", "_", spaces or bare dot).
+
+In a regular CSV a line whose first character is ``#`` is a comment, and
+the last comment ``#<spaces>session_boundaries=<list>`` gives the day
+starts: ``;``-separated ``int()`` literals, empty items skipped.  A
+timestamp cell is any ``int()`` literal and a value cell any ``float()``
+literal, as Python reads them.  Cells of the kernel's grammar take a fast
+path: a timestamp is its int64 mantissa, and a value whose mantissa is
+below 2**53 is |mantissa| / 10**frac, both operands exact in float64, so
+that one correctly rounded division gives float(cell) bit for bit
+(Clinger 1990).  Every other cell (exponents, 16 to 19 significant
+digits, "1_0", " 1.5", "+1", "nan", beyond int64) is read by Python's
+``int()``/``float()`` from its text.  Errors come in this order, each a
+``MalformedRow`` at its line: the first row with a wrong field count or a
+cell that ``int()``/``float()`` reject; the first row off the grid
+ts0 + k * interval or beyond int64, or with a non-finite value; then a
+bad footer (not integers, or not sorted, unique, from 0 and within the
+rows).  A reader built on ``str.splitlines`` and ``str.strip`` differs in
+three ways: it also ends lines at the other breaks above, skips lines of
+any whitespace, and meets a bad footer as a bare ``ValueError``.
 """
 
 from __future__ import annotations
@@ -218,12 +242,14 @@ class SessionizedTicks:
 
 _TICK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s*$")
 _BOOK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s+depth=(\d+)\s*$")
+_FOOTER = re.compile(r"#\s*session_boundaries=(.*)")
 _BLOCK_LINES = 1 << 13  # lines per vectorized pass: temporaries stay O(block)
 _I64_MAX = np.iinfo(np.int64).max
 # Per byte, a weight whose sum over a cell counts dots, 32 x minus signs and
 # 1024 x bytes no cell may hold; "," and "\\n", which pad short cells, weigh 0.
 _WEIGHT = np.full(256, 1024, np.int32)
 _WEIGHT[[10, 44, *range(48, 58)]], _WEIGHT[46], _WEIGHT[45] = 0, 1, 32
+_POW10 = np.array([float(10**k) for k in range(21)])  # each exact in float64
 
 
 def _parse_tick_size(text: str, lineno: int) -> tuple[Fraction, Decimal]:
@@ -271,22 +297,37 @@ def _ticks(mant, frac, tick: Fraction):
     return ticks, on_grid, fits
 
 
-def _blocks(text: str, n_fields: int):
+def _blocks(text: str, n_fields: int, comments: list | None = None):
     """Yield ``(lineno, blk, s, e)`` per block of the non-blank rows after the
     header, cell j of row i being ``blk[s[i, j]:e[i, j]]``.  A row without
     ``n_fields`` fields raises after the rows before it, which may hold an
-    earlier error, are yielded."""
-    buf = np.frombuffer((text + "\n").encode("ascii", "replace"), np.uint8)
+    earlier error, are yielded.
+
+    Given a list ``comments``, there is no header: rows start at line 1, and
+    a line whose first byte is "#" is not a row but is appended to the list
+    as ``(lineno, line)``.  Text is UTF-8 encoded, so a cell's bytes decode
+    back to its exact text.
+    """
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
     ends = np.flatnonzero(buf == 10)
-    for first in range(1, ends.size, _BLOCK_LINES):
-        lo, e = ends[first - 1] + 1, ends[first : first + _BLOCK_LINES]
+    if buf.size and buf[-1] != 10:
+        ends = np.append(ends, buf.size)  # a last line without "\n"
+    for first in range(1 if comments is None else 0, ends.size, _BLOCK_LINES):
+        lo, e = ends[first - 1] + 1 if first else 0, ends[first : first + _BLOCK_LINES]
         blk, e = buf[lo : e[-1] + 1], e - lo
+        if blk.size == e[-1]:  # "\n" ends every block: it pads the first cell
+            blk = np.append(blk, np.uint8(10))
         s = np.concatenate(([0], e[:-1] + 1))
         e -= (e > s) & (blk[e - 1] == 13)  # \r\n ends a line as \n does
         blank = np.flatnonzero((blk == 32) | (blk == 9) | (blk == 13))
         ink = np.searchsorted(blank, e) - np.searchsorted(blank, s) < e - s
-        lineno, s, e = np.flatnonzero(ink) + first + 1, s[ink], e[ink]
         commas = np.flatnonzero(blk == 44)
+        if comments is not None and (note := ink & (blk[s] == 35)).any():
+            for k in np.flatnonzero(note).tolist():
+                comments.append((k + first + 1, blk[s[k] : e[k]].tobytes().decode("utf-8", "surrogatepass")))
+            commas = commas[~note[np.searchsorted(s, commas, side="right") - 1]]
+            ink &= ~note
+        lineno, s, e = np.flatnonzero(ink) + first + 1, s[ink], e[ink]
         got = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
         wrong = np.flatnonzero(got != n_fields)
         n = int(wrong[0]) if wrong.size else e.size
@@ -511,41 +552,83 @@ def serialize_regular_series(series: RegularSeries) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _data_line(text: str, k: int) -> int:
-    """1-based line number of data row k of a regular series file."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip() and not raw.startswith("#"):
-            if k == 0:
-                return lineno
-            k -= 1
-    raise IndexError(k)
-
-
-def _grid_break(ts: list) -> tuple[int, str]:
-    """First row whose timestamp leaves int64 or the grid ts[0] + k * step,
-    with step = ts[1] - ts[0], and why; (len(ts), "") when none does."""
-    n = len(ts)
-    step = ts[1] - ts[0] if n > 1 else 1
-    if step <= 0:
-        return 1, f"timestamp {ts[1]} does not follow {ts[0]}"
-    why = f"timestamp {{}} is off the grid {ts[0]} + k * {step}"
+def _read_cells(blk, s, e, read) -> list:
+    """``read`` (``int`` or ``float``) of the text of each cell
+    ``blk[s[i]:e[i]]``, up to the first cell that it rejects."""
+    raw, at = blk.tobytes() if s.size else b"", zip(s.tolist(), e.tolist())
+    if raw.isascii():  # a byte offset is a character offset
+        raw = raw.decode("ascii")
+        cells = [raw[a:b] for a, b in at]
+    else:
+        cells = [raw[a:b].decode("utf-8", "surrogatepass") for a, b in at]
     try:
-        stamps = np.array(ts, dtype=np.int64)
-        spread = int(stamps.max()) - int(stamps.min())
-    except OverflowError:
-        stamps, spread = None, None
-    if stamps is None or spread > _I64_MAX:  # exact Python integers, row by row
-        for k, t in enumerate(ts):
-            if not -_I64_MAX - 1 <= t <= _I64_MAX:
-                return k, f"timestamp {t} is beyond int64"
-            if t != ts[0] + k * step:
-                return k, why.format(t)
-        return n, ""
-    # a row past `reach` would need an offset beyond the spread: off the grid
-    reach = min(n, spread // step + 1)
-    off = stamps[:reach] - stamps[0] != np.arange(reach, dtype=np.int64) * np.int64(step)
-    k = int(np.argmax(off)) if off.any() else reach
-    return (k, why.format(ts[k])) if k < n else (n, "")
+        return list(map(read, cells))
+    except ValueError:
+        out = []
+        for cell in cells:
+            try:
+                out.append(read(cell))
+            except ValueError:
+                return out
+
+
+def _off_grid(ts: np.ndarray, big: dict, t0: int, step: int) -> tuple[int, str]:
+    """First row whose timestamp leaves int64 or the grid t0 + k * step, and
+    why; (len(ts), "") when none does.  ``big`` maps the rows beyond int64
+    to their timestamps, which read 0 in ``ts``."""
+    if step <= 0:
+        return 1, f"timestamp {t0 + step} does not follow {t0}"
+    k = min(big, default=ts.size)  # the rows before k fit int64
+    if k > 1:
+        head = ts[:k]
+        # a row past `reach` would need an offset beyond the spread: off the grid
+        reach = min(k, (int(head.max()) - int(head.min())) // step + 1)
+        # step fits uint64 (not always int64), as do the offsets from t0 of
+        # the rows at or above t0 and i * step for i < reach, which is at
+        # most the spread: each is exact in uint64
+        u = head[:reach].view(np.uint64)
+        off = (head[:reach] < t0) | (u - u[0] != np.arange(reach, dtype=np.uint64) * np.uint64(step))
+        j = int(np.argmax(off)) if off.any() else reach
+        if j < k:
+            return j, f"timestamp {int(ts[j])} is off the grid {t0} + k * {step}"
+    return (k, f"timestamp {big[k]} is beyond int64") if k < ts.size else (k, "")
+
+
+def _regular_rows(text: str, notes: list):
+    """The timestamps, values and line numbers of a regular CSV's rows, as
+    lists of one array per block, and the timestamps beyond int64 by row
+    (0 in their column).  The first row with a cell that ``int``/``float``
+    reject raises."""
+    stamps, values, lines, big, rows = [], [], [], {}, 0
+    for lineno, blk, s, e in _blocks(text, 2, notes):
+        ts, frac, ok = _number(blk, s[:, 0], e[:, 0])
+        mant, vfrac, vok = _number(blk, s[:, 1], e[:, 1])
+        # an exact mantissa over an exact power of ten: one correctly rounded division
+        val = np.abs(mant) / _POW10[vfrac]
+        val = np.where(blk[s[:, 1]] == 45, -val, val)  # "-0" reads -0.0
+        bad = ts.size
+        slow = np.flatnonzero(~(ok & (frac == 0)))
+        got = _read_cells(blk, s[slow, 0], e[slow, 0], int)
+        for i, t in zip(slow.tolist(), got):
+            if -_I64_MAX - 1 <= t <= _I64_MAX:
+                ts[i] = t
+            else:
+                big[rows + i], ts[i] = t, 0
+        if len(got) < slow.size:
+            bad = slow[len(got)]
+        slow = np.flatnonzero(~(vok & (np.abs(mant) < 2**53)))
+        slow = slow[slow < bad]
+        got = _read_cells(blk, s[slow, 1], e[slow, 1], float)
+        val[slow[: len(got)]] = got
+        if len(got) < slow.size:
+            bad = slow[len(got)]
+        if bad < ts.size:
+            raise MalformedRow(int(lineno[bad]), "bad numeric field")
+        stamps.append(ts)
+        values.append(val)
+        lines.append(lineno)
+        rows += ts.size
+    return stamps, values, lines, big
 
 
 def parse_regular_series(text: str) -> RegularSeries:
@@ -553,41 +636,36 @@ def parse_regular_series(text: str) -> RegularSeries:
 
     Timestamps must lie on the grid that ``serialize_regular_series``
     writes, ts0 + k * interval with the interval of the first two rows,
-    and values must be finite; the first row that breaks either rule is a
-    ``MalformedRow`` at its line.
+    and values must be finite.  The first row with a wrong field count or
+    a cell that ``int``/``float`` reject raises first, then the first row
+    off the grid or not finite, then a bad footer: each a ``MalformedRow``
+    at its line.
     """
-    ts: list[int] = []
-    vals: list[float] = []
-    boundaries: tuple = (0,)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if raw.startswith("#"):
-            m = re.match(r"^#\s*session_boundaries=(.*)$", raw)
-            if m:
-                boundaries = tuple(int(p) for p in m.group(1).split(";") if p != "")
-            continue
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise MalformedRow(lineno, f"expected 2 fields, got {len(parts)}")
-        try:
-            ts.append(int(parts[0]))
-            vals.append(float(parts[1]))
-        except ValueError:
-            raise MalformedRow(lineno, "bad numeric field")
+    notes: list = []
+    ts, values, lines, big = _regular_rows(text, notes)
     if not ts:
         raise MalformedRow(1, "no data rows")
-    values = np.array(vals)
-    k, why = _grid_break(ts)
+    ts, values = np.concatenate(ts), np.concatenate(values)
+    t0 = big.get(0, int(ts[0]))
+    step = big.get(1, int(ts[1])) - t0 if ts.size > 1 else 1
+    k, why = _off_grid(ts, big, t0, step)
     finite = np.isfinite(values)
     if not finite[:k].all():
         k = int(np.argmin(finite))
-        why = f"value {vals[k]!r} is not finite"
-    if k < len(ts):
-        raise MalformedRow(_data_line(text, k), why)
-    return RegularSeries(
-        start_ns=ts[0],
-        interval_ns=ts[1] - ts[0] if len(ts) > 1 else 1,
-        values=values,
-        session_boundaries=boundaries,
-    )
+        why = f"value {float(values[k])!r} is not finite"
+    if k < ts.size:
+        raise MalformedRow(int(np.concatenate(lines)[k]), why)
+
+    boundaries, footer = (0,), None
+    for lineno, line in notes:
+        m = _FOOTER.fullmatch(line)
+        if m:
+            try:
+                boundaries = tuple(int(p) for p in m.group(1).split(";") if p != "")
+            except ValueError:
+                raise MalformedRow(lineno, f"bad session_boundaries {m.group(1)!r}") from None
+            footer = lineno
+    try:
+        return RegularSeries(start_ns=t0, interval_ns=step, values=values, session_boundaries=boundaries)
+    except ValueError as exc:  # only the footer can be at fault here
+        raise MalformedRow(footer, str(exc)) from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySide, FitDiverged, TooFewBins, TooFewSamples
+from .errors import EmptySide, FitDiverged, NonFiniteObjective, TooFewBins, TooFewSamples
 from .market_data import NS_PER_S
 from .numerics import LinFit, LogBinnedPdf, linfit, log_bin
 
@@ -245,9 +245,15 @@ def log_stretched_density(tau, tau_tilde: float, alpha: float):
     t = np.asarray(tau, dtype=float)
     if np.any(t <= 0):
         raise ValueError("tau must be positive")
-    r = t / tau_tilde
     with np.errstate(over="ignore"):
-        return math.log(alpha) - math.log(tau_tilde) + (alpha - 1.0) * np.log(r) - r**alpha
+        return _log_stretched_density(t, tau_tilde, alpha)
+
+
+def _log_stretched_density(t, tau_tilde, alpha):
+    """log_stretched_density, unchecked: t and tau_tilde must be positive
+    and alpha in (0, 1]."""
+    r = t / tau_tilde
+    return math.log(alpha) - math.log(tau_tilde) + (alpha - 1.0) * np.log(r) - r**alpha
 
 
 def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
@@ -275,9 +281,9 @@ def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
     hi = np.array([math.log(x[-1] * 10.0), 1.0])
 
     def objective(theta: np.ndarray) -> float:
-        ltau, alpha = theta
+        ltau, alpha = theta  # the bounds keep alpha in (0, 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            model = log_stretched_density(x, math.exp(ltau), alpha)
+            model = _log_stretched_density(x, math.exp(ltau), alpha)
         if not np.all(np.isfinite(model)):
             return math.inf
         r = model - y
@@ -293,7 +299,7 @@ def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
         theta0 = np.clip(theta0, lo, hi)
         try:
             theta, sse = minimize(objective, theta0, bounds=list(zip(lo, hi)))
-        except Exception:
+        except NonFiniteObjective:
             continue
         if math.isfinite(sse) and (best is None or sse < best[0]):
             best = (sse, theta)

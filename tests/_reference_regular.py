@@ -1,0 +1,100 @@
+"""The row-by-row regular-series reader that the columnar one replaced,
+kept as the reference the tests hold ``tickphys.parse_regular_series`` to.
+
+Each line of ``str.splitlines`` is split with ``str.split``, its cells go
+through ``int`` and ``float``, the grid is checked afterwards (exactly,
+row by row, where the timestamps leave int64), and the line number of a
+failing row is found by a second scan of the text.
+"""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+
+from tickphys import MalformedRow, RegularSeries
+
+_I64_MAX = np.iinfo(np.int64).max
+
+
+def _data_line(text: str, k: int) -> int:
+    """1-based line number of data row k of a regular series file."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip() and not raw.startswith("#"):
+            if k == 0:
+                return lineno
+            k -= 1
+    raise IndexError(k)
+
+
+def _grid_break(ts: list) -> tuple[int, str]:
+    """First row whose timestamp leaves int64 or the grid ts[0] + k * step,
+    with step = ts[1] - ts[0], and why; (len(ts), "") when none does."""
+    n = len(ts)
+    step = ts[1] - ts[0] if n > 1 else 1
+    if step <= 0:
+        return 1, f"timestamp {ts[1]} does not follow {ts[0]}"
+    why = f"timestamp {{}} is off the grid {ts[0]} + k * {step}"
+    try:
+        stamps = np.array(ts, dtype=np.int64)
+        spread = int(stamps.max()) - int(stamps.min())
+    except OverflowError:
+        stamps, spread = None, None
+    if stamps is None or spread > _I64_MAX:  # exact Python integers, row by row
+        for k, t in enumerate(ts):
+            if not -_I64_MAX - 1 <= t <= _I64_MAX:
+                return k, f"timestamp {t} is beyond int64"
+            if t != ts[0] + k * step:
+                return k, why.format(t)
+        return n, ""
+    # a row past `reach` would need an offset beyond the spread: off the grid
+    reach = min(n, spread // step + 1)
+    off = stamps[:reach] - stamps[0] != np.arange(reach, dtype=np.int64) * np.int64(step)
+    k = int(np.argmax(off)) if off.any() else reach
+    return (k, why.format(ts[k])) if k < n else (n, "")
+
+
+def parse_regular_series(text: str) -> RegularSeries:
+    """Read rows ``timestamp_ns,value`` and the session-boundary footer.
+
+    Timestamps must lie on the grid that ``serialize_regular_series``
+    writes, ts0 + k * interval with the interval of the first two rows,
+    and values must be finite; the first row that breaks either rule is a
+    ``MalformedRow`` at its line.
+    """
+    ts: list[int] = []
+    vals: list[float] = []
+    boundaries: tuple = (0,)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        if raw.startswith("#"):
+            m = re.match(r"^#\s*session_boundaries=(.*)$", raw)
+            if m:
+                boundaries = tuple(int(p) for p in m.group(1).split(";") if p != "")
+            continue
+        parts = raw.split(",")
+        if len(parts) != 2:
+            raise MalformedRow(lineno, f"expected 2 fields, got {len(parts)}")
+        try:
+            ts.append(int(parts[0]))
+            vals.append(float(parts[1]))
+        except ValueError:
+            raise MalformedRow(lineno, "bad numeric field")
+    if not ts:
+        raise MalformedRow(1, "no data rows")
+    values = np.array(vals)
+    k, why = _grid_break(ts)
+    finite = np.isfinite(values)
+    if not finite[:k].all():
+        k = int(np.argmin(finite))
+        why = f"value {vals[k]!r} is not finite"
+    if k < len(ts):
+        raise MalformedRow(_data_line(text, k), why)
+    return RegularSeries(
+        start_ns=ts[0],
+        interval_ns=ts[1] - ts[0] if len(ts) > 1 else 1,
+        values=values,
+        session_boundaries=boundaries,
+    )

@@ -168,6 +168,62 @@ def test_invstat_bad_series_are_data_errors(tmp_path, capsys):
         assert not (tmp_path / f"out_{name}").exists()
 
 
+# SHA-256 of invstat artifacts on a seeded tick walk, as the fits produced
+# them when their objective still went through the checked density.
+INVSTAT_SHA256 = {
+    "fit_R16.json": "df00f0b6522f0b83cd821a4101be809b6abcf0620fa4d0209d68056ab1cb0f9b",
+    "fit_R8.json": "8bc203f5085afd5a32d0ee2799a6e44ade1666e25698baad8052c4ed62be52ef",
+    "scaling.csv": "ac2e1d7257f47a8a451ad36e7d79794f889e4f94eea60eca0e2809d8441e7bd5",
+}
+
+
+def test_invstat_fits_are_unchanged(tmp_path):
+    src = tmp_path / "src"
+    cli.run(["synth", "--model", "tickwalk", "--n", "20000", "--seed", "11", "--out", str(src)])
+    out = tmp_path / "art"
+    assert cli.run(
+        ["invstat", "--input", str(src / "series.csv"), "--target", "8,16",
+         "--bins-per-decade", "8", "--min-samples", "50", "--out", str(out)]
+    ) == 0
+    for name, digest in INVSTAT_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_inputs_are_read_once_as_text_files(tmp_path):
+    """The manifest's digest is the sha256 of the input's bytes, and \r\n
+    or lone \r line ends read as \n, as a text-mode read gives them."""
+    cli.run(["synth", "--model", "tickwalk", "--n", "4000", "--seed", "2", "--out", str(tmp_path / "s")])
+    series = (tmp_path / "s" / "series.csv").read_bytes()
+    (tmp_path / "book.csv").write_text(_synthetic_book_text())
+    book = (tmp_path / "book.csv").read_bytes()
+    runs = {
+        "hurst": (series, ["--window", "512", "--shift", "256"]),
+        "invstat": (series, ["--target", "4", "--min-samples", "50"]),
+        "relax": (book, ["--kappa", "0.2", "--depth", "3", "--min-samples", "20"]),
+    }
+    for command, (data, flags) in runs.items():
+        outputs = []
+        for end in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / f"{command}{len(outputs)}.csv"
+            path.write_bytes(data.replace(b"\n", end))
+            out = tmp_path / f"out_{command}{len(outputs)}"
+            assert cli.run([command, "--input", str(path), *flags, "--out", str(out)]) == 0, command
+            digest = json.loads((out / "manifest.json").read_text())["input_digest"]
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), command
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1] == outputs[2], command
+
+
+def test_bad_footer_is_a_data_error_at_its_line(tmp_path, capsys):
+    for footer in ("0;x", "0;5", "1", ""):
+        path = tmp_path / "series.csv"
+        path.write_text(f"0,1.0\n1,2.0\n\n# session_boundaries={footer}\n")
+        capsys.readouterr()
+        out = tmp_path / f"out{footer}"
+        assert cli.run(["hurst", "--input", str(path), "--window", "64", "--out", str(out)]) == 2
+        assert "line 4" in capsys.readouterr().err, footer
+
+
 # SHA-256 of the relax artifacts on _synthetic_book_text(), as the
 # row-by-row parser produced them.
 RELAX_SHA256 = {

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_crossing as reference
+from tickphys import invstat
 from tickphys import (
     CrossingIndex,
     DayTicks,
@@ -300,6 +301,25 @@ def test_fit_recovers_known_parameters():
     assert abs(fit.nu - 1.0) / 1.0 < 0.10
     assert fit.tau0 < 0.1 * (20.0**2 / 1.5)
     assert fit.sse < 0.01 and fit.n_bins >= 8
+
+
+def test_fit_objective_kernel_is_the_checked_density():
+    x = np.geomspace(0.5, 5e4, 40)
+    for alpha, beta, nu, tau0 in [(0.5, 20.0, 1.0, 0.0), (3.0, 0.01, 0.05, 7.5), (1e-3, 1e8, 15.0, 1e5)]:
+        want = log_passage_density(x, alpha, beta, nu, tau0)
+        got = invstat._log_passage_density(x + tau0, alpha, beta, nu)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fit_lets_errors_other_than_a_non_finite_start_through(monkeypatch):
+    hist = log_bin(sample_first_passage(20_000, 0.5, 20.0, 1.0, 0.0, seed=9), 10)
+
+    def broken(*args):
+        raise TypeError("a bug, not a bad start")
+
+    monkeypatch.setattr(invstat, "_log_passage_density", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        fit_first_passage(hist)
 
 
 def test_fit_needs_enough_spread():

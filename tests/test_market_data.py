@@ -6,6 +6,7 @@ line number, since the CLI surfaces both.
 """
 
 import datetime as dt
+import re
 from decimal import Decimal
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_book as reference
+import _reference_regular
 from _reference_book import assert_same_columns, snapshots
 from tickphys import (
     CrossedBook,
@@ -418,6 +420,16 @@ def test_parse_regular_series_rejects_garbage():
         (f"{2**63},1\n", 1),  # beyond int64
         (f"0,1\n{2**63 - 1},2\n", None),
         (f"{-2**63},1\n0,2\n{2**63 - 1},3\n", 3),  # a spread beyond int64
+        (f"{-2**63},1\n{2**63 - 1},2\n", None),  # a step beyond int64
+        (f"{-2**63},1\n{2**63 - 1},2\n{2**63 - 1},3\n", 3),
+        (f"0,1\n{2**62 + 1},2\n{2 - 2**63},3\n", 3),  # on the grid only modulo 2**64
+        ("0,1\nx,2\n2,y\n", 2),  # a bad timestamp before a bad value
+        ("0,1\n1,2\n# session_boundaries=0;x\n", 3),  # footers: not integers,
+        ("0,1\n1,2\n# session_boundaries=0;5\n", 3),  # past the data,
+        ("0,1\n1,2\n# session_boundaries=1\n", 3),  # not starting at 0,
+        ("0,1\n1,2\n\n# session_boundaries=\n", 4),  # empty
+        ("0,1\n1,2\n# session_boundaries=0;x\n3,4\n", 4),  # rows are checked first
+        ("# session_boundaries=0;1\n0,1\n1,2\n", None),
     ],
 )
 def test_parse_regular_series_rejects_off_grid_and_non_finite_rows(text, line):
@@ -427,3 +439,159 @@ def test_parse_regular_series_rejects_off_grid_and_non_finite_rows(text, line):
     with pytest.raises(MalformedRow) as exc:
         parse_regular_series(text)
     assert exc.value.line == line
+
+
+# ------------------------------------------- regular series against reference
+
+# Where the columnar reader differs from the row-by-row one on purpose, and
+# how the property below leaves each difference out:
+# * a bad "# session_boundaries=" footer is a MalformedRow at its line, found
+#   after every data row is checked (the reference raised a bare ValueError
+#   as it met it): _reference_outcome expects that;
+# * only "\n" and "\r\n" end lines; str.splitlines also broke lines at a lone
+#   "\r", "\v", "\f", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029";
+# * a blank line holds only spaces, tabs and "\r"; str.strip also dropped the
+#   other whitespace characters.
+# The texts drawn hold none of the characters of the last two.
+_FOOTER = re.compile(r"#\s*session_boundaries=.*")
+
+
+def _regular_outcome(parse, text):
+    try:
+        series = parse(text)
+    except MalformedRow as exc:
+        return MalformedRow, exc.line
+    values = series.values.view(np.int64).tolist()  # bit for bit: -0.0 is not 0.0
+    return series.start_ns, series.interval_ns, values, series.session_boundaries
+
+
+def _reference_outcome(text):
+    """The reference's outcome, with a bad footer a MalformedRow at its line
+    once the data rows, read without it, raise nothing."""
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if _FOOTER.fullmatch(line.rstrip("\r\n"))]
+    assert len(at) <= 1
+    if not at:
+        return _regular_outcome(_reference_regular.parse_regular_series, text)
+    ending = lines[at[0]][len(lines[at[0]].rstrip("\r\n")) :]
+    bare = "".join(lines[: at[0]] + ["#" + ending] + lines[at[0] + 1 :])
+    got = _regular_outcome(_reference_regular.parse_regular_series, bare)
+    if got[0] is MalformedRow:
+        return got
+    try:
+        return _regular_outcome(_reference_regular.parse_regular_series, text)
+    except ValueError:  # the footer's, bare in the reference
+        return MalformedRow, at[0] + 1
+
+
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals, exponent reprs, 17 digits
+    st.integers(-(10**6), 10**6).map(float),
+    st.integers(-(10**12), 10**12).map(lambda k: k / 1000),  # short decimals
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.0**53, 2.0**53 + 2, 1e16, 1e22, 1e23, 0.1, 1 / 3]),
+)
+
+
+@st.composite
+def regular_texts(draw):
+    """Files as serialize_regular_series writes them: one to 40 rows, day
+    boundaries, \n or \r\n endings, and a last line with or without one."""
+    values = draw(st.lists(finite_values, min_size=1, max_size=40))
+    interval = draw(st.sampled_from([1, 7, 10**9, 2**40]))
+    reach = (len(values) - 1) * interval
+    start = draw(st.integers(-(2**63), 2**63 - 1 - reach))
+    days = draw(st.lists(st.integers(1, len(values) - 1), max_size=3)) if len(values) > 1 else []
+    series = RegularSeries(start, interval, values, (0, *sorted(set(days))))
+    text = serialize_regular_series(series)
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return text if draw(st.booleans()) else text[: -2 if text.endswith("\r\n") else -1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=regular_texts(), block=block_lines)
+def test_parse_regular_series_matches_row_by_row_reference(text, block):
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        got = _regular_outcome(parse_regular_series, text)
+    assert got == _reference_outcome(text)
+    assert got[0] is not MalformedRow
+
+
+# Cells that only int()/float() take, cells no one takes, and the edges of
+# the fast path: 16 to 19 digits, int64 and 2**53.
+odd_cells = st.one_of(
+    st.sampled_from([
+        "", "abc", "1.2.3", "--1", "-", ".", "5.", ".5", "1e5", "1E-3", "0x10", "nan", "NaN", "-inf",
+        "inf", "1_0", "1__0", " 1.5", "1.5 ", "\t2", "+1", "-0", "-0.0", "007", "1.0", "\u0661\u0662",
+        "\u00e9", "#", str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(10**30),
+        str(2**53), str(2**53 + 1), "9007199254740993.5", "1234567890.123456789",
+        "0.0000000000000000001", "99999999999999999999",
+    ]),
+    st.integers(-(2**64), 2**64).map(str),
+    st.tuples(st.integers(-(10**19), 10**19), st.integers(0, 19)).map(
+        lambda t: format(Decimal(t[0]).scaleb(-t[1]), "f")
+    ),
+)
+
+
+@st.composite
+def corrupt_regular_texts(draw):
+    """A valid file with one to three faults: an odd or non-finite cell, a
+    wrong field count, a timestamp off the grid, repeated or beyond int64,
+    a blank line, an interior comment, or a changed or missing footer."""
+    lines = draw(regular_texts()).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+        i = draw(st.sampled_from(rows or [0]))
+        end = "\r" if lines[i].endswith("\r") else ""
+        cells = lines[i].rstrip("\r").split(",")
+        fault = draw(st.sampled_from(["cell", "fields", "stamp", "insert", "footer"]))
+        if fault == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(odd_cells)
+        elif fault == "fields":
+            cells = cells[:1] if draw(st.booleans()) else cells + [draw(odd_cells)]
+        elif fault == "stamp" and cells[0].lstrip("-").isdigit():
+            t = int(cells[0])
+            cells[0] = str(draw(st.sampled_from([t + 1, t - 1, t, 0, 2**63, -(2**63) - 1, t + 2**64])))
+        if fault in ("cell", "fields", "stamp"):
+            lines[i] = ",".join(cells) + end
+        elif fault == "insert":
+            extra = draw(st.sampled_from(["", " ", "\t", " \t ", "# note", "#", "#,1,2", "# 1,2"]))
+            lines.insert(draw(st.integers(0, len(lines))), extra + end)
+        else:
+            foot = [k for k, line in enumerate(lines) if line.startswith("# session_boundaries=")]
+            tails = ["0;x", "0;5", "1", "", "0;2;1", "0;0", " 0 ; 1", "0;+1", "0;1_0", None]
+            tail = draw(st.sampled_from(tails))
+            if foot and tail is None:
+                del lines[foot[0]]
+            elif foot:
+                lines[foot[0]] = "# session_boundaries=" + tail + end
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=corrupt_regular_texts(), block=block_lines)
+def test_corrupt_regular_series_fails_like_reference(text, block):
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        got = _regular_outcome(parse_regular_series, text)
+    assert got == _reference_outcome(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.one_of(odd_cells, finite_values.map(repr)), min_size=1, max_size=20))
+def test_value_cells_read_as_float_reads_them(cells):
+    """Every value cell reads as float(cell) does, bit for bit, or its row
+    is a MalformedRow."""
+    text = "".join(f"{k},{cell}\n" for k, cell in enumerate(cells))
+    try:
+        want = np.array([float(cell) for cell in cells])
+    except ValueError:
+        with pytest.raises(MalformedRow):
+            parse_regular_series(text)
+        return
+    if not np.isfinite(want).all():
+        with pytest.raises(MalformedRow):
+            parse_regular_series(text)
+        return
+    got = parse_regular_series(text).values
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

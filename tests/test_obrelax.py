@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import _reference_book as reference
 from _reference_book import book_of
+from tickphys import obrelax
 from tickphys import (
     BookSnapshot,
     EmptySide,
@@ -281,6 +282,17 @@ def test_stretched_fit_recovers_parameters():
     assert abs(fit.alpha - 0.6) / 0.6 < 0.05
     with pytest.raises(TooFewBins):
         fit_stretched_exp(log_bin(np.full(500, 3.0), 10))
+
+
+def test_stretched_fit_lets_errors_other_than_a_non_finite_start_through(monkeypatch):
+    hist = log_bin(sample_stretched_exp(20_000, 100.0, 0.6, seed=77), 10)
+
+    def broken(*args):
+        raise TypeError("a bug, not a bad start")
+
+    monkeypatch.setattr(obrelax, "_log_stretched_density", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        fit_stretched_exp(hist)
 
 
 def test_mean_relaxation_closed_forms():
