@@ -32,7 +32,7 @@ from .errors import (
     EmptyInput,
     DegenerateX,
     NonFiniteObjective,
-    BadLength,
+    EmbeddingNotDefinite,
     MaxDepthExceeded,
     UsageError,
 )
@@ -101,10 +101,7 @@ from .numerics import (
     log_bin,
     linfit,
     minimize,
-    gamma_fn,
-    fft_real,
     quadrature,
-    sample_power_law,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,7 +33,6 @@ from .invstat import (
     optimal_horizon,
 )
 from .market_data import RegularSeries, parse_book, parse_regular_series, serialize_regular_series
-from .numerics import linfit
 from .obrelax import (
     fit_stretched_exp,
     imbalance_series,
@@ -290,11 +289,7 @@ def _cmd_relax(args) -> int:
         samples = relaxation_times(sig, kappa, clock=clock)
         hist = relaxation_hist(samples, args.bins_per_decade, min_samples=args.min_samples)
         fit = fit_stretched_exp(hist)
-        occ = np.nonzero(hist.occupied)[0]
-        x = np.log(hist.centers[occ])
-        y = np.log(hist.densities[occ])
-        power = linfit(x, y)
-        resid = y - (power.intercept + power.slope * x)
+        power = fit_tail_power_law(hist, (hist.edges[0], hist.edges[-1]))
         tag = f"{kappa:g}"
         files[f"pdf_k{tag}.csv"] = _pdf_csv(hist)
         files[f"fit_k{tag}.json"] = _json(
@@ -302,8 +297,8 @@ def _cmd_relax(args) -> int:
                 "tau_tilde": fit.tau_tilde,
                 "alpha": fit.alpha,
                 "sse_stretched": fit.sse,
-                "gamma": -power.slope,
-                "sse_power": float(resid @ resid),
+                "gamma": -power.exponent,
+                "sse_power": power.sse,
                 "mean_tau": mean_relaxation_from_fit(fit),
             }
         )

@@ -110,8 +110,9 @@ class NonFiniteObjective(TickphysError):
     pass
 
 
-class BadLength(TickphysError):
-    """FFT input length is not a power of two."""
+class EmbeddingNotDefinite(TickphysError):
+    """A circulant embedding has an eigenvalue more negative than rounding
+    explains, so it is not a covariance."""
 
 
 class MaxDepthExceeded(TickphysError):

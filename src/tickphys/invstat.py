@@ -29,15 +29,13 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
-    FitDiverged,
-    NonFiniteObjective,
     PriceRangeTooWide,
     TickSizeViolation,
     TooFewBins,
     TooFewSamples,
 )
-from .market_data import NS_PER_S, DayTicks, RegularSeries, SessionizedTicks
-from .numerics import LogBinnedPdf, linfit, log_bin
+from .market_data import NS_PER_S, DayTicks, RegularSeries, SessionizedTicks, wall_seconds
+from .numerics import LinFit, LogBinnedPdf, _fit_log_density, linfit, log_bin
 
 __all__ = [
     "CrossingIndex",
@@ -113,12 +111,12 @@ _KEY_LIMIT = 2**62
 
 
 def _int_ticks(values, what: str) -> np.ndarray:
-    """Finite, integer-valued prices within int64 as int64 ticks."""
+    """Finite, exactly integer-valued prices within int64 as int64 ticks."""
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise TickSizeViolation(f"{what} are not finite")
     ints = np.rint(vals)
-    if np.max(np.abs(vals - ints)) > 1e-6:
+    if not np.array_equal(vals, ints):
         raise TickSizeViolation(f"{what} are not integer ticks")
     if np.max(np.abs(ints)) >= 2.0**63:
         raise TickSizeViolation(f"{what} lie beyond int64 ticks")
@@ -266,8 +264,7 @@ class CrossingIndex:
             if clock == "tick":
                 tau = j - t
             else:
-                delta = ts_ns[j] - ts_ns[t]
-                tau = np.maximum((delta + NS_PER_S - 1) // NS_PER_S, 1)
+                tau = wall_seconds(ts_ns[j] - ts_ns[t])
             taus.append(tau.astype(np.int64, copy=False))
             entries.append(t + offset)
             if ts_ns is None:
@@ -374,14 +371,6 @@ class FirstPassageFit:
     n_bins: int
 
 
-def _occupied_xyw(hist: LogBinnedPdf):
-    occ = hist.occupied
-    x = hist.centers[occ]
-    y = np.log(hist.densities[occ])
-    w = hist.counts[occ].astype(float)  # var(log density) ~ 1/count
-    return x, y, w / w.sum()
-
-
 def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     """Count-weighted least squares in log density over occupied bins.
 
@@ -391,9 +380,9 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     alpha/beta ridge.  Weighting by counts keeps sparse far-tail bins,
     whose log density is biased upward, from tilting the fit.
     """
-    from .numerics import minimize
-
-    x, y, w = _occupied_xyw(hist)
+    occ = hist.occupied
+    x = hist.centers[occ]
+    y = np.log(hist.densities[occ])
     if x.size < 8 or x[-1] < 100.0 * x[0]:
         raise TooFewBins(
             f"{x.size} occupied bins spanning x{x[-1] / x[0]:.1f}; "
@@ -407,38 +396,19 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     tau_mode = float(x[np.argmax(y)])
     beta0 = math.sqrt(max(tau_mode, x[0]) * (alpha0 + 1.0))
 
+    def log_model(x, theta):
+        alpha, lbeta, lnu, tau0 = theta  # the bounds keep alpha, beta, nu > 0 and tau0 >= 0
+        return _log_passage_density(x + tau0, alpha, math.exp(lbeta), math.exp(lnu))
+
+    def jitter(rng, theta):
+        alpha = theta[0] * math.exp(rng.normal(0.0, 0.3))
+        lbeta = theta[1] + rng.normal(0.0, 0.3)
+        return np.array([alpha, lbeta, rng.normal(0.0, 0.2), abs(rng.normal(0.0, 0.05 * tau_mode))])
+
+    theta0 = np.array([alpha0, math.log(beta0), 0.0, 0.0])
     lo = np.array([1e-3, math.log(1e-4), math.log(0.05), 0.0])
     hi = np.array([30.0, math.log(1e8), math.log(15.0), 3.0 * x[-1]])
-
-    def objective(theta: np.ndarray) -> float:
-        alpha, lbeta, lnu, tau0 = theta  # the bounds keep alpha, beta, nu > 0 and tau0 >= 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            model = _log_passage_density(x + tau0, alpha, math.exp(lbeta), math.exp(lnu))
-        if not np.all(np.isfinite(model)):
-            return math.inf
-        r = model - y
-        return float(w @ (r * r))
-
-    rng = np.random.default_rng(0xA1B2)
-    best: tuple[float, np.ndarray] | None = None
-    for trial in range(max(restarts, 1)):
-        theta0 = np.array([alpha0, math.log(beta0), 0.0, 0.0])
-        if trial:
-            theta0[0] *= math.exp(rng.normal(0.0, 0.3))
-            theta0[1] += rng.normal(0.0, 0.3)
-            theta0[2] = rng.normal(0.0, 0.2)
-            theta0[3] = abs(rng.normal(0.0, 0.05 * tau_mode))
-        theta0 = np.clip(theta0, lo, hi)
-        try:
-            theta, sse = minimize(objective, theta0, bounds=list(zip(lo, hi)))
-        except NonFiniteObjective:
-            continue
-        if math.isfinite(sse) and (best is None or sse < best[0]):
-            best = (sse, theta)
-    if best is None:
-        raise FitDiverged("no simplex start produced a finite fit")
-
-    sse, theta = best
+    theta, sse = _fit_log_density(hist, log_model, theta0, lo, hi, jitter, 0xA1B2, restarts)
     return FirstPassageFit(
         alpha=float(theta[0]),
         beta=float(math.exp(theta[1])),
@@ -480,12 +450,18 @@ def optimal_horizon(obj) -> float:
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """Signed log-log slope: density ~ x^exponent or tau* ~ R^exponent."""
+    """Signed log-log slope: density ~ x^exponent or tau* ~ R^exponent,
+    with ``sse`` the residual sum of squares of the log-log line."""
 
     exponent: float
     stderr: float
     r2: float
+    sse: float
     n_points: int
+
+
+def _power_law(fit: LinFit) -> PowerLawFit:
+    return PowerLawFit(exponent=fit.slope, stderr=fit.stderr, r2=fit.r2, sse=fit.sse, n_points=fit.n)
 
 
 @dataclass(frozen=True)
@@ -536,8 +512,7 @@ def fit_horizon_power_law(rows) -> PowerLawFit:
         raise TooFewBins("need >= 3 positive-horizon thresholds")
     r = np.array([p[0] for p in pts], dtype=float)
     t = np.array([p[1] for p in pts], dtype=float)
-    fit = linfit(np.log(r), np.log(t))
-    return PowerLawFit(exponent=fit.slope, stderr=fit.stderr, r2=fit.r2, n_points=len(pts))
+    return _power_law(linfit(np.log(r), np.log(t)))
 
 
 def fit_tail_power_law(hist: LogBinnedPdf, fit_range: tuple) -> PowerLawFit:
@@ -549,10 +524,7 @@ def fit_tail_power_law(hist: LogBinnedPdf, fit_range: tuple) -> PowerLawFit:
     sel = occ & (hist.centers >= lo) & (hist.centers <= hi)
     if np.count_nonzero(sel) < 5:
         raise TooFewBins(f"{np.count_nonzero(sel)} occupied bins in range; need >= 5")
-    fit = linfit(np.log(hist.centers[sel]), np.log(hist.densities[sel]))
-    return PowerLawFit(
-        exponent=fit.slope, stderr=fit.stderr, r2=fit.r2, n_points=int(np.count_nonzero(sel))
-    )
+    return _power_law(linfit(np.log(hist.centers[sel]), np.log(hist.densities[sel])))
 
 
 @dataclass(frozen=True)

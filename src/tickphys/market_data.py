@@ -84,6 +84,14 @@ __all__ = [
 ]
 
 NS_PER_S = 1_000_000_000
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_MICROSECOND = dt.timedelta(microseconds=1)
+
+
+def wall_seconds(delta_ns: np.ndarray) -> np.ndarray:
+    """Nanosecond spans as whole seconds, rounded up and never below one,
+    so a same-second exit still takes time."""
+    return np.maximum((delta_ns + NS_PER_S - 1) // NS_PER_S, 1)
 
 
 # ---------------------------------------------------------------------- types
@@ -153,9 +161,10 @@ class Session:
     def bounds_ns(self, day: dt.date) -> tuple[int, int]:
         """Epoch-ns timestamps of [open, close] on the given date."""
         tz = ZoneInfo(self.timezone)
-        lo = dt.datetime.combine(day, self.open, tzinfo=tz)
-        hi = dt.datetime.combine(day, self.close, tzinfo=tz)
-        return int(lo.timestamp() * NS_PER_S), int(hi.timestamp() * NS_PER_S)
+        lo = dt.datetime.combine(day, self.open, tzinfo=tz) - _EPOCH
+        hi = dt.datetime.combine(day, self.close, tzinfo=tz) - _EPOCH
+        # whole microseconds, as integers: float seconds would round them
+        return lo // _MICROSECOND * 1000, hi // _MICROSECOND * 1000
 
 
 @dataclass(frozen=True)
@@ -217,13 +226,6 @@ class DayTicks:
 
     def __len__(self) -> int:
         return self.timestamps_ns.size
-
-    @classmethod
-    def from_walk(cls, prices, step_ns: int = NS_PER_S) -> "DayTicks":
-        """Wrap an integer walk as one synthetic day, one event per step."""
-        px = np.asarray(prices, dtype=np.int64)
-        ts = step_ns * (1 + np.arange(px.size, dtype=np.int64))
-        return cls(timestamps_ns=ts, prices=px, session_open_ns=int(ts[0]) if px.size else 0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared numerical kernels: log-binned histograms, line fits, a clamped
-Nelder-Mead minimizer, gamma, FFT and adaptive quadrature.
+Nelder-Mead minimizer, the log-density fit that both waiting-time laws go
+through, and adaptive quadrature.
 
 Everything here is deterministic: no global RNG state is consulted, and the
 minimizer's trajectory depends only on its inputs.
@@ -12,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadLength,
-    DegenerateX,
-    EmptyInput,
-    MaxDepthExceeded,
-    NonFiniteObjective,
-)
+from .errors import DegenerateX, EmptyInput, FitDiverged, MaxDepthExceeded, NonFiniteObjective
 
 __all__ = [
     "LogBinnedPdf",
@@ -26,10 +21,7 @@ __all__ = [
     "log_bin",
     "linfit",
     "minimize",
-    "gamma_fn",
-    "fft_real",
     "quadrature",
-    "sample_power_law",
 ]
 
 
@@ -53,10 +45,6 @@ class LogBinnedPdf:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
 
     @property
     def centers(self) -> np.ndarray:
@@ -109,14 +97,16 @@ class LinFit:
     intercept: float
     stderr: float
     r2: float
+    sse: float
     n: int
 
 
 def linfit(x, y) -> LinFit:
     """Ordinary least squares line y = slope*x + intercept.
 
-    ``stderr`` is the standard error of the slope estimate.  Requires at
-    least three points and non-degenerate x.
+    ``stderr`` is the standard error of the slope estimate and ``sse`` the
+    residual sum of squares.  Requires at least three points and
+    non-degenerate x.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -132,12 +122,12 @@ def linfit(x, y) -> LinFit:
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
-    rss = float(np.sum(resid**2))
+    sse = float(resid @ resid)
     tss = float(np.sum((y - ym) ** 2))
     dof = x.size - 2
-    stderr = math.sqrt(max(rss, 0.0) / dof / sxx)
-    r2 = 1.0 if tss == 0.0 else max(0.0, min(1.0, 1.0 - rss / tss))
-    return LinFit(slope=slope, intercept=intercept, stderr=stderr, r2=r2, n=x.size)
+    stderr = math.sqrt(sse / dof / sxx)
+    r2 = 1.0 if tss == 0.0 else max(0.0, min(1.0, 1.0 - sse / tss))
+    return LinFit(slope=slope, intercept=intercept, stderr=stderr, r2=r2, sse=sse, n=x.size)
 
 
 # ------------------------------------------------------------------ minimizer
@@ -232,36 +222,43 @@ def minimize(objective, x0, bounds=None, *, xtol: float = 1e-8, max_evals: int =
     return verts[best].copy(), float(fvals[best])
 
 
-# ------------------------------------------------------------- special values
+def _fit_log_density(hist, log_model, theta0, lo, hi, jitter, seed, restarts):
+    """Best (theta, sse) of count-weighted least squares between
+    ``log_model(x, theta)`` and the log density at the occupied bin centers.
 
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0.
-
-    Delegates to the C library implementation (Lanczos-class accuracy,
-    relative error far below 1e-10 across (0, 30]).
+    The weights are counts over their sum, as var(log density) ~ 1/count.  The
+    simplex starts at ``theta0``, then at ``restarts - 1`` draws of
+    ``jitter(rng, theta0)`` from ``default_rng(seed)``, each clipped into
+    [lo, hi].  A start where the model is not finite is skipped;
+    FitDiverged when every one is.
     """
-    if x <= 0:
-        raise ValueError("gamma_fn requires x > 0")
-    return math.gamma(x)
+    occ = hist.occupied
+    x = hist.centers[occ]
+    y = np.log(hist.densities[occ])
+    counts = hist.counts[occ].astype(float)
+    w = counts / counts.sum()
 
+    def objective(theta: np.ndarray) -> float:
+        # w > 0, so a non-finite model gives a non-finite sse, which
+        # minimize reads as inf
+        r = log_model(x, theta) - y
+        return float(w @ (r * r))
 
-def fft_real(values, direction: str = "forward") -> np.ndarray:
-    """Discrete Fourier transform for power-of-two lengths.
-
-    ``forward`` maps a (real or complex) sequence to its complex spectrum;
-    ``inverse`` applies the normalized inverse so that
-    ``fft_real(fft_real(x), "inverse")`` recovers ``x``.
-    """
-    v = np.asarray(values)
-    n = v.shape[-1]
-    if n == 0 or n & (n - 1) != 0:
-        raise BadLength(f"length {n} is not a power of two")
-    if direction == "forward":
-        return np.fft.fft(v)
-    if direction == "inverse":
-        return np.fft.ifft(v)
-    raise ValueError("direction must be 'forward' or 'inverse'")
+    rng = np.random.default_rng(seed)
+    bounds = list(zip(lo, hi))
+    best: tuple[np.ndarray, float] | None = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(max(restarts, 1)):
+            start = np.clip(jitter(rng, theta0) if trial else theta0, lo, hi)
+            try:
+                theta, sse = minimize(objective, start, bounds=bounds)
+            except NonFiniteObjective:
+                continue
+            if best is None or sse < best[1]:
+                best = (theta, sse)
+    if best is None:
+        raise FitDiverged("no simplex start produced a finite fit")
+    return best
 
 
 # ----------------------------------------------------------------- quadrature
@@ -307,18 +304,3 @@ def quadrature(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 60) ->
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     return _simpson(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
-
-
-# ------------------------------------------------------------------- samplers
-
-
-def sample_power_law(exponent: float, lo: float, hi: float, n: int, rng) -> np.ndarray:
-    """Inverse-transform draws from a density proportional to x**(-exponent)
-    truncated to [lo, hi], for exponent != 1."""
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    if exponent == 1.0:
-        raise ValueError("exponent 1 not supported")
-    u = rng.random(n)
-    g = 1.0 - exponent
-    return (lo**g + u * (hi**g - lo**g)) ** (1.0 / g)

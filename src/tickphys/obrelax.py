@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySide, FitDiverged, NonFiniteObjective, TooFewBins, TooFewSamples
-from .market_data import NS_PER_S
-from .numerics import LinFit, LogBinnedPdf, linfit, log_bin
+from .errors import EmptySide, TooFewBins, TooFewSamples
+from .market_data import wall_seconds
+from .numerics import LinFit, LogBinnedPdf, _fit_log_density, linfit, log_bin
 
 __all__ = [
     "ImbalanceSeries",
@@ -59,29 +59,6 @@ class ImbalanceSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @classmethod
-    def concat(cls, parts) -> "ImbalanceSeries":
-        parts = list(parts)
-        if not parts:
-            raise ValueError("nothing to concatenate")
-        vals, ts, tr, bounds = [], [], [], []
-        offset = 0
-        for p in parts:
-            vals.append(p.values)
-            bounds.extend(b + offset for b in p.day_boundaries)
-            ts.append(p.timestamps_ns)
-            tr.append(p.trades)
-            offset += p.values.size
-        has_ts = all(t is not None for t in ts)
-        has_tr = all(t is not None for t in tr)
-        return cls(
-            values=np.concatenate(vals),
-            timestamps_ns=np.concatenate(ts) if has_ts else None,
-            trades=np.concatenate(tr) if has_tr else None,
-            day_boundaries=tuple(bounds),
-            depth=parts[0].depth,
-        )
 
 
 def imbalance_series(book, depth: int) -> ImbalanceSeries:
@@ -201,8 +178,7 @@ def relaxation_times(series: ImbalanceSeries, kappa: float, *, clock: str = "eve
     else:
         if series.timestamps_ns is None:
             raise ValueError("wall clock needs timestamped snapshots")
-        delta = series.timestamps_ns[stop] - series.timestamps_ns[entries]
-        tau = np.maximum((delta + NS_PER_S - 1) // NS_PER_S, 1)
+        tau = wall_seconds(series.timestamps_ns[stop] - series.timestamps_ns[entries])
 
     return RelaxationSamples(
         tau=tau.astype(np.int64),
@@ -264,49 +240,25 @@ def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
     confined to (0, 1].  Weighting by counts keeps sparse edge bins from
     tilting the fit.
     """
-    from .numerics import minimize
-
     occ = np.nonzero(hist.occupied)[0]
     if occ.size < 8:
         raise TooFewBins(f"{occ.size} occupied bins; need >= 8")
     x = hist.centers[occ]
-    y = np.log(hist.densities[occ])
-
     counts = hist.counts[occ].astype(float)
-    w = counts / counts.sum()  # var(log density) ~ 1/count
     cum = np.cumsum(counts) / counts.sum()
     tau0 = float(x[np.searchsorted(cum, 0.632)]) if np.any(cum >= 0.632) else float(x[-1])
 
+    def log_model(x, theta):
+        ltau, alpha = theta  # the bounds keep alpha in (0, 1]
+        return _log_stretched_density(x, math.exp(ltau), alpha)
+
+    def jitter(rng, theta):
+        return np.array([theta[0] + rng.normal(0.0, 0.4), rng.uniform(0.15, 1.0)])
+
+    theta0 = np.array([math.log(tau0), 0.7])
     lo = np.array([math.log(x[0] / 10.0), 0.02])
     hi = np.array([math.log(x[-1] * 10.0), 1.0])
-
-    def objective(theta: np.ndarray) -> float:
-        ltau, alpha = theta  # the bounds keep alpha in (0, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            model = _log_stretched_density(x, math.exp(ltau), alpha)
-        if not np.all(np.isfinite(model)):
-            return math.inf
-        r = model - y
-        return float(w @ (r * r))
-
-    rng = np.random.default_rng(0x5E7A)
-    best: tuple[float, np.ndarray] | None = None
-    for trial in range(max(restarts, 1)):
-        theta0 = np.array([math.log(tau0), 0.7])
-        if trial:
-            theta0[0] += rng.normal(0.0, 0.4)
-            theta0[1] = rng.uniform(0.15, 1.0)
-        theta0 = np.clip(theta0, lo, hi)
-        try:
-            theta, sse = minimize(objective, theta0, bounds=list(zip(lo, hi)))
-        except NonFiniteObjective:
-            continue
-        if math.isfinite(sse) and (best is None or sse < best[0]):
-            best = (sse, theta)
-    if best is None:
-        raise FitDiverged("no simplex start produced a finite fit")
-
-    sse, theta = best
+    theta, sse = _fit_log_density(hist, log_model, theta0, lo, hi, jitter, 0x5E7A, restarts)
     return StretchedExpFit(
         tau_tilde=float(math.exp(theta[0])),
         alpha=float(theta[1]),

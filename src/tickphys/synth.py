@@ -9,12 +9,11 @@ explicit seed and draw from ``numpy.random.default_rng`` (PCG64), so a given
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger(__name__)
+from .errors import EmbeddingNotDefinite
 
 __all__ = ["FbmSpec", "gen_brownian", "gen_fbm", "gen_tick_walk"]
 
@@ -59,12 +58,15 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * (np.abs(k + 1) ** h2 - 2.0 * np.abs(k) ** h2 + np.abs(k - 1) ** h2)
 
 
-def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray | None:
+def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray:
     """Exact fGn sample by circulant embedding.
 
     The covariance of lags 0..m is embedded in a circulant of size 2m (m the
-    next power of two >= n, so the FFT length is a power of two).  Returns
-    None when the embedding is not non-negative definite.
+    next power of two >= n, so the FFT length is a power of two).  For fGn
+    the embedding is non-negative definite at every H, so a negative
+    eigenvalue is rounding: up to eps * m^(2H) from each lag's second
+    difference.  Eigenvalues above -8 m eps m^(2H) are clipped to zero;
+    below it, EmbeddingNotDefinite.
     """
     m = 1
     while m < n:
@@ -72,8 +74,12 @@ def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray | None:
     gamma = _fgn_autocov(m, hurst)
     row = np.concatenate([gamma[: m + 1], gamma[m - 1 : 0 : -1]])
     lam = np.fft.fft(row).real
-    if lam.min() < -1e-9 * lam.max():
-        return None
+    tol = 8.0 * m * np.finfo(float).eps * float(m) ** (2.0 * hurst)
+    if lam.min() < -tol:
+        raise EmbeddingNotDefinite(
+            f"circulant embedding of fGn at H={hurst}, m={m} has eigenvalue "
+            f"{lam.min():.3g} below the rounding bound -{tol:.3g}"
+        )
     lam = np.maximum(lam, 0.0)
 
     two_m = 2 * m
@@ -87,49 +93,16 @@ def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray | None:
     return np.fft.fft(w).real[:n]
 
 
-def _fgn_recursive(n: int, hurst: float, rng) -> np.ndarray:
-    """Exact fGn by the Durbin-Levinson conditional recursion, O(n^2).
-
-    Fallback for covariance sequences whose circulant embedding fails; slow,
-    so only practical for modest n.
-    """
-    gamma = _fgn_autocov(n, hurst)
-    out = np.empty(n)
-    out[0] = rng.standard_normal()
-    phi = np.zeros(n)  # phi[:t] holds the order-t prediction coefficients
-    v = 1.0
-    for t in range(1, n):
-        if t == 1:
-            k = gamma[1]
-        else:
-            k = (gamma[t] - float(phi[: t - 1] @ gamma[t - 1:0:-1])) / v
-        phi[: t - 1] -= k * phi[: t - 1][::-1].copy()
-        phi[t - 1] = k
-        v *= 1.0 - k * k
-        mean = float(phi[:t] @ out[t - 1 :: -1])
-        out[t] = mean + np.sqrt(max(v, 0.0)) * rng.standard_normal()
-    return out
-
-
 def gen_fbm(spec: FbmSpec) -> np.ndarray:
     """Fractional Brownian motion path of length spec.n starting at 0.
 
     Increments are exact fractional Gaussian noise with Hurst exponent
-    ``spec.hurst``; the path is their cumulative sum.  Circulant embedding
-    is used when the embedding is non-negative definite, otherwise a
-    recursive exact sampler takes over (logged, same distribution).
+    ``spec.hurst``, drawn by circulant embedding at every H and n; the path
+    is their cumulative sum.  Raises EmbeddingNotDefinite if the embedding
+    has an eigenvalue more negative than rounding explains.
     """
     rng = np.random.default_rng(spec.seed)
-    n_inc = spec.n - 1
-    fgn = _fgn_circulant(n_inc, spec.hurst, rng)
-    if fgn is None:
-        log.info(
-            "circulant embedding not nonneg-definite for H=%.3f, n=%d; "
-            "falling back to recursive sampler",
-            spec.hurst,
-            spec.n,
-        )
-        fgn = _fgn_recursive(n_inc, spec.hurst, rng)
+    fgn = _fgn_circulant(spec.n - 1, spec.hurst, rng)
     out = np.empty(spec.n)
     out[0] = 0.0
     np.cumsum(fgn * spec.scale, out=out[1:])

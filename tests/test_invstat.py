@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_crossing as reference
+from _power_law import sample_power_law
 from tickphys import invstat
 from tickphys import (
     CrossingIndex,
@@ -97,14 +98,15 @@ def test_exit_times_both_takes_earlier_side():
 
 def test_exit_times_wall_clock_rounds_up_seconds():
     day = DayTicks(
-        timestamps_ns=[NS, NS + NS // 2, 4 * NS],
-        prices=[0, 1, 2],
+        timestamps_ns=[NS, NS + NS // 2, 4 * NS, 4 * NS],
+        prices=[0, 1, 2, 3],
         session_open_ns=NS,
     )
     exits = exit_times(day, ExitTimeConfig(threshold=1, clock="wall"))
-    # entry 0 exits half a second later: ceil to 1; entry 1 exits 2.5 s later: ceil to 3
-    assert exits.tau.tolist() == [1, 3]
-    assert np.allclose(exits.entry_second, [0.0, 0.5])
+    # entry 0 exits half a second later: ceil to 1; entry 1 exits 2.5 s later: ceil to 3;
+    # entry 2 exits at the same instant: still 1
+    assert exits.tau.tolist() == [1, 3, 1]
+    assert np.allclose(exits.entry_second, [0.0, 0.5, 3.0])
 
 
 def test_exit_times_wall_clock_needs_timestamps():
@@ -215,7 +217,7 @@ def test_exit_times_rejects_empty_and_non_finite_prices():
     for empty in ([], np.array([], dtype=np.int64), [DayTicks(timestamps_ns=[], prices=[])]):
         with pytest.raises(EmptyInput):
             exit_times(empty, UP1)
-    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [0.0, 1e19]):
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [0.0, 1e19], [1.0000004, 2.0]):
         with pytest.raises(TickSizeViolation):
             exit_times(np.array(bad), UP1)
         with pytest.raises(TickSizeViolation):
@@ -353,8 +355,6 @@ def test_horizon_scaling_hist_route():
 
 
 def test_fit_tail_power_law_on_exact_power_law():
-    from tickphys import sample_power_law
-
     draws = sample_power_law(2.5, 1.0, 1e4, 200_000, np.random.default_rng(3))
     fit = fit_tail_power_law(log_bin(draws, 10), (2.0, 2e3))
     assert abs(fit.exponent + 2.5) < 0.1

@@ -5,6 +5,7 @@ the identity); malformed inputs must fail with the precise error class and
 line number, since the CLI surfaces both.
 """
 
+import calendar
 import datetime as dt
 import re
 from decimal import Decimal
@@ -307,6 +308,20 @@ def test_session_validation_and_bounds():
     session = Session(open=dt.time(9, 30), close=dt.time(16, 0))
     lo, hi = session.bounds_ns(dt.date(2024, 1, 2))
     assert hi - lo == int(6.5 * 3600) * NS
+    # whole microseconds stay exact: float seconds gave ...123457024
+    odd = Session(open=dt.time(9, 30, 0, 123457), close=dt.time(16, 0))
+    assert odd.bounds_ns(dt.date(2007, 3, 5)) == (
+        calendar.timegm((2007, 3, 5, 9, 30, 0)) * NS + 123_457_000,
+        calendar.timegm((2007, 3, 5, 16, 0, 0)) * NS,
+    )
+    # New York opens at 14:30 UTC before the 2007 switch to daylight time
+    # and at 13:30 UTC after it
+    ny = Session(open=dt.time(9, 30), close=dt.time(16, 0), timezone="America/New_York")
+    assert ny.bounds_ns(dt.date(2007, 3, 9))[0] == calendar.timegm((2007, 3, 9, 14, 30, 0)) * NS
+    assert ny.bounds_ns(dt.date(2007, 3, 12)) == (
+        calendar.timegm((2007, 3, 12, 13, 30, 0)) * NS,
+        calendar.timegm((2007, 3, 12, 20, 0, 0)) * NS,
+    )
 
 
 def test_sessionize_splits_days_and_drops_outside():

@@ -1,6 +1,6 @@
 """Shared numerical kernels, oracle-first.
 
-Known closed forms come first (gamma values, exact integrals, hand-binned
+Known closed forms come first (exact integrals, hand-binned
 histograms); the optimizer is checked on standard landscapes; invariants
 that must hold for any input run under hypothesis.
 """
@@ -13,19 +13,16 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _power_law import sample_power_law
 from tickphys import (
-    BadLength,
     DegenerateX,
     EmptyInput,
     MaxDepthExceeded,
     NonFiniteObjective,
-    fft_real,
-    gamma_fn,
     linfit,
     log_bin,
     minimize,
     quadrature,
-    sample_power_law,
 )
 
 
@@ -57,7 +54,7 @@ def test_log_bin_censored_normalization():
     hist = log_bin([1.0, 2.0, 3.0], bins_per_decade=5, censored_count=7)
     assert hist.total_count == 10
     # density integrates to the resolved fraction only
-    assert np.isclose(float(hist.densities @ hist.widths), 0.3)
+    assert np.isclose(float(hist.densities @ np.diff(hist.edges)), 0.3)
 
 
 def test_log_bin_centers_are_geometric():
@@ -86,7 +83,7 @@ def test_log_bin_conserves_counts_and_mass(samples, bpd):
     assert int(hist.counts.sum()) == len(samples)
     # every sample falls inside the edge range
     assert hist.edges[0] <= min(samples) and max(samples) < hist.edges[-1]
-    assert np.isclose(float(hist.densities @ hist.widths), 1.0)
+    assert np.isclose(float(hist.densities @ np.diff(hist.edges)), 1.0)
 
 
 # ------------------------------------------------------------------ linfit
@@ -111,6 +108,8 @@ def test_linfit_matches_reference_ols():
     assert np.isclose(ours.intercept, ref.intercept)
     assert np.isclose(ours.stderr, ref.stderr)
     assert np.isclose(ours.r2, ref.rvalue**2)
+    resid = y - (ref.intercept + ref.slope * x)
+    assert np.isclose(ours.sse, float(np.sum(resid**2)))
 
 
 def test_linfit_rejects_degenerate_input():
@@ -170,16 +169,7 @@ def test_minimize_validates_bounds_and_objective():
         minimize(lambda v: math.nan, [0.0])
 
 
-# ----------------------------------------------------- gamma and quadrature
-
-
-def test_gamma_known_values():
-    assert np.isclose(gamma_fn(0.5), math.sqrt(math.pi), rtol=1e-12)
-    assert gamma_fn(5.0) == 24.0
-    x = 3.7
-    assert np.isclose(gamma_fn(x + 1.0), x * gamma_fn(x), rtol=1e-12)
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
+# -------------------------------------------------------------- quadrature
 
 
 def test_quadrature_polynomial_and_trig():
@@ -195,41 +185,6 @@ def test_quadrature_half_line():
 def test_quadrature_depth_limit():
     with pytest.raises(MaxDepthExceeded):
         quadrature(math.sin, 0.0, math.pi, tol=1e-15, max_depth=2)
-
-
-# --------------------------------------------------------------------- fft
-
-
-def test_fft_delta_has_flat_spectrum():
-    x = np.zeros(16)
-    x[0] = 1.0
-    assert np.allclose(fft_real(x), np.ones(16))
-
-
-def test_fft_cosine_two_spikes():
-    n = 64
-    k = 5
-    x = np.cos(2.0 * np.pi * k * np.arange(n) / n)
-    spec = fft_real(x)
-    expected = np.zeros(n)
-    expected[k] = expected[n - k] = n / 2.0
-    assert np.allclose(spec, expected, atol=1e-9)
-
-
-def test_fft_parseval_and_roundtrip():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(128)
-    spec = fft_real(x)
-    assert np.isclose(np.sum(x * x), np.sum(np.abs(spec) ** 2) / 128.0)
-    back = fft_real(spec, "inverse")
-    assert np.allclose(back.real, x, atol=1e-12)
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(BadLength):
-        fft_real(np.zeros(12))
-    with pytest.raises(ValueError):
-        fft_real(np.zeros(8), "sideways")
 
 
 # ------------------------------------------------------------- power draws

@@ -27,7 +27,6 @@ from tickphys import (
     TooFewSamples,
     entry_times,
     fit_stretched_exp,
-    gamma_fn,
     gen_brownian,
     imbalance_series,
     log_bin,
@@ -221,17 +220,6 @@ def test_relaxation_trade_and_wall_clocks():
         relaxation_times(bare, 0.5, clock="lunar")
 
 
-def test_imbalance_series_concat():
-    a = ImbalanceSeries(values=np.array([0.1, 0.2]), day_boundaries=(0,))
-    b = ImbalanceSeries(values=np.array([0.3]), day_boundaries=(0,))
-    joined = ImbalanceSeries.concat([a, b])
-    assert joined.values.tolist() == [0.1, 0.2, 0.3]
-    assert joined.day_boundaries == (0, 2)
-    assert joined.timestamps_ns is None
-    with pytest.raises(ValueError):
-        ImbalanceSeries.concat([])
-
-
 def test_relaxation_hist_min_samples_and_censoring():
     sig = ImbalanceSeries(values=np.array([0.1, 0.6, 0.3, -0.2, 0.1, 0.7, 0.6]))
     samples = relaxation_times(sig, 0.5)
@@ -301,7 +289,7 @@ def test_mean_relaxation_closed_forms():
     assert np.isclose(mean_relaxation_from_fit(StretchedExpFit(7.0, 0.5, 0.0, 0)), 14.0)
     # and the sample mean agrees with the formula
     draws = sample_stretched_exp(200_000, 10.0, 0.6, seed=8)
-    formula = 10.0 / 0.6 * gamma_fn(1.0 / 0.6)
+    formula = 10.0 / 0.6 * math.gamma(1.0 / 0.6)
     assert abs(draws.mean() - formula) / formula < 0.02
 
 

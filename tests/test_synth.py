@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tickphys import FbmSpec, gen_brownian, gen_fbm, gen_tick_walk
-from tickphys.synth import _fgn_autocov, _fgn_recursive
+from tickphys import EmbeddingNotDefinite, FbmSpec, gen_brownian, gen_fbm, gen_tick_walk
+from tickphys import synth
+from tickphys.synth import _fgn_autocov
 
 
 def sample_autocov(x: np.ndarray, lag: int) -> float:
@@ -71,17 +72,27 @@ def test_fbm_scale_multiplies_increments():
     assert np.allclose(b, 3.0 * a)
 
 
-def test_recursive_sampler_matches_autocovariance():
-    # the fallback path; pool many short paths for the lag structure
-    rng = np.random.default_rng(17)
-    h = 0.7
-    est = np.zeros(4)
-    n_paths, n = 400, 64
-    for _ in range(n_paths):
-        x = _fgn_recursive(n, h, rng)
-        for lag in range(4):
-            est[lag] += sample_autocov(x, lag) / n_paths
-    assert np.allclose(est, _fgn_autocov(3, h), atol=0.05)
+def test_fbm_near_one_clips_rounding_in_the_spectrum():
+    # H = 0.98 at m = 2**20: the embedding's most negative eigenvalue is
+    # about -1e-7 of the largest, rounding from the autocovariance's
+    # second difference, which once sent the sampler to an O(n^2) fallback
+    h, m = 0.98, 2**20
+    gamma = _fgn_autocov(m, h)
+    lam = np.fft.fft(np.concatenate([gamma[: m + 1], gamma[m - 1 : 0 : -1]])).real
+    assert lam.min() < -1e-9 * lam.max()
+    path = gen_fbm(FbmSpec(hurst=h, n=m + 1, seed=4))
+    assert path.size == m + 1 and path[0] == 0.0 and np.all(np.isfinite(path))
+
+
+def test_fbm_refuses_a_covariance_with_a_negative_spectrum(monkeypatch):
+    def not_a_covariance(n, hurst):
+        gamma = np.zeros(n + 1)
+        gamma[:2] = 1.0, 0.9  # eigenvalues 1 + 1.8 cos(theta) reach -0.8
+        return gamma
+
+    monkeypatch.setattr(synth, "_fgn_autocov", not_a_covariance)
+    with pytest.raises(EmbeddingNotDefinite):
+        gen_fbm(FbmSpec(hurst=0.5, n=1024, seed=1))
 
 
 def test_tick_walk_steps_and_zero_fraction():
