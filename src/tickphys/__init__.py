@@ -44,7 +44,6 @@ from .market_data import (
     RegularSeries,
     DayTicks,
     parse_ticks,
-    serialize_ticks,
     parse_book,
     serialize_book,
     sessionize,

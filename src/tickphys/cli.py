@@ -3,7 +3,8 @@ generation and the built-in acceptance suite.
 
 Every subcommand requires --out DIR, which must be absent or empty, and
 drops a manifest.json next to its artifacts.  Artifacts are collected in
-memory and written together, so a failing run leaves no partial output;
+memory, written into a new directory beside --out and renamed onto it, so
+a failing run, even one whose write fails, leaves no partial output;
 reruns with identical flags and inputs into fresh directories are
 byte-identical except for the manifest's started/finished stamps.  Exit
 codes: 0 success, 1 usage, 2 data, 3 fit failure.
@@ -16,6 +17,8 @@ import datetime as dt
 import hashlib
 import io
 import json
+import secrets
+import shutil
 import sys
 from pathlib import Path
 
@@ -93,10 +96,20 @@ def _require_empty_out(out_dir: str) -> None:
 
 
 def _write_all(out_dir: str, files: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
+    """Write the artifacts into a new directory beside ``out_dir``, then
+    rename it onto ``out_dir`` (absent or empty), so a write that fails
+    leaves neither part of the run nor the new directory behind."""
+    out = Path(out_dir).resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{secrets.token_hex(6)}.tmp")
+    tmp.mkdir()
+    try:
+        for name, text in files.items():
+            (tmp / name).write_text(text)
+        tmp.replace(out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _fmt(x) -> str:

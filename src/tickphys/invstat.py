@@ -35,7 +35,16 @@ from .errors import (
     TooFewSamples,
 )
 from .market_data import NS_PER_S, DayTicks, RegularSeries, SessionizedTicks, wall_seconds
-from .numerics import LinFit, LogBinnedPdf, _fit_log_density, linfit, log_bin
+from .numerics import (
+    LinFit,
+    LogBinnedPdf,
+    _by_row,
+    _columns,
+    _fit_log_density,
+    _power_by_row,
+    linfit,
+    log_bin,
+)
 
 __all__ = [
     "CrossingIndex",
@@ -111,15 +120,17 @@ _KEY_LIMIT = 2**62
 
 
 def _int_ticks(values, what: str) -> np.ndarray:
-    """Finite, exactly integer-valued prices within int64 as int64 ticks."""
+    """Finite, exactly integer-valued float prices below 2**53 in magnitude
+    as int64 ticks.  From 2**53 on a float no longer holds every integer,
+    so a value there may already be a neighbouring tick, rounded."""
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise TickSizeViolation(f"{what} are not finite")
     ints = np.rint(vals)
     if not np.array_equal(vals, ints):
         raise TickSizeViolation(f"{what} are not integer ticks")
-    if np.max(np.abs(ints)) >= 2.0**63:
-        raise TickSizeViolation(f"{what} lie beyond int64 ticks")
+    if np.max(np.abs(ints)) >= 2.0**53:
+        raise TickSizeViolation(f"{what} reach 2**53 ticks, beyond exact float integers")
     return ints.astype(np.int64)
 
 
@@ -333,14 +344,12 @@ def log_passage_density(tau, alpha: float, beta: float, nu: float = 1.0, tau0: f
 
 def _log_passage_density(t, alpha, beta, nu):
     """log_passage_density at t = tau + tau0, unchecked: alpha, beta, nu and
-    t must be positive."""
-    return (
-        math.log(nu)
-        - math.lgamma(alpha / nu)
-        + 2.0 * alpha * math.log(beta)
-        - (alpha + 1.0) * np.log(t)
-        - (beta * beta / t) ** nu
+    t must be positive.  The parameters are scalars, or (K, 1) columns for
+    the K rows of t."""
+    const = _by_row(
+        lambda a, b, n: math.log(n) - math.lgamma(a / n) + 2.0 * a * math.log(b), alpha, beta, nu
     )
+    return const - (alpha + 1.0) * np.log(t) - _power_by_row(beta * beta / t, nu)
 
 
 def passage_density(tau, alpha: float, beta: float, nu: float = 1.0, tau0: float = 0.0):
@@ -396,9 +405,12 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     tau_mode = float(x[np.argmax(y)])
     beta0 = math.sqrt(max(tau_mode, x[0]) * (alpha0 + 1.0))
 
-    def log_model(x, theta):
-        alpha, lbeta, lnu, tau0 = theta  # the bounds keep alpha, beta, nu > 0 and tau0 >= 0
-        return _log_passage_density(x + tau0, alpha, math.exp(lbeta), math.exp(lnu))
+    def log_model(x, thetas):
+        # the bounds keep alpha, beta, nu > 0 and tau0 >= 0
+        alpha, beta, nu, tau0 = _columns(
+            (a, math.exp(lb), math.exp(ln), t0) for a, lb, ln, t0 in thetas
+        )
+        return _log_passage_density(x + tau0, alpha, beta, nu)
 
     def jitter(rng, theta):
         alpha = theta[0] * math.exp(rng.normal(0.0, 0.3))

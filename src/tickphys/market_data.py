@@ -75,7 +75,6 @@ __all__ = [
     "SessionizedTicks",
     "parse_ticks",
     "parse_book",
-    "serialize_ticks",
     "serialize_book",
     "sessionize",
     "resample",
@@ -382,14 +381,6 @@ def parse_ticks(text: str) -> tuple[list[TickEvent], Decimal]:
 def _format_price(ticks: int, tick_size: Decimal) -> str:
     value = (Decimal(ticks) * tick_size).normalize()
     return format(value, "f")
-
-
-def serialize_ticks(events, tick_size: Decimal) -> str:
-    """Inverse of parse_ticks for canonical-form files."""
-    out = [f"# tick_size={format(tick_size.normalize(), 'f')}"]
-    for e in events:
-        out.append(f"{e.timestamp_ns},{_format_price(e.price, tick_size)},{e.kind},{e.volume}")
-    return "\n".join(out) + "\n"
 
 
 def parse_book(text: str, depth: int | None = None) -> tuple[Book, Decimal, int]:

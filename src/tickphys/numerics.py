@@ -2,6 +2,13 @@
 Nelder-Mead minimizer, the log-density fit that both waiting-time laws go
 through, and adaptive quadrature.
 
+The minimizer is one simplex search on Python floats, written as a
+generator that yields trial points and is sent their values.  ``minimize``
+drives one search.  The log-density fit draws all its restart points first
+and drives their searches in lockstep: each round, the pending trial points
+of every live search go to the density model in one batched call, with the
+parameters as columns.
+
 Everything here is deterministic: no global RNG state is consulted, and the
 minimizer's trajectory depends only on its inputs.
 """
@@ -10,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -133,11 +142,123 @@ def linfit(x, y) -> LinFit:
 # ------------------------------------------------------------------ minimizer
 
 
-def _clamp(x: np.ndarray, bounds) -> np.ndarray:
-    if bounds is None:
-        return x
-    lo, hi = bounds
-    return np.clip(x, lo, hi)
+def _clip(point: list, lo: list, hi: list) -> list:
+    """np.clip on floats: NaN passes through, and a value at a bound becomes
+    that bound, sign of zero included."""
+    out = []
+    for v, a, b in zip(point, lo, hi):
+        if not v > a and v == v:
+            v = a
+        if not v < b and v == v:
+            v = b
+        out.append(v)
+    return out
+
+
+def _converged(verts: list, xtol: float) -> bool:
+    """max |v - best| / max(1, |best|) < xtol over the simplex, stopping at
+    the first coordinate that fails; a NaN fails, as it does in np.max."""
+    best = verts[0]
+    for v in verts[1:]:
+        for a, b in zip(v, best):
+            if not abs(a - b) / max(1.0, abs(b)) < xtol:
+                return False
+    return True
+
+
+def _simplex(x0: list, lo: list, hi: list, xtol: float, max_evals: int):
+    """Clamped Nelder-Mead search on lists of floats, as a generator.
+
+    It yields each trial point, is sent back that point's value (inf where
+    the objective is not finite), and returns ``(x_best, f_best)``, or None
+    when the objective is not finite at the start.  Each step keeps the
+    operation order of the same search on numpy arrays, so the two agree
+    bit for bit: clipping is np.clip's, the centroid adds the kept vertices
+    to 0.0 row by row and then divides, the vertices sort stably, and the
+    best is the first minimum.
+    """
+    x0 = _clip(x0, lo, hi)
+    f0 = yield x0
+    if not math.isfinite(f0):
+        return None
+
+    # Initial simplex: perturb each coordinate by 5% (0.00025 when zero).
+    ndim = len(x0)
+    verts = [x0]
+    for i in range(ndim):
+        step = 0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025
+        v = x0.copy()
+        v[i] += step
+        v = _clip(v, lo, hi)
+        if all(a == b for a, b in zip(v, x0)):
+            v = x0.copy()
+            v[i] -= step
+            v = _clip(v, lo, hi)
+        verts.append(v)
+    fvals = [f0]
+    for v in verts[1:]:
+        fvals.append((yield v))
+    evals = ndim + 1
+
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    while evals < max_evals:
+        order = sorted(range(ndim + 1), key=fvals.__getitem__)
+        verts = [verts[k] for k in order]
+        fvals = [fvals[k] for k in order]
+        if _converged(verts, xtol):
+            break
+        best, worst = verts[0], verts[-1]
+        centroid = [reduce(add, col, 0.0) / ndim for col in zip(*verts[:-1])]
+        xr = _clip([c + alpha * (c - w) for c, w in zip(centroid, worst)], lo, hi)
+        fr = yield xr
+        evals += 1
+        if fr < fvals[0]:
+            xe = _clip([c + gamma * (r - c) for c, r in zip(centroid, xr)], lo, hi)
+            fe = yield xe
+            evals += 1
+            if fe < fr:
+                verts[-1], fvals[-1] = xe, fe
+            else:
+                verts[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            verts[-1], fvals[-1] = xr, fr
+        else:
+            xc = _clip([c + rho * (w - c) for c, w in zip(centroid, worst)], lo, hi)
+            fc = yield xc
+            evals += 1
+            if fc < fvals[-1]:
+                verts[-1], fvals[-1] = xc, fc
+            else:  # shrink toward the best vertex
+                for i in range(1, ndim + 1):
+                    verts[i] = _clip([b + sigma * (v - b) for b, v in zip(best, verts[i])], lo, hi)
+                    fvals[i] = yield verts[i]
+                    evals += 1
+
+    k = fvals.index(min(fvals))
+    return verts[k], fvals[k]
+
+
+def _minimize_all(evaluate, starts, lo, hi, *, xtol=1e-8, max_evals=10_000) -> list:
+    """One ``_simplex`` search from each start, all advanced in lockstep.
+
+    Each round ``evaluate`` gets the pending trial point of every live
+    search, as lists of floats, and returns their values in that order.
+    Returns one ``(x, f)`` per start, None where the objective is not
+    finite at that start.
+    """
+    searches = [_simplex(x0, lo, hi, xtol, max_evals) for x0 in starts]
+    results = [None] * len(searches)
+    pending = {k: next(search) for k, search in enumerate(searches)}
+    while pending:
+        keys = list(pending)
+        for k, v in zip(keys, evaluate([pending[k] for k in keys]), strict=True):
+            v = float(v)
+            try:
+                pending[k] = searches[k].send(v if math.isfinite(v) else math.inf)
+            except StopIteration as done:
+                del pending[k]
+                results[k] = done.value
+    return results
 
 
 def minimize(objective, x0, bounds=None, *, xtol: float = 1e-8, max_evals: int = 10_000):
@@ -153,84 +274,63 @@ def minimize(objective, x0, bounds=None, *, xtol: float = 1e-8, max_evals: int =
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     ndim = x0.size
+    lo, hi = [-math.inf] * ndim, [math.inf] * ndim  # clipping to these changes no bit
     if bounds is not None:
         box = np.asarray(bounds, dtype=float)
         if box.shape != (ndim, 2):
             raise ValueError(f"bounds must be {ndim} (lo, hi) pairs")
         if np.any(box[:, 0] > box[:, 1]):
             raise ValueError("bounds must satisfy lo <= hi")
-        bounds = (box[:, 0], box[:, 1])
-    x0 = _clamp(x0, bounds)
+        lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
 
-    evals = 0
+    def evaluate(points):
+        return [objective(np.array(p)) for p in points]
 
-    def f(x):
-        nonlocal evals
-        evals += 1
-        v = objective(x)
-        return float(v) if np.isfinite(v) else math.inf
-
-    f0 = f(x0)
-    if not math.isfinite(f0):
+    (result,) = _minimize_all(evaluate, [x0.tolist()], lo, hi, xtol=xtol, max_evals=max_evals)
+    if result is None:
         raise NonFiniteObjective("objective is not finite at the starting point")
+    return np.array(result[0]), result[1]
 
-    # Initial simplex: perturb each coordinate by 5% (0.00025 when zero).
-    verts = [x0]
-    for i in range(ndim):
-        step = 0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025
-        v = x0.copy()
-        v[i] += step
-        v = _clamp(v, bounds)
-        if np.array_equal(v, x0):
-            v = x0.copy()
-            v[i] -= step
-            v = _clamp(v, bounds)
-        verts.append(v)
-    verts = np.array(verts)
-    fvals = np.array([f0] + [f(v) for v in verts[1:]])
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    while evals < max_evals:
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
-        diam = np.max(np.abs(verts - verts[0]) / np.maximum(1.0, np.abs(verts[0])))
-        if diam < xtol:
-            break
-        centroid = verts[:-1].mean(axis=0)
-        xr = _clamp(centroid + alpha * (centroid - verts[-1]), bounds)
-        fr = f(xr)
-        if fr < fvals[0]:
-            xe = _clamp(centroid + gamma * (xr - centroid), bounds)
-            fe = f(xe)
-            if fe < fr:
-                verts[-1], fvals[-1] = xe, fe
-            else:
-                verts[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            verts[-1], fvals[-1] = xr, fr
-        else:
-            xc = _clamp(centroid + rho * (verts[-1] - centroid), bounds)
-            fc = f(xc)
-            if fc < fvals[-1]:
-                verts[-1], fvals[-1] = xc, fc
-            else:  # shrink toward the best vertex
-                for i in range(1, len(verts)):
-                    verts[i] = _clamp(verts[0] + sigma * (verts[i] - verts[0]), bounds)
-                    fvals[i] = f(verts[i])
+def _columns(rows):
+    """Rows of K parameter tuples as one (K, 1) column per parameter."""
+    return np.array(list(rows)).T[:, :, None]
 
-    best = int(np.argmin(fvals))
-    return verts[best].copy(), float(fvals[best])
+
+def _by_row(fn, *params):
+    """``fn`` of scalar parameters; of (K, 1) columns, ``fn`` of each row's
+    floats, as a column, so constants taken with ``math`` stay per row."""
+    if np.ndim(params[0]) == 0:
+        return fn(*params)
+    return np.array(list(map(fn, *(p[:, 0].tolist() for p in params))))[:, None]
+
+
+def _power_by_row(base, exponent):
+    """``base ** exponent`` for a scalar exponent or a (K, 1) column, each
+    row what the row's scalar exponent gives: numpy raises an array to a
+    scalar 0.5, 2 or -1 by sqrt, square or reciprocal, which can differ
+    from pow in the last bit."""
+    out = base**exponent
+    if np.ndim(exponent):
+        for k, e in enumerate(exponent[:, 0].tolist()):
+            if e in (0.5, 2.0, -1.0):
+                out[k] = base[k] ** e
+    return out
 
 
 def _fit_log_density(hist, log_model, theta0, lo, hi, jitter, seed, restarts):
     """Best (theta, sse) of count-weighted least squares between
-    ``log_model(x, theta)`` and the log density at the occupied bin centers.
+    ``log_model(x, thetas)`` and the log density at the occupied bin centers.
 
     The weights are counts over their sum, as var(log density) ~ 1/count.  The
     simplex starts at ``theta0``, then at ``restarts - 1`` draws of
     ``jitter(rng, theta0)`` from ``default_rng(seed)``, each clipped into
-    [lo, hi].  A start where the model is not finite is skipped;
-    FitDiverged when every one is.
+    [lo, hi].  All starts are drawn first and their searches run in lockstep:
+    each round ``log_model`` gets the pending point of every live search, as
+    lists of floats, and returns one row of log density per point (or one
+    row for all).  A start where the model is not finite is skipped;
+    FitDiverged when every one is.  The best fit is the first with the
+    smallest sse, in start order.
     """
     occ = hist.occupied
     x = hist.centers[occ]
@@ -238,24 +338,25 @@ def _fit_log_density(hist, log_model, theta0, lo, hi, jitter, seed, restarts):
     counts = hist.counts[occ].astype(float)
     w = counts / counts.sum()
 
-    def objective(theta: np.ndarray) -> float:
-        # w > 0, so a non-finite model gives a non-finite sse, which
-        # minimize reads as inf
-        r = log_model(x, theta) - y
-        return float(w @ (r * r))
+    def sse(thetas):
+        # w > 0, so a non-finite model gives a non-finite sse, which the
+        # search reads as inf
+        resid = log_model(x, thetas) - y
+        if resid.ndim == 1:
+            resid = [resid] * len(thetas)
+        return [float(w @ (r * r)) for r in resid]
 
     rng = np.random.default_rng(seed)
-    bounds = list(zip(lo, hi))
-    best: tuple[np.ndarray, float] | None = None
+    starts = [
+        np.clip(jitter(rng, theta0) if trial else theta0, lo, hi).tolist()
+        for trial in range(max(restarts, 1))
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
-        for trial in range(max(restarts, 1)):
-            start = np.clip(jitter(rng, theta0) if trial else theta0, lo, hi)
-            try:
-                theta, sse = minimize(objective, start, bounds=bounds)
-            except NonFiniteObjective:
-                continue
-            if best is None or sse < best[1]:
-                best = (theta, sse)
+        fits = _minimize_all(sse, starts, lo.tolist(), hi.tolist())
+    best = None
+    for fit in fits:
+        if fit is not None and (best is None or fit[1] < best[1]):
+            best = fit
     if best is None:
         raise FitDiverged("no simplex start produced a finite fit")
     return best

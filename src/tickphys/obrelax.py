@@ -21,7 +21,16 @@ import numpy as np
 
 from .errors import EmptySide, TooFewBins, TooFewSamples
 from .market_data import wall_seconds
-from .numerics import LinFit, LogBinnedPdf, _fit_log_density, linfit, log_bin
+from .numerics import (
+    LinFit,
+    LogBinnedPdf,
+    _by_row,
+    _columns,
+    _fit_log_density,
+    _power_by_row,
+    linfit,
+    log_bin,
+)
 
 __all__ = [
     "ImbalanceSeries",
@@ -227,9 +236,11 @@ def log_stretched_density(tau, tau_tilde: float, alpha: float):
 
 def _log_stretched_density(t, tau_tilde, alpha):
     """log_stretched_density, unchecked: t and tau_tilde must be positive
-    and alpha in (0, 1]."""
+    and alpha in (0, 1].  The parameters are scalars, or (K, 1) columns for
+    K rows at once."""
     r = t / tau_tilde
-    return math.log(alpha) - math.log(tau_tilde) + (alpha - 1.0) * np.log(r) - r**alpha
+    const = _by_row(lambda a, tt: math.log(a) - math.log(tt), alpha, tau_tilde)
+    return const + (alpha - 1.0) * np.log(r) - _power_by_row(r, alpha)
 
 
 def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
@@ -248,9 +259,10 @@ def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
     cum = np.cumsum(counts) / counts.sum()
     tau0 = float(x[np.searchsorted(cum, 0.632)]) if np.any(cum >= 0.632) else float(x[-1])
 
-    def log_model(x, theta):
-        ltau, alpha = theta  # the bounds keep alpha in (0, 1]
-        return _log_stretched_density(x, math.exp(ltau), alpha)
+    def log_model(x, thetas):
+        # the bounds keep alpha in (0, 1]
+        tau_tilde, alpha = _columns((math.exp(ltau), alpha) for ltau, alpha in thetas)
+        return _log_stretched_density(x, tau_tilde, alpha)
 
     def jitter(rng, theta):
         return np.array([theta[0] + rng.normal(0.0, 0.4), rng.uniform(0.15, 1.0)])

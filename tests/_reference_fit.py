@@ -3,9 +3,11 @@
 ``fit_first_passage`` and ``fit_stretched_exp`` to, ``repr`` for ``repr``.
 
 Each carries its own copy of the count-weighted, log-density, jittered
-restart simplex search.  The density kernels are looked up on this module,
-so a test can replace them here as it does on ``tickphys.invstat`` and
-``tickphys.obrelax``.
+restart simplex search, run one start after another through ``minimize``,
+the numpy-array Nelder-Mead simplex as it was before the search moved to
+Python floats and its restarts to lockstep.  The scalar density kernels are
+kept here too and looked up on this module, so a test can replace them
+here as it does on ``tickphys.invstat`` and ``tickphys.obrelax``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,113 @@ import math
 import numpy as np
 
 from tickphys.errors import FitDiverged, NonFiniteObjective, TooFewBins
-from tickphys.invstat import FirstPassageFit, _log_passage_density
+from tickphys.invstat import FirstPassageFit
 from tickphys.numerics import LogBinnedPdf, linfit
-from tickphys.obrelax import StretchedExpFit, _log_stretched_density
+from tickphys.obrelax import StretchedExpFit
+
+
+def _log_passage_density(t, alpha, beta, nu):
+    return (
+        math.log(nu)
+        - math.lgamma(alpha / nu)
+        + 2.0 * alpha * math.log(beta)
+        - (alpha + 1.0) * np.log(t)
+        - (beta * beta / t) ** nu
+    )
+
+
+def _log_stretched_density(t, tau_tilde, alpha):
+    r = t / tau_tilde
+    return math.log(alpha) - math.log(tau_tilde) + (alpha - 1.0) * np.log(r) - r**alpha
+
+
+def _clamp(x: np.ndarray, bounds) -> np.ndarray:
+    if bounds is None:
+        return x
+    lo, hi = bounds
+    return np.clip(x, lo, hi)
+
+
+def minimize(objective, x0, bounds=None, *, xtol: float = 1e-8, max_evals: int = 10_000):
+    """Nelder-Mead simplex minimization with box constraints by clamping.
+
+    ``bounds`` is an optional sequence of per-coordinate (lo, hi) pairs;
+    every trial point is clipped into the box before evaluation.
+    Terminates when the relative simplex diameter drops below ``xtol`` or
+    after ``max_evals`` objective evaluations.  Fully deterministic given
+    ``x0``.
+
+    Returns ``(x_best, f_best)``; never a point worse than the start.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    ndim = x0.size
+    if bounds is not None:
+        box = np.asarray(bounds, dtype=float)
+        if box.shape != (ndim, 2):
+            raise ValueError(f"bounds must be {ndim} (lo, hi) pairs")
+        if np.any(box[:, 0] > box[:, 1]):
+            raise ValueError("bounds must satisfy lo <= hi")
+        bounds = (box[:, 0], box[:, 1])
+    x0 = _clamp(x0, bounds)
+
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        v = objective(x)
+        return float(v) if np.isfinite(v) else math.inf
+
+    f0 = f(x0)
+    if not math.isfinite(f0):
+        raise NonFiniteObjective("objective is not finite at the starting point")
+
+    # Initial simplex: perturb each coordinate by 5% (0.00025 when zero).
+    verts = [x0]
+    for i in range(ndim):
+        step = 0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025
+        v = x0.copy()
+        v[i] += step
+        v = _clamp(v, bounds)
+        if np.array_equal(v, x0):
+            v = x0.copy()
+            v[i] -= step
+            v = _clamp(v, bounds)
+        verts.append(v)
+    verts = np.array(verts)
+    fvals = np.array([f0] + [f(v) for v in verts[1:]])
+
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    while evals < max_evals:
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
+        diam = np.max(np.abs(verts - verts[0]) / np.maximum(1.0, np.abs(verts[0])))
+        if diam < xtol:
+            break
+        centroid = verts[:-1].mean(axis=0)
+        xr = _clamp(centroid + alpha * (centroid - verts[-1]), bounds)
+        fr = f(xr)
+        if fr < fvals[0]:
+            xe = _clamp(centroid + gamma * (xr - centroid), bounds)
+            fe = f(xe)
+            if fe < fr:
+                verts[-1], fvals[-1] = xe, fe
+            else:
+                verts[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            verts[-1], fvals[-1] = xr, fr
+        else:
+            xc = _clamp(centroid + rho * (verts[-1] - centroid), bounds)
+            fc = f(xc)
+            if fc < fvals[-1]:
+                verts[-1], fvals[-1] = xc, fc
+            else:  # shrink toward the best vertex
+                for i in range(1, len(verts)):
+                    verts[i] = _clamp(verts[0] + sigma * (verts[i] - verts[0]), bounds)
+                    fvals[i] = f(verts[i])
+
+    best = int(np.argmin(fvals))
+    return verts[best].copy(), float(fvals[best])
 
 
 def _occupied_xyw(hist: LogBinnedPdf):
@@ -37,8 +143,6 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     alpha/beta ridge.  Weighting by counts keeps sparse far-tail bins,
     whose log density is biased upward, from tilting the fit.
     """
-    from tickphys.numerics import minimize
-
     x, y, w = _occupied_xyw(hist)
     if x.size < 8 or x[-1] < 100.0 * x[0]:
         raise TooFewBins(
@@ -103,8 +207,6 @@ def fit_stretched_exp(hist: LogBinnedPdf, restarts: int = 8) -> StretchedExpFit:
     confined to (0, 1].  Weighting by counts keeps sparse edge bins from
     tilting the fit.
     """
-    from tickphys.numerics import minimize
-
     occ = np.nonzero(hist.occupied)[0]
     if occ.size < 8:
         raise TooFewBins(f"{occ.size} occupied bins; need >= 8")

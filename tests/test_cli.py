@@ -10,6 +10,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,11 +152,35 @@ def test_non_empty_out_is_refused_before_the_input_is_read(tmp_path, capsys):
     assert cli.run(argv[:1] + ["--target", "8"] + argv[1:-1] + [str(empty)]) == 0
 
 
+def test_a_failed_write_leaves_no_output(tmp_path, monkeypatch):
+    write_text = Path.write_text
+    written = []
+
+    def second_write_fails(self, *args, **kwargs):
+        written.append(self.name)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", second_write_fails)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for out in (tmp_path / "absent", empty):
+        written.clear()
+        with pytest.raises(OSError, match="disk full"):
+            cli.run(["synth", "--model", "tickwalk", "--n", "200", "--seed", "1", "--out", str(out)])
+        assert written == ["series.csv", "manifest.json"]
+    assert not (tmp_path / "absent").exists()
+    assert list(empty.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["empty"]  # no temp dir left
+
+
 def test_invstat_bad_series_are_data_errors(tmp_path, capsys):
     cases = {
         "nan.csv": ("0,1.0\n1,nan\n2,3.0\n", "line 2"),
         "grid.csv": ("0,1.0\n10,2.0\n11,3.0\n500,4.0\n", "line 3"),
-        "wide.csv": (f"0,{float(2**61)!r}\n1,0.0\n2,1.0\n3,2.0\n", "int64 keys"),
+        "wide.csv": (f"0,0.0\n1,{float(2**32)!r}\n2,1.0\n3,2.0\n", "int64 keys"),
+        "inexact.csv": (f"0,{float(2**61)!r}\n1,0.0\n2,1.0\n3,2.0\n", "2**53"),
     }
     for name, (text, message) in cases.items():
         (tmp_path / name).write_text(text)

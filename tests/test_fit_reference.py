@@ -107,9 +107,8 @@ def test_a_non_finite_start_is_skipped_as_in_reference(monkeypatch):
     kernel = obrelax._log_stretched_density
 
     def nan_at_first_start(t, tau_tilde, alpha):
-        if alpha == 0.7:
-            return np.full(np.shape(t), math.nan)
-        return kernel(t, tau_tilde, alpha)
+        # alpha is a scalar, or a (K, 1) column with one row per pending point
+        return np.where(np.equal(alpha, 0.7), math.nan, kernel(t, tau_tilde, alpha))
 
     for module in (obrelax, reference):
         monkeypatch.setattr(module, "_log_stretched_density", nan_at_first_start)

@@ -217,11 +217,16 @@ def test_exit_times_rejects_empty_and_non_finite_prices():
     for empty in ([], np.array([], dtype=np.int64), [DayTicks(timestamps_ns=[], prices=[])]):
         with pytest.raises(EmptyInput):
             exit_times(empty, UP1)
-    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [0.0, 1e19], [1.0000004, 2.0]):
+    # 9007199254740993 reads as the float 2**53, so a 1-tick move would
+    # become a 2-tick one
+    beyond_exact = [float(9007199254740993), float(9007199254740994)]
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [0.0, 1e19], [1.0000004, 2.0], beyond_exact):
         with pytest.raises(TickSizeViolation):
             exit_times(np.array(bad), UP1)
         with pytest.raises(TickSizeViolation):
             exit_times(RegularSeries(start_ns=0, interval_ns=1, values=bad), UP1)
+    below = RegularSeries(start_ns=0, interval_ns=1, values=[2.0**53 - 2, 2.0**53 - 1])
+    assert exit_times(below, UP1).tau.tolist() == [1]  # the last exact integers still read
 
 
 def exact_plus_minus_one_law(tau: int) -> float:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import _reference_book as reference
 import _reference_regular
 from _reference_book import assert_same_columns, snapshots
+from _tick_file import serialize_ticks
 from tickphys import (
     CrossedBook,
     DayTicks,
@@ -37,7 +38,6 @@ from tickphys import (
     resample,
     serialize_book,
     serialize_regular_series,
-    serialize_ticks,
     sessionize,
 )
 from tickphys import market_data

@@ -13,6 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_fit as reference
 from _power_law import sample_power_law
 from tickphys import (
     DegenerateX,
@@ -22,6 +23,7 @@ from tickphys import (
     linfit,
     log_bin,
     minimize,
+    numerics,
     quadrature,
 )
 
@@ -167,6 +169,99 @@ def test_minimize_validates_bounds_and_objective():
         minimize(rosenbrock, [0.0, 0.0], bounds=[(1.0, 0.0), (0.0, 1.0)])
     with pytest.raises(NonFiniteObjective):
         minimize(lambda v: math.nan, [0.0])
+
+
+def nan_capped_rosenbrock(cut, step):
+    """Rosenbrock in + - * only, so list and array points give the same
+    bits, NaN where x + y > cut, and floored to multiples of ``step`` when
+    one is given, so that ties test the order of the vertices."""
+
+    def f(v):
+        x, y = v
+        if x + y > cut:
+            return math.nan
+        a = 1.0 - x
+        b = y - x * x
+        r = a * a + 100.0 * b * b
+        return r if step is None else math.floor(r / step) * step
+
+    return f
+
+
+zeros = st.sampled_from([0.0, -0.0])  # np.clip and a numpy mean decide the sign of a zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    box=st.none()
+    | st.lists(
+        st.tuples(zeros | st.floats(-3.0, 1.0), zeros | st.floats(0.01, 4.0)),
+        min_size=2,
+        max_size=2,
+    ),
+    starts=st.lists(
+        st.tuples(zeros | st.floats(-4.0, 4.0), zeros | st.floats(-4.0, 4.0)),
+        min_size=1,
+        max_size=8,
+    ),
+    cut=st.floats(-2.0, 6.0),
+    step=st.sampled_from([None, 0.5, 8.0]),
+    xtol=st.sampled_from([1e-8, 1e-3]),
+    max_evals=st.integers(1, 300),
+)
+def test_lockstep_searches_match_separate_reference_runs(box, starts, cut, step, xtol, max_evals):
+    if box is None:
+        bounds, lo, hi = None, [-math.inf] * 2, [math.inf] * 2
+    else:
+        bounds = [(a, a + width) for a, width in box]
+        lo, hi = (list(side) for side in zip(*bounds))
+    f = nan_capped_rosenbrock(cut, step)
+
+    def run(search, start):
+        """Result (None where the start is not finite) and trial points."""
+        trials = []
+
+        def logged(v):
+            trials.append(np.array(v).tobytes())
+            return f(v)
+
+        try:
+            x, fx = search(logged, start, bounds, xtol=xtol, max_evals=max_evals)
+        except NonFiniteObjective:
+            return None, trials
+        return (np.array(x).tobytes(), fx), trials
+
+    lockstep_evals = 0
+
+    def evaluate(points):
+        nonlocal lockstep_evals
+        lockstep_evals += len(points)
+        return [f(p) for p in points]
+
+    got = numerics._minimize_all(
+        evaluate, [list(s) for s in starts], lo, hi, xtol=xtol, max_evals=max_evals
+    )
+    assert len(got) == len(starts)
+    reference_evals = 0
+    for start, fit in zip(starts, got):
+        want, trials = run(reference.minimize, start)
+        reference_evals += len(trials)
+        if fit is not None:  # bit for bit, so the sign of a zero counts too
+            fit = (np.array(fit[0]).tobytes(), fit[1])
+        assert fit == want
+        assert run(minimize, start) == (want, trials)
+    assert lockstep_evals == reference_evals
+
+
+def test_power_by_row_is_each_rows_scalar_power():
+    # numpy takes shortcuts for some scalar exponents (0.5, 2, -1); every
+    # row must still come out as its own scalar power would
+    base = np.random.default_rng(4).uniform(1e-3, 50.0, (4, 300))
+    for e in [k / 4 for k in range(-8, 9)] + [0.7, 3.0, 15.0]:
+        exponent = np.array([[e], [0.3], [e], [1.0]])
+        got = numerics._power_by_row(base, exponent)
+        for row, b, x in zip(got, base, exponent[:, 0]):
+            assert row.tobytes() == (b ** float(x)).tobytes()
 
 
 # -------------------------------------------------------------- quadrature
