@@ -87,12 +87,16 @@ def _manifest(subcommand: str, params: dict, digest: str, started: str) -> str:
 
 
 def _require_empty_out(out_dir: str) -> None:
-    """Refuse an --out that already holds files: a rerun with fewer
-    targets or kappas would otherwise leave the old run's artifacts
-    beside the new ones."""
+    """Refuse an --out that already holds files, or that cannot be
+    created because a file stands where one of its directories would go:
+    a rerun with fewer targets or kappas would otherwise leave the old
+    run's artifacts beside the new ones."""
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise UsageError(f"--out {out_dir} exists and is not an empty directory")
+    blocker = next(p for p in out.resolve().parents if p.exists())
+    if not blocker.is_dir():
+        raise UsageError(f"--out {out_dir} cannot be created: {blocker} is not a directory")
 
 
 def _write_all(out_dir: str, files: dict) -> None:

@@ -17,6 +17,7 @@ against log2 n with the regression's slope standard error attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,11 +115,15 @@ class HurstSeries:
 # ---------------------------------------------------------------------- cores
 
 
+@lru_cache(maxsize=20)
 def _poly_basis(n: int, order: int) -> np.ndarray:
-    """Orthonormal basis of degree<=order polynomials sampled on n points."""
+    """Orthonormal basis of degree<=order polynomials sampled on n points,
+    read-only.  Cached per (n, order), sized so that the box sizes of one
+    default ``DfaConfig`` all stay between calls at that shape."""
     t = np.linspace(-1.0, 1.0, n)
     v = np.vander(t, order + 1, increasing=True)
     q, _ = np.linalg.qr(v)
+    q.setflags(write=False)
     return q
 
 

@@ -254,14 +254,15 @@ class CrossingIndex:
         config = ExitTimeConfig(threshold=int(threshold), direction=self.direction, clock=clock)
         if clock == "wall" and any(ts_ns is None for _, ts_ns, _, _ in self._days):
             raise ValueError("wall clock needs timestamped input")
-        taus: list[np.ndarray] = []
-        entries: list[np.ndarray] = []
-        seconds: list[np.ndarray] = []
-        censored = 0
-        n_entries = 0
+        # each day's exits written in place into arrays sized for every
+        # entry, so no per-day chunks are held beside a concatenated copy
+        n_entries = sum(n for n, _, _, _ in self._days)
+        tau = np.empty(n_entries, dtype=np.int64)
+        entry_index = np.empty(n_entries, dtype=np.int64)
+        entry_second = np.empty(n_entries)
+        k = 0
         offset = 0
         for n, ts_ns, open_ns, ladders in self._days:
-            n_entries += n
             exit_idx = ladders[0].first_crossing(config.threshold)
             if len(ladders) == 2:
                 dn_idx = ladders[1].first_crossing(config.threshold)
@@ -271,23 +272,23 @@ class CrossingIndex:
             hit = exit_idx >= 0
             t = np.nonzero(hit)[0]
             j = exit_idx[hit]
-            censored += n - t.size
+            end = k + t.size
             if clock == "tick":
-                tau = j - t
+                tau[k:end] = j - t
             else:
-                tau = wall_seconds(ts_ns[j] - ts_ns[t])
-            taus.append(tau.astype(np.int64, copy=False))
-            entries.append(t + offset)
+                tau[k:end] = wall_seconds(ts_ns[j] - ts_ns[t])
+            entry_index[k:end] = t + offset
             if ts_ns is None:
-                seconds.append(np.full(t.size, np.nan))
+                entry_second[k:end] = np.nan
             else:
-                seconds.append((ts_ns[t] - open_ns) / NS_PER_S)
+                entry_second[k:end] = (ts_ns[t] - open_ns) / NS_PER_S
+            k = end
             offset += n
         return ExitTimes(
-            tau=np.concatenate(taus),
-            entry_index=np.concatenate(entries),
-            entry_second=np.concatenate(seconds),
-            censored_count=censored,
+            tau=tau[:k],
+            entry_index=entry_index[:k],
+            entry_second=entry_second[:k],
+            censored_count=n_entries - k,
             n_entries=n_entries,
             config=config,
         )

@@ -5,11 +5,17 @@ Brownian walk (H = 1/2), exact fractional Brownian motion for arbitrary H,
 and an integer tick walk for first-passage checks.  All of them take an
 explicit seed and draw from ``numpy.random.default_rng`` (PCG64), so a given
 (seed, parameters) pair always reproduces the same series.
+
+The fBm sampler's circulant spectrum depends only on the embedding size
+and H, so it is computed once per shape and kept, read-only, for the
+draws that follow at that shape; a cached draw is bit-identical to a
+fresh one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,19 +64,19 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * (np.abs(k + 1) ** h2 - 2.0 * np.abs(k) ** h2 + np.abs(k - 1) ** h2)
 
 
-def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray:
-    """Exact fGn sample by circulant embedding.
+@lru_cache(maxsize=1)
+def _fgn_amplitudes(m: int, hurst: float) -> tuple:
+    """Amplitudes of the fGn circulant embedding of size 2m, which depend
+    on (m, H) alone: ``(sqrt(lam_0 / 2m), sqrt(lam_m / 2m), half)``, with
+    ``half = sqrt(lam[1:m] / 4m)`` read-only.
 
-    The covariance of lags 0..m is embedded in a circulant of size 2m (m the
-    next power of two >= n, so the FFT length is a power of two).  For fGn
-    the embedding is non-negative definite at every H, so a negative
-    eigenvalue is rounding: up to eps * m^(2H) from each lag's second
-    difference.  Eigenvalues above -8 m eps m^(2H) are clipped to zero;
-    below it, EmbeddingNotDefinite.
+    The covariance of lags 0..m is embedded in a circulant of size 2m.
+    For fGn the embedding is non-negative definite at every H, so a
+    negative eigenvalue is rounding: up to eps * m^(2H) from each lag's
+    second difference.  Eigenvalues above -8 m eps m^(2H) are clipped to
+    zero; below it, EmbeddingNotDefinite (not cached: every call raises).
+    One entry serves a run of draws at one shape and retains 8 m bytes.
     """
-    m = 1
-    while m < n:
-        m *= 2
     gamma = _fgn_autocov(m, hurst)
     row = np.concatenate([gamma[: m + 1], gamma[m - 1 : 0 : -1]])
     lam = np.fft.fft(row).real
@@ -81,13 +87,30 @@ def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray:
             f"{lam.min():.3g} below the rounding bound -{tol:.3g}"
         )
     lam = np.maximum(lam, 0.0)
+    two_m = 2 * m
+    half = np.sqrt(lam[1:m] / (2.0 * two_m))
+    half.setflags(write=False)
+    return np.sqrt(lam[0] / two_m), np.sqrt(lam[m] / two_m), half
+
+
+def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray:
+    """Exact fGn sample by circulant embedding (Davies & Harte 1987).
+
+    m is the next power of two >= n, so the FFT length 2m is a power of
+    two.  The embedding's amplitudes come from ``_fgn_amplitudes``, shared
+    by every draw at one (m, H); each draw weights 2m standard normals by
+    them, fills the Hermitian half and takes one FFT.
+    """
+    m = 1
+    while m < n:
+        m *= 2
+    a0, am, half = _fgn_amplitudes(m, hurst)
 
     two_m = 2 * m
     g = rng.standard_normal(two_m)
     w = np.empty(two_m, dtype=complex)
-    w[0] = np.sqrt(lam[0] / two_m) * g[0]
-    w[m] = np.sqrt(lam[m] / two_m) * g[m]
-    half = np.sqrt(lam[1:m] / (2.0 * two_m))
+    w[0] = a0 * g[0]
+    w[m] = am * g[m]
     w[1:m] = half * (g[1:m] + 1j * g[m + 1 :])
     w[m + 1 :] = np.conj(w[1:m][::-1])
     return np.fft.fft(w).real[:n]

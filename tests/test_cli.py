@@ -152,6 +152,25 @@ def test_non_empty_out_is_refused_before_the_input_is_read(tmp_path, capsys):
     assert cli.run(argv[:1] + ["--target", "8"] + argv[1:-1] + [str(empty)]) == 0
 
 
+def test_out_under_a_file_is_refused_before_the_input_is_read(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = str(afile / "sub" / "x")
+    absent = ["--input", str(tmp_path / "absent.csv")]
+    for argv in (
+        ["synth", "--model", "tickwalk", "--n", "10", "--seed", "1"],
+        ["hurst", *absent, "--window", "64"],
+        ["invstat", *absent, "--target", "8"],
+        ["relax", *absent, "--kappa", "0.2", "--depth", "1"],
+        ["selftest", "--criterion", "10"],
+    ):
+        capsys.readouterr()
+        assert cli.run(argv + ["--out", out]) == 1, argv
+        assert "cannot be created" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 def test_a_failed_write_leaves_no_output(tmp_path, monkeypatch):
     write_text = Path.write_text
     written = []

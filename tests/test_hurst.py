@@ -3,12 +3,15 @@
 The generators provide the oracle: white noise and fBm have known H, a
 polynomial trend is absorbed exactly by a high enough detrending order,
 and the sliding-window estimator at shift = window must reproduce the
-whole-series estimator window by window.
+whole-series estimator window by window.  The polynomial basis cache is
+held to the uncached estimator kept in ``_reference_hurst``.
 """
 
 import numpy as np
 import pytest
 
+import _reference_hurst
+from tickphys import hurst
 from tickphys import (
     DegenerateSeries,
     DfaConfig,
@@ -186,3 +189,45 @@ def test_avg_hurst_vs_scale_rows():
         assert 0.0 < row.mean_h < 1.0
         assert row.sd_h >= 0.0
 
+
+@pytest.fixture
+def fresh_basis():
+    hurst._poly_basis.cache_clear()
+    yield
+    hurst._poly_basis.cache_clear()
+
+
+def test_hurst_exponent_matches_the_uncached_estimator(fresh_basis):
+    # configurations repeat (hits) and alternate between orders and
+    # lengths, whose sizes together overflow the cache (evictions)
+    paths = [gen_fbm(FbmSpec(hurst=h, n=n, seed=s)) for h, n, s in
+             ((0.3, 4096, 1), (0.7, 4096, 2), (0.5, 3000, 3))]
+    for _ in range(2):
+        for order in (1, 2, 3):
+            for path in paths:
+                cfg = DfaConfig.for_length(path.size - 1, poly_order=order)
+                got = hurst_exponent(path, cfg)
+                assert repr(got) == repr(_reference_hurst.hurst_exponent(path, cfg))
+                inc = np.diff(path)
+                assert dfa_fluctuation(inc, cfg) == _reference_hurst.dfa_fluctuation(inc, cfg)
+    info = hurst._poly_basis.cache_info()
+    assert info.hits > 0 and info.misses > info.maxsize
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_local_hurst_is_the_same_from_a_cold_and_a_warm_basis(order, fresh_basis):
+    path = gen_fbm(FbmSpec(hurst=0.6, n=6000, seed=21))
+    cfg = DfaConfig.for_length(1023, poly_order=order)
+    cold = local_hurst(path, window=1024, shift=100, config=cfg)
+    assert hurst._poly_basis.cache_info().hits == 0
+    warm = local_hurst(path, window=1024, shift=100, config=cfg)
+    assert hurst._poly_basis.cache_info().hits == len(cfg.box_sizes)
+    for name in ("times", "h", "stderr", "spans_boundary"):
+        assert np.array_equal(getattr(cold, name), getattr(warm, name), equal_nan=True)
+
+
+def test_cached_basis_is_read_only(fresh_basis):
+    q = hurst._poly_basis(16, 2)
+    assert q is hurst._poly_basis(16, 2)
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0

@@ -1,13 +1,16 @@
 """Generators against their defining distributions.
 
 Each sampler is exact, so the tests compare moments and correlation
-structure to closed forms rather than to another implementation.
+structure to closed forms rather than to another implementation.  The
+one exception is the fBm sampler's spectrum cache: cached draws are held
+bit for bit to the uncached sampler kept in ``_reference_synth``.
 """
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import _reference_synth
 from tickphys import EmbeddingNotDefinite, FbmSpec, gen_brownian, gen_fbm, gen_tick_walk
 from tickphys import synth
 from tickphys.synth import _fgn_autocov
@@ -84,15 +87,56 @@ def test_fbm_near_one_clips_rounding_in_the_spectrum():
     assert path.size == m + 1 and path[0] == 0.0 and np.all(np.isfinite(path))
 
 
-def test_fbm_refuses_a_covariance_with_a_negative_spectrum(monkeypatch):
-    def not_a_covariance(n, hurst):
-        gamma = np.zeros(n + 1)
-        gamma[:2] = 1.0, 0.9  # eigenvalues 1 + 1.8 cos(theta) reach -0.8
-        return gamma
+@pytest.fixture
+def fresh_spectrum():
+    # a spectrum cached by an earlier test would bypass a patched autocovariance
+    synth._fgn_amplitudes.cache_clear()
+    yield
+    synth._fgn_amplitudes.cache_clear()
 
+
+def not_a_covariance(n, hurst):
+    gamma = np.zeros(n + 1)
+    gamma[:2] = 1.0, 0.9  # eigenvalues 1 + 1.8 cos(theta) reach -0.8
+    return gamma
+
+
+def test_fbm_refuses_a_covariance_with_a_negative_spectrum(monkeypatch, fresh_spectrum):
     monkeypatch.setattr(synth, "_fgn_autocov", not_a_covariance)
     with pytest.raises(EmbeddingNotDefinite):
         gen_fbm(FbmSpec(hurst=0.5, n=1024, seed=1))
+
+
+def test_a_refused_embedding_is_refused_on_every_call(monkeypatch, fresh_spectrum):
+    monkeypatch.setattr(synth, "_fgn_autocov", not_a_covariance)
+    for seed in (1, 1, 2):
+        with pytest.raises(EmbeddingNotDefinite):
+            gen_fbm(FbmSpec(hurst=0.5, n=1024, seed=seed))
+    assert synth._fgn_amplitudes.cache_info().currsize == 0
+
+
+def test_fbm_matches_the_uncached_sampler_bit_for_bit(fresh_spectrum):
+    # shapes interleaved so that draws hit the cached spectrum (repeated
+    # seeds, and n = 2**16, 2**16 + 1 sharing m) and evict it
+    hursts = (0.05, 0.3, 0.5, 0.7, 0.95, 0.98)
+    sizes = (2, 3, 1025, 2**16, 2**16 + 1)
+    shapes = [(h, n) for h in hursts for n in sizes]
+    order = [(h, n, s) for h, n in shapes for s in (7, 8)]
+    order += [(h, n, 9) for h, n in shapes[::-1]]
+    order += [(h, n, 7) for h, n in shapes[1::2] + shapes[::2]]
+    for h, n, seed in order:
+        spec = FbmSpec(hurst=h, n=n, seed=seed)
+        assert np.array_equal(gen_fbm(spec), _reference_synth.gen_fbm(spec)), (h, n, seed)
+    info = synth._fgn_amplitudes.cache_info()
+    assert info.hits > 0 and info.misses > len(shapes)
+
+
+def test_cached_spectrum_is_read_only(fresh_spectrum):
+    gen_fbm(FbmSpec(hurst=0.7, n=100, seed=1))
+    _, _, half = synth._fgn_amplitudes(128, 0.7)
+    assert synth._fgn_amplitudes.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        half[0] = 0.0
 
 
 def test_tick_walk_steps_and_zero_fraction():
