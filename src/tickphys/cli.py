@@ -17,6 +17,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import secrets
 import shutil
 import sys
@@ -239,6 +240,10 @@ def _cmd_invstat(args) -> int:
     targets = _parse_int_list(args.target, "--target")
     if any(r < 1 for r in targets):
         raise UsageError("--target values must be >= 1 tick")
+    if args.bins_per_decade < 1:
+        raise UsageError("--bins-per-decade must be at least 1")
+    if not 0.0 < args.entry_bin_seconds < math.inf:  # NaN fails too
+        raise UsageError("--entry-bin-seconds must be a positive finite number")
     series, digest = _load(args.input, parse_regular_series)
     index = CrossingIndex(series, args.direction)
 
@@ -294,6 +299,8 @@ def _cmd_relax(args) -> int:
         raise UsageError("--kappa values must lie in (0, 1)")
     if args.depth < 1:
         raise UsageError("--depth must be at least 1")
+    if args.bins_per_decade < 1:
+        raise UsageError("--bins-per-decade must be at least 1")
     (book, _, file_depth), digest = _load(args.input, parse_book)
     if args.depth > file_depth:
         raise UsageError(f"--depth {args.depth} exceeds the depth {file_depth} of {args.input}")

@@ -16,8 +16,15 @@ Regular CSV:   rows ``timestamp_ns,value`` followed by a
                ``# session_boundaries=i1;i2;...`` footer comment
 
 All three are read by one kernel: the text's UTF-8 bytes are split into
-blocks of lines, and each block into cells by its commas.  Lines end in
-``\n`` or ``\r\n`` (a lone ``\r`` and the other breaks of
+blocks of lines, and each block into cells by its commas.  A block's rows
+all hold n fields when its commas number n - 1 a row and the i-th run of
+n - 1 commas lies within row i; only otherwise are the commas counted row
+by row, to find the first row that does not.  The cells of a column, or
+of a book's price or volume levels together, are read in one Horner pass
+over their bytes, right-aligned to the widest of them (at most 21 bytes),
+that also counts each cell's digits and dots: a cell is a number of the
+grammar below only if these and a leading minus are all of its bytes.
+Lines end in ``\n`` or ``\r\n`` (a lone ``\r`` and the other breaks of
 ``str.splitlines`` do not end a line); lines of spaces, tabs and ``\r``
 are skipped but keep their numbers.
 
@@ -246,10 +253,6 @@ _BOOK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s+depth=(\d+)\s*$")
 _FOOTER = re.compile(r"#\s*session_boundaries=(.*)")
 _BLOCK_LINES = 1 << 13  # lines per vectorized pass: temporaries stay O(block)
 _I64_MAX = np.iinfo(np.int64).max
-# Per byte, a weight whose sum over a cell counts dots, 32 x minus signs and
-# 1024 x bytes no cell may hold; "," and "\\n", which pad short cells, weigh 0.
-_WEIGHT = np.full(256, 1024, np.int32)
-_WEIGHT[[10, 44, *range(48, 58)]], _WEIGHT[46], _WEIGHT[45] = 0, 1, 32
 _POW10 = np.array([float(10**k) for k in range(21)])  # each exact in float64
 
 
@@ -257,6 +260,8 @@ def _parse_tick_size(text: str, lineno: int) -> tuple[Fraction, Decimal]:
     try:
         d = Decimal(text)
     except InvalidOperation:
+        d = None
+    if d is None or not d.is_finite():  # NaN, sNaN and Infinity are no tick sizes
         raise MalformedRow(lineno, f"bad tick size {text!r}")
     if d <= 0:
         raise MalformedRow(lineno, "tick size must be positive")
@@ -266,30 +271,42 @@ def _parse_tick_size(text: str, lineno: int) -> tuple[Fraction, Decimal]:
 def _number(blk, s, e):
     """``(value, frac, ok)`` of the cells ``blk[s:e]``: a cell of the grammar
     ``-?digits(.digits)?`` with at most 19 digits is exactly
-    value * 10**-frac, and ok is False for any other cell and beyond int64."""
+    value * 10**-frac, and ok is False for any other cell and beyond int64.
+    frac lies in [0, 20] for every cell."""
     shape, s, e = s.shape, s.ravel(), e.ravel()
     width = int(np.clip((e - s).max(), 1, 21))  # a sign, 19 digits and a dot
     # row j: byte j of each cell right-aligned, the separator before it as padding
     b = blk[np.maximum(e - width + np.arange(width)[:, None], s - 1)]
     mant = np.zeros(s.size, np.uint64)  # 19 digits fit in uint64
-    frac = np.zeros(s.size, np.int64)  # digits after the dot; ok is False for 2 dots
+    frac = np.zeros(s.size, np.int64)  # digits after the last dot
+    digits, dots = np.zeros((2, s.size), np.uint8)  # counted over the last `width` bytes
     for j, row in enumerate(b):
         digit = row - np.uint8(48)  # other bytes wrap to 10 and above
-        mant = np.where(digit < 10, mant * 10 + digit, mant)
-        frac[row == 46] = width - 1 - j
-    weight, neg = _WEIGHT[b].sum(0), blk[s] == 45
-    dots, digits = weight & 31, e - s - neg - (weight & 31)
-    ok = (weight >> 5 == neg) & (dots <= 1) & ((dots == 0) | (frac > 0)) & (frac < digits)
+        is_digit, is_dot = digit < 10, row == 46
+        mant = np.where(is_digit, mant * 10 + digit, mant)
+        digits += is_digit
+        dots += is_dot
+        frac[is_dot] = width - 1 - j
+    neg = blk[s] == 45
+    # digits, dots and a leading minus are all of the cell's bytes; a cell
+    # wider than the window can pass this only with 20 or more digits
+    ok = (digits + dots == e - s - neg) & (dots <= 1) & ((dots == 0) | (frac > 0)) & (frac < digits)
     ok &= (digits <= 19) & (mant <= _I64_MAX)
     value = np.where(neg, -mant.astype(np.int64), mant.astype(np.int64))
     return value.reshape(shape), frac.reshape(shape), ok.reshape(shape)
+
+
+def _integer(blk, s, e):
+    """``(value, ok)`` of cells ``-?digits`` read by ``_number``."""
+    value, frac, ok = _number(blk, s, e)
+    return value, ok & (frac == 0)
 
 
 def _ticks(mant, frac, tick: Fraction):
     """Exact ``mant * 10**-frac / tick`` as int64, with the masks of the
     cells on the tick grid and of those whose tick count fits int64."""
     ticks, on_grid, fits = np.zeros_like(mant), *np.zeros((2, *mant.shape), bool)
-    for f in np.unique(frac).tolist():
+    for f in np.flatnonzero(np.bincount(frac.ravel())).tolist():
         r = Fraction(tick.denominator, tick.numerator * 10**f)  # ticks per unit of mant
         at, m = frac == f, mant[frac == f]
         q, rem = np.divmod(m, r.denominator) if r.denominator <= _I64_MAX else (0 * m, m)
@@ -329,13 +346,17 @@ def _blocks(text: str, n_fields: int, comments: list | None = None):
             commas = commas[~note[np.searchsorted(s, commas, side="right") - 1]]
             ink &= ~note
         lineno, s, e = np.flatnonzero(ink) + first + 1, s[ink], e[ink]
-        got = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
-        wrong = np.flatnonzero(got != n_fields)
-        n = int(wrong[0]) if wrong.size else e.size
+        # Every comma lies in a row.  If the commas number k per row and the
+        # i-th group of k lies within row i, every row holds exactly k.
+        k, n = n_fields - 1, e.size
+        cut = commas.reshape(-1, k) if commas.size == n * k else None
+        if cut is None or (cut[:, 0] < s).any() or (cut[:, -1] >= e).any():
+            got = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
+            n = int(np.flatnonzero(got != n_fields)[0])
+            cut = commas[: n * k].reshape(n, k)
         if n:
-            cut = commas[: n * (n_fields - 1)].reshape(n, n_fields - 1)
             yield lineno[:n], blk, np.column_stack((s[:n], cut + 1)), np.column_stack((cut, e[:n]))
-        if wrong.size:
+        if n < e.size:
             raise MalformedRow(int(lineno[n]), f"expected {n_fields} fields, got {got[n]}")
 
 
@@ -359,12 +380,12 @@ def parse_ticks(text: str) -> tuple[list[TickEvent], Decimal]:
     events: list[TickEvent] = []
     prev = -1
     for lineno, blk, s, e in _blocks(text, 4):
-        (ts, volume), int_frac, int_ok = (a.T for a in _number(blk, s[:, [0, 3]], e[:, [0, 3]]))
+        (ts, ts_ok), (volume, volume_ok) = _integer(blk, s[:, 0], e[:, 0]), _integer(blk, s[:, 3], e[:, 3])
         price, frac, price_ok = _number(blk, s[:, 1], e[:, 1])
         price, on_grid, fits = _ticks(price, frac, tick_frac)
         kind = np.where(e[:, 2] - s[:, 2] == 1, blk[s[:, 2]], 0)
         _raise_first(lineno, [
-            (~(int_ok & (int_frac == 0)).all(0), MalformedRow, "bad integer field"),
+            (~(ts_ok & volume_ok), MalformedRow, "bad integer field"),
             (ts <= 0, MalformedRow, "timestamp must be positive"),
             (volume < 0, MalformedRow, "volume must be non-negative"),
             ((kind != 81) & (kind != 84), MalformedRow, "kind must be Q or T"),
@@ -399,13 +420,15 @@ def parse_book(text: str, depth: int | None = None) -> tuple[Book, Decimal, int]
         raise MalformedRow(1, "depth must be >= 1")
     if depth is not None and depth != d:
         raise MalformedRow(1, f"requested depth {depth} but file declares {d}")
-    px_cols = 2 + 2 * np.arange(2 * d)  # bid levels best first, then ask levels
     rows, prev = [(np.zeros(0, np.int64),) * 2 + (np.zeros((0, 2 * d), np.int64),) * 2], -1
     for lineno, blk, s, e in _blocks(text, 2 + 4 * d):
-        (ts, tcd), int_frac, int_ok = (a.T for a in _number(blk, s[:, :2], e[:, :2]))
+        # only rows of 2 + 4d fields get here, so d is bounded by the text:
+        # a depth no row can hold is the first row's field-count error
+        px_cols = 2 + 2 * np.arange(2 * d)  # bid levels best first, then ask levels
+        (ts, ts_ok), (tcd, tcd_ok) = _integer(blk, s[:, 0], e[:, 0]), _integer(blk, s[:, 1], e[:, 1])
         px, frac, px_ok = _number(blk, s[:, px_cols], e[:, px_cols])
         px, on_grid, fits = _ticks(px, frac, tick_frac)
-        vol, vol_frac, vol_ok = _number(blk, s[:, px_cols + 1], e[:, px_cols + 1])
+        vol, vol_ok = _integer(blk, s[:, px_cols + 1], e[:, px_cols + 1])
         pe, ve = (s == e)[:, px_cols], (s == e)[:, px_cols + 1]
         gone = (pe & ve).reshape(-1, 2, d)
         gap = (np.cumsum(gone, axis=2) > gone).reshape(-1, 2 * d)  # an empty level came before
@@ -413,13 +436,13 @@ def parse_book(text: str, depth: int | None = None) -> tuple[Book, Decimal, int]
         level = [
             (gap & ~(pe & ve), MalformedRow, "non-contiguous book levels"),
             (pe ^ ve, MalformedRow, "price/volume must be both present or both empty"),
-            (held & ~(vol_ok & (vol_frac == 0)), MalformedRow, "bad volume field"),
+            (held & ~vol_ok, MalformedRow, "bad volume field"),
             (held & (vol <= 0), MalformedRow, "level volume must be positive"),
             (held & ~(px_ok & fits), MalformedRow, "bad price"),
             (held & ~on_grid, TickSizeViolation, "price is not a multiple of the tick size"),
         ]
         _raise_first(lineno, [
-            (~(int_ok & (int_frac == 0)).all(0), MalformedRow, "bad integer field"),
+            (~(ts_ok & tcd_ok), MalformedRow, "bad integer field"),
             (ts <= 0, MalformedRow, "timestamp must be positive"),
             (tcd < 0, MalformedRow, "trade_count_delta must be non-negative"),
             (ts < np.concatenate(([prev], ts[:-1])), NonMonotonicTime, "timestamps must be non-decreasing"),
@@ -594,13 +617,13 @@ def _regular_rows(text: str, notes: list):
     reject raises."""
     stamps, values, lines, big, rows = [], [], [], {}, 0
     for lineno, blk, s, e in _blocks(text, 2, notes):
-        ts, frac, ok = _number(blk, s[:, 0], e[:, 0])
+        ts, ok = _integer(blk, s[:, 0], e[:, 0])
         mant, vfrac, vok = _number(blk, s[:, 1], e[:, 1])
         # an exact mantissa over an exact power of ten: one correctly rounded division
         val = np.abs(mant) / _POW10[vfrac]
         val = np.where(blk[s[:, 1]] == 45, -val, val)  # "-0" reads -0.0
         bad = ts.size
-        slow = np.flatnonzero(~(ok & (frac == 0)))
+        slow = np.flatnonzero(~ok)
         got = _read_cells(blk, s[slow, 0], e[slow, 0], int)
         for i, t in zip(slow.tolist(), got):
             if -_I64_MAX - 1 <= t <= _I64_MAX:

@@ -124,6 +124,15 @@ def test_invstat_artifacts(tmp_path):
     scaling = (out / "scaling.csv").read_text().splitlines()
     assert scaling[0] == "# columns: R,tau_star"
     assert len(scaling) == 3
+    # a binning no histogram can have is a usage problem, found before the
+    # input is read
+    for bad in (["--bins-per-decade", "0"], ["--bins-per-decade", "-3"], ["--entry-bin-seconds", "0"],
+                ["--entry-bin-seconds", "-5"], ["--entry-bin-seconds", "nan"],
+                ["--entry-bin-seconds", "inf"]):
+        for series in (src / "series.csv", tmp_path / "absent.csv"):
+            assert cli.run(
+                ["invstat", "--input", str(series), "--target", "1", *bad, "--out", str(tmp_path / "c")]
+            ) == 1, bad
 
 
 def test_non_empty_out_is_refused_before_the_input_is_read(tmp_path, capsys):
@@ -310,6 +319,31 @@ def test_relax_artifacts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--depth 5" in err and "depth 3" in err
     assert not (tmp_path / "deep").exists()
+    for bad in ("0", "-3"):
+        for path in (book, tmp_path / "absent.csv"):
+            assert cli.run(
+                ["relax", "--input", str(path), "--kappa", "0.2", "--depth", "3",
+                 "--bins-per-decade", bad, "--out", str(tmp_path / "c")]
+            ) == 1, bad
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# tick_size=NaN depth=1", "line 1: bad tick size 'NaN'"),
+        ("# tick_size=sNaN depth=1", "line 1: bad tick size 'sNaN'"),
+        ("# tick_size=Infinity depth=1", "line 1: bad tick size 'Infinity'"),
+        ("# tick_size=0.01 depth=99999999999", "line 2: expected 399999999998 fields, got 6"),
+    ],
+)
+def test_bad_book_headers_are_data_errors(tmp_path, capsys, header, message):
+    book = tmp_path / "book.csv"
+    book.write_text(header + "\n1,0,99.99,5,100.01,5\n")
+    assert cli.run(
+        ["relax", "--input", str(book), "--kappa", "0.2", "--depth", "1", "--out", str(tmp_path / "o")]
+    ) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_selftest_single_criterion_report(tmp_path, capsys):

@@ -302,6 +302,23 @@ def test_parse_book_int64_edges():
     assert parse_book("# tick_size=0.01 depth=1\n1,0,0000000000000001.00,1,,\n")[0].bid_px[0, 0] == 100
 
 
+@pytest.mark.parametrize("tick", ["NaN", "sNaN", "Infinity", "-Infinity", "nan", "inf", "x"])
+def test_non_finite_tick_sizes_are_malformed_headers(tick):
+    for parse, header in ((parse_book, f"# tick_size={tick} depth=1"), (parse_ticks, f"# tick_size={tick}")):
+        with pytest.raises(MalformedRow) as err:
+            parse(header + "\n")
+        assert (err.value.line, str(err.value)) == (1, f"line 1: bad tick size {tick!r}")
+
+
+def test_a_depth_no_row_can_hold_fails_at_the_first_row():
+    # 4e11 fields a row: nothing sized by the depth is allocated before a row holds it
+    with pytest.raises(MalformedRow) as err:
+        parse_book("# tick_size=0.01 depth=99999999999\n\n1,0,99.99,5,100.01,5\n")
+    assert str(err.value) == "line 3: expected 399999999998 fields, got 6"
+    book, _, depth = parse_book("# tick_size=0.01 depth=99999999999\n")
+    assert len(book) == 0 and depth == 99999999999 and book.bid_px.shape == (0, depth)
+
+
 def test_session_validation_and_bounds():
     with pytest.raises(ValueError):
         Session(open=dt.time(16, 0), close=dt.time(9, 30))
