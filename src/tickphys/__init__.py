@@ -37,12 +37,11 @@ from .errors import (
     UsageError,
 )
 from .market_data import (
-    TickEvent,
+    Ticks,
     BookSnapshot,
     Book,
     Session,
     RegularSeries,
-    DayTicks,
     parse_ticks,
     parse_book,
     serialize_book,

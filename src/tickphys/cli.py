@@ -67,8 +67,12 @@ def _utcnow() -> str:
 def _load(path: str, parse):
     """``parse`` of the text of an input file, read once, and the sha256 of
     its bytes.  The text is what ``Path.read_text`` gives: decoded with the
-    locale's encoding, with universal newlines."""
-    raw = Path(path).read_bytes()
+    locale's encoding, with universal newlines.  An input that cannot be
+    read (absent, a directory, not permitted) is a data error."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(exc) from None
     digest = hashlib.sha256(raw).hexdigest()
     text = io.TextIOWrapper(io.BytesIO(raw)).read()
     del raw  # the parse needs only the text
@@ -443,9 +447,6 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -34,7 +34,7 @@ from .errors import (
     TooFewBins,
     TooFewSamples,
 )
-from .market_data import NS_PER_S, DayTicks, RegularSeries, SessionizedTicks, wall_seconds
+from .market_data import NS_PER_S, RegularSeries, Ticks, wall_seconds
 from .numerics import (
     LinFit,
     LogBinnedPdf,
@@ -135,23 +135,23 @@ def _int_ticks(values, what: str) -> np.ndarray:
 
 
 def _as_days(data) -> list:
-    """Normalize input to [(int64 prices, timestamps_ns or None, open_ns)],
-    one entry per non-empty day."""
-    if isinstance(data, SessionizedTicks):
-        data = list(data.days)
-    if isinstance(data, DayTicks):
-        data = [data]
+    """Normalize ``Ticks``, a ``RegularSeries`` or a price array to
+    [(int64 prices, timestamps_ns or None, open_ns)], one entry per
+    non-empty day."""
+    if isinstance(data, Ticks):
+        bounds = data.session_boundaries + (len(data),)
+        return [
+            (data.prices[a:b], data.timestamps_ns[a:b], open_ns)
+            for a, b, open_ns in zip(bounds, bounds[1:], data.session_open_ns) if b > a
+        ]
     if isinstance(data, RegularSeries):
         prices = _int_ticks(data.values, "regular series values")
-        bounds = list(data.session_boundaries) + [prices.size]
-        out = []
-        for a, b in zip(bounds, bounds[1:]):
-            if b > a:
-                ts = np.arange(b - a, dtype=np.int64) * data.interval_ns
-                out.append((prices[a:b], ts, 0))
-        return out
-    if isinstance(data, (list, tuple)) and data and isinstance(data[0], DayTicks):
-        return [(day.prices, day.timestamps_ns, day.session_open_ns) for day in data if len(day)]
+        bounds = data.session_boundaries + (prices.size,)
+        # each day's stamps count from its open, built from its own slice
+        return [
+            (prices[a:b], np.arange(b - a, dtype=np.int64) * data.interval_ns, 0)
+            for a, b in zip(bounds, bounds[1:]) if b > a
+        ]
     arr = np.asarray(data)
     if arr.size == 0:
         return []

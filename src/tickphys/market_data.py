@@ -15,6 +15,16 @@ Book CSV:      ``# tick_size=<decimal> depth=<N>`` then rows
 Regular CSV:   rows ``timestamp_ns,value`` followed by a
                ``# session_boundaries=i1;i2;...`` footer comment
 
+Every reader returns columns, never a Python object per row: a tick file
+is ``Ticks`` (one day), a book file a ``Book`` (no day structure) and a
+regular CSV a ``RegularSeries``.  ``Ticks``, ``RegularSeries`` and
+``obrelax.ImbalanceSeries`` index their days alike: ``session_boundaries``
+holds the offsets of the days' first rows, sorted, unique, from 0 and at
+most the row count.  ``sessionize`` splits ticks into days by a trading
+session, and ``resample`` puts each day on a regular grid in ticks.  A
+tick size is a finite positive decimal that some nonzero price of at most
+19 digits is an int64 count of; any other is a bad header.
+
 All three are read by one kernel: the text's UTF-8 bytes are split into
 blocks of lines, and each block into cells by its commas.  A block's rows
 all hold n fields when its commas number n - 1 a row and the i-th run of
@@ -73,13 +83,11 @@ from .errors import (
 )
 
 __all__ = [
-    "TickEvent",
+    "Ticks",
     "BookSnapshot",
     "Book",
     "Session",
     "RegularSeries",
-    "DayTicks",
-    "SessionizedTicks",
     "parse_ticks",
     "parse_book",
     "serialize_book",
@@ -101,16 +109,6 @@ def wall_seconds(delta_ns: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- types
-
-
-@dataclass(frozen=True)
-class TickEvent:
-    """One quote (Q) or trade (T).  ``price`` is in integer ticks."""
-
-    timestamp_ns: int
-    price: int
-    kind: str
-    volume: int
 
 
 @dataclass(frozen=True)
@@ -173,6 +171,15 @@ class Session:
         return lo // _MICROSECOND * 1000, hi // _MICROSECOND * 1000
 
 
+def _day_index(boundaries, size: int) -> tuple:
+    """``boundaries`` as the day index of ``size`` rows: the offsets of the
+    days' first rows, sorted, unique, from 0 and at most ``size``."""
+    b = tuple(boundaries)
+    if not b or b[0] != 0 or list(b) != sorted(set(b)) or b[-1] >= size + 1:
+        raise ValueError("session_boundaries must be sorted, unique, start at 0")
+    return b
+
+
 @dataclass(frozen=True)
 class RegularSeries:
     """Evenly sampled prices, possibly spanning several sessions.
@@ -192,11 +199,7 @@ class RegularSeries:
             raise ValueError("RegularSeries requires at least one value")
         if self.interval_ns <= 0:
             raise ValueError("interval must be positive")
-        b = tuple(self.session_boundaries)
-        if not b or b[0] != 0 or list(b) != sorted(set(b)) or b[-1] >= self.values.size + 1:
-            if b != (0,):
-                raise ValueError("session_boundaries must be sorted, unique, start at 0")
-        object.__setattr__(self, "session_boundaries", b)
+        object.__setattr__(self, "session_boundaries", _day_index(self.session_boundaries, self.values.size))
 
     def __len__(self) -> int:
         return self.values.size
@@ -206,44 +209,44 @@ class RegularSeries:
         return self.start_ns + self.interval_ns * np.arange(self.values.size, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class DayTicks:
-    """Column-oriented events of a single session, time-ordered.
+@dataclass(frozen=True, eq=False)
+class Ticks:
+    """Quotes and trades as columns: int64 ``timestamps_ns``, ``prices`` in
+    ticks and ``volumes``, and ``kinds`` b"Q" (quote) or b"T" (trade).
 
-    ``session_open_ns`` anchors time-of-day measurements; for synthetic
-    data it defaults to the first timestamp.
+    Days are indexed as in RegularSeries: ``session_boundaries[i]`` is the
+    row of day i's first tick.  ``session_open_ns[i]`` is day i's open, from
+    which time of day is measured; it defaults to the day's first timestamp
+    (None for an empty last day).  ``dropped`` counts the ticks that
+    sessionize left out.
     """
 
     timestamps_ns: np.ndarray = field(repr=False)
     prices: np.ndarray = field(repr=False)
     volumes: np.ndarray | None = field(default=None, repr=False)
-    date: dt.date | None = None
-    session_open_ns: int | None = None
+    kinds: np.ndarray | None = field(default=None, repr=False)
+    session_boundaries: tuple = (0,)
+    session_open_ns: tuple | None = None
+    dropped: int = 0
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps_ns, dtype=np.int64)
         px = np.asarray(self.prices, dtype=np.int64)
         if ts.shape != px.shape:
             raise ValueError("timestamps and prices must have equal length")
+        b = _day_index(self.session_boundaries, ts.size)
+        opens = self.session_open_ns
+        if opens is None:  # only the last day can be empty
+            opens = tuple(int(ts[i]) if i < ts.size else None for i in b)
+        elif len(opens) != len(b):
+            raise ValueError("session_open_ns must hold one open per day")
         object.__setattr__(self, "timestamps_ns", ts)
         object.__setattr__(self, "prices", px)
-        if self.session_open_ns is None and ts.size:
-            object.__setattr__(self, "session_open_ns", int(ts[0]))
+        object.__setattr__(self, "session_boundaries", b)
+        object.__setattr__(self, "session_open_ns", tuple(opens))
 
     def __len__(self) -> int:
         return self.timestamps_ns.size
-
-
-@dataclass(frozen=True)
-class SessionizedTicks:
-    days: tuple
-    dropped: int
-
-    def __iter__(self):
-        return iter(self.days)
-
-    def __len__(self):
-        return len(self.days)
 
 
 # -------------------------------------------------------------------- parsing
@@ -265,7 +268,16 @@ def _parse_tick_size(text: str, lineno: int) -> tuple[Fraction, Decimal]:
         raise MalformedRow(lineno, f"bad tick size {text!r}")
     if d <= 0:
         raise MalformedRow(lineno, "tick size must be positive")
-    return Fraction(d), d
+    # A nonzero price m * 10**-f (|m| < 10**19, f <= 18) is q ticks of
+    # c * 10**e (c without trailing zeros) if q * c = m * 10**(-f - e) with
+    # 1 <= |q| < 2**63.  Then the tick lies in [1e-37, 1e19); and c lacks a
+    # factor 2 or 5, so q holds 2**(-f - e) or 5**(-f - e), -f - e <= 62 and
+    # c <= |m| * 5**62 < 10**63.  Any other tick size leaves only zero
+    # prices, at a cost that grows with its exponent and its digits.
+    digits = bytes(d.as_tuple().digits).rstrip(b"\0")
+    if not -37 <= d.adjusted() <= 18 or len(digits) > 63:
+        raise MalformedRow(lineno, f"bad tick size {text!r}")
+    return Fraction(Decimal((0, tuple(digits), d.adjusted() - len(digits) + 1))), d
 
 
 def _number(blk, s, e):
@@ -367,23 +379,22 @@ def _raise_first(lineno, checks):
         raise error(int(lineno[row]), message)
 
 
-def parse_ticks(text: str) -> tuple[list[TickEvent], Decimal]:
-    """Parse a tick CSV into events with integer-tick prices.
+def parse_ticks(text: str) -> tuple[Ticks, Decimal]:
+    """Parse a tick CSV into columns with integer-tick prices, as one day.
 
-    Returns ``(events, tick_size)``.  Raises MalformedRow, TickSizeViolation
+    Returns ``(ticks, tick_size)``.  Raises MalformedRow, TickSizeViolation
     or NonMonotonicTime with the offending line number.
     """
     m = _TICK_HEADER.match(text.partition("\n")[0])
     if not m:
         raise MalformedRow(1, "missing tick_size header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
-    events: list[TickEvent] = []
-    prev = -1
+    cols, prev = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, np.uint8),)], -1
     for lineno, blk, s, e in _blocks(text, 4):
         (ts, ts_ok), (volume, volume_ok) = _integer(blk, s[:, 0], e[:, 0]), _integer(blk, s[:, 3], e[:, 3])
         price, frac, price_ok = _number(blk, s[:, 1], e[:, 1])
         price, on_grid, fits = _ticks(price, frac, tick_frac)
-        kind = np.where(e[:, 2] - s[:, 2] == 1, blk[s[:, 2]], 0)
+        kind = np.where(e[:, 2] - s[:, 2] == 1, blk[s[:, 2]], np.uint8(0))
         _raise_first(lineno, [
             (~(ts_ok & volume_ok), MalformedRow, "bad integer field"),
             (ts <= 0, MalformedRow, "timestamp must be positive"),
@@ -393,10 +404,10 @@ def parse_ticks(text: str) -> tuple[list[TickEvent], Decimal]:
             (~(price_ok & fits), MalformedRow, "bad price"),
             (~on_grid, TickSizeViolation, "price is not a multiple of the tick size"),
         ])
+        cols.append((ts, price, volume, kind))
         prev = ts[-1]
-        kinds = np.where(kind == 81, "Q", "T").tolist()
-        events += map(TickEvent, ts.tolist(), price.tolist(), kinds, volume.tolist())
-    return events, tick_dec
+    ts, price, volume, kind = (np.concatenate(c) for c in zip(*cols))
+    return Ticks(ts, price, volume, kind.view("S1")), tick_dec
 
 
 def _format_price(ticks: int, tick_size: Decimal) -> str:
@@ -478,83 +489,62 @@ def serialize_book(snaps, tick_size: Decimal, depth: int) -> str:
 # ----------------------------------------------------------------- sessioning
 
 
-def sessionize(events, session: Session) -> SessionizedTicks:
-    """Split events into per-day slices, keeping only those with time of day
-    inside the closed [open, close] window.  Out-of-session events are
-    dropped and counted, not fatal."""
-    if not events:
-        return SessionizedTicks(days=(), dropped=0)
-    ts = np.array([e.timestamp_ns for e in events], dtype=np.int64)
-    px = np.array([e.price for e in events], dtype=np.int64)
-    vol = np.array([e.volume for e in events], dtype=np.int64)
-
-    tz = ZoneInfo(session.timezone)
-    first_day = dt.datetime.fromtimestamp(ts[0] / NS_PER_S, tz).date()
-    last_day = dt.datetime.fromtimestamp(ts[-1] / NS_PER_S, tz).date()
-
-    days: list[DayTicks] = []
-    kept = 0
-    day = first_day
-    while day <= last_day:
-        if session.date is None or session.date == day:
-            lo, hi = session.bounds_ns(day)
-            i = int(np.searchsorted(ts, lo, side="left"))
-            j = int(np.searchsorted(ts, hi, side="right"))
-            if j > i:
-                days.append(
-                    DayTicks(
-                        timestamps_ns=ts[i:j],
-                        prices=px[i:j],
-                        volumes=vol[i:j],
-                        date=day,
-                        session_open_ns=lo,
-                    )
-                )
-                kept += j - i
-        day += dt.timedelta(days=1)
-    return SessionizedTicks(days=tuple(days), dropped=len(events) - kept)
+def sessionize(ticks: Ticks, session: Session) -> Ticks:
+    """Split time-ordered ticks into days, keeping only those with time of
+    day inside the closed [open, close] window; each day opens at the
+    session open.  Out-of-session ticks are dropped and counted, not
+    fatal."""
+    ts = ticks.timestamps_ns
+    keep = np.zeros(ts.size, bool)
+    starts, opens = [0], []
+    if ts.size:
+        tz = ZoneInfo(session.timezone)
+        day = dt.datetime.fromtimestamp(ts[0] / NS_PER_S, tz).date()
+        last_day = dt.datetime.fromtimestamp(ts[-1] / NS_PER_S, tz).date()
+        while day <= last_day:
+            if session.date is None or session.date == day:
+                lo, hi = session.bounds_ns(day)
+                i = int(np.searchsorted(ts, lo, side="left"))
+                j = int(np.searchsorted(ts, hi, side="right"))
+                if j > i:
+                    keep[i:j] = True
+                    starts.append(starts[-1] + j - i)
+                    opens.append(lo)
+            day += dt.timedelta(days=1)
+    volumes, kinds = (None if col is None else col[keep] for col in (ticks.volumes, ticks.kinds))
+    return Ticks(
+        ts[keep], ticks.prices[keep], volumes, kinds,
+        session_boundaries=tuple(starts[:-1]) or (0,), session_open_ns=tuple(opens) or None,
+        dropped=ticks.dropped + ts.size - starts[-1],
+    )
 
 
-def resample(days, interval_ns: int, tick_size: float = 1.0, session_close_by_day=None) -> RegularSeries:
-    """Previous-tick resampling of day slices onto a fixed grid.
+def resample(ticks: Ticks, interval_ns: int) -> RegularSeries:
+    """Previous-tick resampling of each day of ``ticks`` onto a fixed grid.
 
-    The grid of each day runs from the session open in steps of
-    ``interval_ns`` up to the session close (a final partial bin is
-    dropped); the value at a grid point is the last price at or before it,
-    and points before the day's first tick are back-filled with that first
-    price.  ``tick_size`` converts integer ticks to price units.
+    Each day's grid runs from its open in steps of ``interval_ns`` up to
+    its last tick; the value at a grid point is the last price at or
+    before it, and points before the day's first tick are back-filled with
+    that first price.  Values stay in integer ticks.
     """
-    if isinstance(days, SessionizedTicks):
-        days = days.days
-    if isinstance(days, DayTicks):
-        days = (days,)
     if interval_ns <= 0:
         raise ValueError("interval must be positive")
-    values = []
-    boundaries = [0]
-    start_ns = None
-    for day in days:
-        if len(day) == 0:
-            raise EmptyDay(f"no events on {day.date}")
-        open_ns = day.session_open_ns
-        close_ns = day.timestamps_ns[-1]
-        if session_close_by_day and day.date in session_close_by_day:
-            close_ns = session_close_by_day[day.date]
-        n_pts = int((close_ns - open_ns) // interval_ns) + 1
+    bounds = ticks.session_boundaries + (len(ticks),)
+    values, starts = [], [0]
+    for day, (a, b, open_ns) in enumerate(zip(bounds, bounds[1:], ticks.session_open_ns)):
+        if b == a:
+            raise EmptyDay(f"no ticks on day {day}")
+        ts = ticks.timestamps_ns[a:b]
+        n_pts = int((ts[-1] - open_ns) // interval_ns) + 1
         grid = open_ns + interval_ns * np.arange(n_pts, dtype=np.int64)
-        idx = np.searchsorted(day.timestamps_ns, grid, side="right") - 1
-        idx = np.maximum(idx, 0)  # back-fill before the first tick
-        values.append(day.prices[idx] * float(tick_size))
-        if start_ns is None:
-            start_ns = int(grid[0])
-        boundaries.append(boundaries[-1] + n_pts)
-    if not values:
-        raise EmptyDay("no day slices to resample")
+        idx = np.maximum(np.searchsorted(ts, grid, side="right") - 1, 0)  # back-fill before the first tick
+        values.append(ticks.prices[a:b][idx].astype(float))
+        starts.append(starts[-1] + n_pts)
     return RegularSeries(
-        start_ns=start_ns,
+        start_ns=int(ticks.session_open_ns[0]),
         interval_ns=int(interval_ns),
         values=np.concatenate(values),
-        session_boundaries=tuple(boundaries[:-1]),
+        session_boundaries=tuple(starts[:-1]),
     )
 
 

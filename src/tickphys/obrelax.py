@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySide, TooFewBins, TooFewSamples
-from .market_data import wall_seconds
+from .market_data import _day_index, wall_seconds
 from .numerics import (
     LinFit,
     LogBinnedPdf,
@@ -56,15 +56,18 @@ class ImbalanceSeries:
     """Signed depth imbalance per book snapshot, with optional clocks.
 
     ``trades`` is the cumulative trade count aligned with ``values``;
-    ``day_boundaries`` are the start indices of each day, so sign searches
-    never cross a session gap.
+    ``session_boundaries`` indexes the days as in RegularSeries, so sign
+    searches never cross a session gap.
     """
 
     values: np.ndarray = field(repr=False)
     timestamps_ns: np.ndarray | None = field(default=None, repr=False)
     trades: np.ndarray | None = field(default=None, repr=False)
-    day_boundaries: tuple = (0,)
+    session_boundaries: tuple = (0,)
     depth: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "session_boundaries", _day_index(self.session_boundaries, len(self.values)))
 
     def __len__(self) -> int:
         return self.values.size
@@ -90,7 +93,7 @@ def imbalance_series(book, depth: int) -> ImbalanceSeries:
         raise EmptySide(f"snapshot {empty[0]}: no volume within depth {depth}")
     return ImbalanceSeries(
         values=(bid - ask) / total, timestamps_ns=book.timestamps_ns,
-        trades=np.cumsum(book.trade_count_delta), day_boundaries=(0,), depth=depth,
+        trades=np.cumsum(book.trade_count_delta), depth=depth,
     )
 
 
@@ -107,7 +110,7 @@ def entry_times(series, kappa: float) -> np.ndarray:
     cross = (v[1:] - kappa) * (v[:-1] - kappa) < 0.0
     rising = v[1:] > v[:-1]
     idx = np.nonzero(cross & rising)[0] + 1
-    bounds = np.asarray(getattr(series, "day_boundaries", (0,)), dtype=np.int64)
+    bounds = np.asarray(getattr(series, "session_boundaries", (0,)), dtype=np.int64)
     if bounds.size > 1:
         idx = idx[~np.isin(idx, bounds)]
     return idx.astype(np.int64)
@@ -152,7 +155,7 @@ def relaxation_times(series: ImbalanceSeries, kappa: float, *, clock: str = "eve
     n = v.size
     entries = entry_times(series, kappa)
 
-    bounds = np.asarray(series.day_boundaries, dtype=np.int64)
+    bounds = np.asarray(series.session_boundaries, dtype=np.int64)
     day_end = np.append(bounds[1:], n) - 1  # last index of each day
     day_of = np.searchsorted(bounds, entries, side="right") - 1
     entry_day_end = day_end[day_of]

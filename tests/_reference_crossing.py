@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from tickphys import (
-    DayTicks,
     EmptyInput,
     ExitTimeConfig,
     ExitTimes,
     RegularSeries,
+    Ticks,
     TickSizeViolation,
 )
-from tickphys.market_data import NS_PER_S, SessionizedTicks
+from tickphys.market_data import NS_PER_S
 
 
 def _first_crossing(prices: np.ndarray, threshold: int) -> np.ndarray:
@@ -70,10 +70,6 @@ def _as_days(data) -> list:
 
     Yields (prices, ts_ns, open_ns) with ts_ns possibly None.
     """
-    if isinstance(data, SessionizedTicks):
-        data = list(data.days)
-    if isinstance(data, DayTicks):
-        data = [data]
     if isinstance(data, RegularSeries):
         vals = np.asarray(data.values, dtype=float)
         ints = np.rint(vals)
@@ -87,14 +83,13 @@ def _as_days(data) -> list:
                 ts = np.arange(b - a, dtype=np.int64) * data.interval_ns
                 out.append((prices[a:b], ts, 0))
         return out
-    if isinstance(data, (list, tuple)) and data and isinstance(data[0], DayTicks):
-        out = []
-        for day in data:
-            open_ns = day.session_open_ns
-            if open_ns is None:
-                open_ns = int(day.timestamps_ns[0])
-            out.append((np.asarray(day.prices, dtype=np.int64), day.timestamps_ns, open_ns))
-        return out
+    if isinstance(data, Ticks):
+        bounds = list(data.session_boundaries) + [len(data)]
+        return [
+            (data.prices[a:b], data.timestamps_ns[a:b], open_ns)
+            for a, b, open_ns in zip(bounds, bounds[1:], data.session_open_ns)
+            if b > a
+        ]
     arr = np.asarray(data)
     if not np.issubdtype(arr.dtype, np.integer):
         ints = np.rint(arr.astype(float))

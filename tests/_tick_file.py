@@ -5,9 +5,11 @@ from decimal import Decimal
 from tickphys.market_data import _format_price
 
 
-def serialize_ticks(events, tick_size: Decimal) -> str:
+def serialize_ticks(ticks, tick_size: Decimal) -> str:
     """Inverse of parse_ticks for canonical-form files."""
     out = [f"# tick_size={format(tick_size.normalize(), 'f')}"]
-    for e in events:
-        out.append(f"{e.timestamp_ns},{_format_price(e.price, tick_size)},{e.kind},{e.volume}")
+    for ts, price, kind, volume in zip(
+        ticks.timestamps_ns.tolist(), ticks.prices.tolist(), ticks.kinds.tolist(), ticks.volumes.tolist()
+    ):
+        out.append(f"{ts},{_format_price(price, tick_size)},{kind.decode()},{volume}")
     return "\n".join(out) + "\n"

@@ -358,7 +358,7 @@ def test_selftest_single_criterion_report(tmp_path, capsys):
     assert "criterion 10" in capsys.readouterr().out
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.run([]) == 1  # missing subcommand
     assert cli.run(["selftest", "--criterion", "12", "--out", str(tmp_path)]) == 1
     assert cli.run(
@@ -371,6 +371,11 @@ def test_exit_codes(tmp_path, monkeypatch):
         ["hurst", "--input", str(tmp_path / "absent.csv"), "--window", "64",
          "--out", str(tmp_path / "o")]
     ) == 2
+    # an input that is a directory cannot be read: a data error, for either reader
+    for command, flags in (("hurst", ["--window", "64"]), ("relax", ["--kappa", "0.3", "--depth", "1"])):
+        capsys.readouterr()
+        assert cli.run([command, "--input", str(tmp_path), *flags, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("data error: "), command
     bad = tmp_path / "bad.csv"
     bad.write_text("not a book file\n")
     assert cli.run(

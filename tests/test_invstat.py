@@ -8,7 +8,10 @@ parametric law is tested as sampler -> histogram -> fit recovery, with the
 sampler itself validated against its defining gamma transform.
 """
 
+import calendar
+import datetime as dt
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,14 +21,16 @@ from hypothesis import strategies as st
 
 import _reference_crossing as reference
 from _power_law import sample_power_law
+from _tick_file import serialize_ticks
 from tickphys import invstat
 from tickphys import (
     CrossingIndex,
-    DayTicks,
     EmptyInput,
     ExitTimeConfig,
     FirstPassageFit,
     RegularSeries,
+    Session,
+    Ticks,
     TickSizeViolation,
     TooFewBins,
     TooFewSamples,
@@ -40,10 +45,13 @@ from tickphys import (
     log_bin,
     log_passage_density,
     optimal_horizon,
+    parse_ticks,
     passage_density,
     PriceRangeTooWide,
     quadrature,
+    resample,
     sample_first_passage,
+    sessionize,
 )
 
 NS = 1_000_000_000
@@ -97,11 +105,7 @@ def test_exit_times_both_takes_earlier_side():
 
 
 def test_exit_times_wall_clock_rounds_up_seconds():
-    day = DayTicks(
-        timestamps_ns=[NS, NS + NS // 2, 4 * NS, 4 * NS],
-        prices=[0, 1, 2, 3],
-        session_open_ns=NS,
-    )
+    day = Ticks(timestamps_ns=[NS, NS + NS // 2, 4 * NS, 4 * NS], prices=[0, 1, 2, 3])  # opens at NS
     exits = exit_times(day, ExitTimeConfig(threshold=1, clock="wall"))
     # entry 0 exits half a second later: ceil to 1; entry 1 exits 2.5 s later: ceil to 3;
     # entry 2 exits at the same instant: still 1
@@ -115,9 +119,10 @@ def test_exit_times_wall_clock_needs_timestamps():
 
 
 def test_exit_times_days_are_independent():
-    day1 = DayTicks(timestamps_ns=[NS, 2 * NS], prices=[0, 1])
-    day2 = DayTicks(timestamps_ns=[NS, 2 * NS], prices=[5, 6])
-    exits = exit_times([day1, day2], ExitTimeConfig(threshold=3))
+    two_days = Ticks(
+        timestamps_ns=[NS, 2 * NS, 3 * NS, 4 * NS], prices=[0, 1, 5, 6], session_boundaries=(0, 2)
+    )
+    exits = exit_times(two_days, ExitTimeConfig(threshold=3))
     assert exits.tau.size == 0  # the cross-day gap 1 -> 5 never counts
     assert exits.censored_count == 4
     assert exits.n_entries == 4
@@ -155,22 +160,19 @@ def test_exit_times_shift_invariance(prices, shift, threshold):
 
 @st.composite
 def walk_days(draw):
-    """1-3 days of integer walks with jumps of -20..20 and increasing
-    nanosecond stamps, some of them less than a second apart."""
-    days = []
+    """Ticks of 1-3 days of integer walks with jumps of -20..20 and
+    increasing nanosecond stamps, some of them less than a second apart."""
+    stamps, prices, starts, opens = [], [], [0], []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         n = draw(st.integers(min_value=1, max_value=60))
         start = draw(st.integers(min_value=-1000, max_value=1000))
         jumps = draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=n - 1, max_size=n - 1))
         gaps = draw(st.lists(st.integers(min_value=1, max_value=3 * NS), min_size=n, max_size=n))
-        days.append(
-            DayTicks(
-                timestamps_ns=np.cumsum(gaps),
-                prices=np.cumsum([start] + jumps),
-                session_open_ns=draw(st.integers(min_value=0, max_value=gaps[0])),
-            )
-        )
-    return days
+        stamps += np.cumsum(gaps).tolist()
+        prices += np.cumsum([start] + jumps).tolist()
+        starts.append(starts[-1] + n)
+        opens.append(draw(st.integers(min_value=0, max_value=gaps[0])))
+    return Ticks(stamps, prices, session_boundaries=tuple(starts[:-1]), session_open_ns=tuple(opens))
 
 
 def assert_same_exits(got, want):
@@ -194,11 +196,76 @@ def test_crossing_index_matches_per_threshold_search(days, direction, clock, thr
     index = CrossingIndex(days, direction)
     for r, want in zip(thresholds, reference.scan(days, thresholds, direction, clock)):
         assert_same_exits(index.exit_times(r, clock), want)
-    if len(days) == 1 and clock == "tick":  # a bare array: one day, no clock
-        prices = days[0].prices
+    if len(days.session_boundaries) == 1 and clock == "tick":  # a bare array: one day, no clock
+        prices = days.prices
         for r in thresholds:
             cfg = ExitTimeConfig(threshold=r, direction=direction)
             assert_same_exits(exit_times(prices, cfg), reference.exit_times(prices, cfg))
+
+
+SESSION = Session(open=dt.time(10, 0), close=dt.time(11, 0))
+
+
+@st.composite
+def tick_days(draw):
+    """2-3 days of a tick walk, each with one tick inside the 10:00-11:00
+    UTC session and up to 40 more from 09:55 to 11:05, as ``(day_ns,
+    seconds, ticks)`` per day."""
+    days, price = [], draw(st.integers(min_value=-400, max_value=400))
+    for k in range(draw(st.integers(min_value=2, max_value=3))):
+        first = draw(st.integers(min_value=10 * 3600, max_value=11 * 3600))
+        anywhere = st.integers(min_value=9 * 3600 + 55 * 60, max_value=11 * 3600 + 5 * 60)
+        seconds = sorted([first] + draw(st.lists(anywhere, max_size=40)))
+        n = len(seconds)
+        jumps = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n))
+        ticks = (price + np.cumsum(jumps)).tolist()
+        price = ticks[-1]
+        days.append((calendar.timegm((2024, 1, 2 + k, 0, 0, 0)) * NS, seconds, ticks))
+    return days
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    days=tick_days(),
+    tick=st.sampled_from([Decimal("0.25"), Decimal("0.01")]),
+    interval_s=st.sampled_from([1, 7, 60]),
+    direction=st.sampled_from(("up", "down", "both")),
+    thresholds=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+)
+def test_tick_file_to_exit_times(days, tick, interval_s, direction, thresholds):
+    stamps = [day_ns + sec * NS for day_ns, seconds, _ in days for sec in seconds]
+    prices = [p for _, _, ticks in days for p in ticks]
+    n = len(stamps)
+    text = serialize_ticks(Ticks(stamps, prices, np.ones(n, np.int64), np.full(n, b"T")), tick)
+    sessioned = sessionize(parse_ticks(text)[0], SESSION)
+    series = resample(sessioned, interval_s * NS)
+
+    # previous-tick values of the in-session ticks, in ticks, day by day
+    want, starts, n_kept = [], [], 0
+    for _, seconds, ticks in days:
+        kept = [(sec, p) for sec, p in zip(seconds, ticks) if 10 * 3600 <= sec <= 11 * 3600]
+        starts.append(len(want))
+        for g in range(10 * 3600, kept[-1][0] + 1, interval_s):
+            want.append(next((p for sec, p in reversed(kept) if sec <= g), kept[0][1]))
+        n_kept += len(kept)
+    assert sessioned.dropped == n - n_kept
+    assert series.values.tolist() == want
+    assert series.session_boundaries == tuple(starts)
+
+    index = CrossingIndex(series, direction)
+    for r in thresholds:
+        by_tick, by_wall = (index.exit_times(r, clock) for clock in ("tick", "wall"))
+        for got in (by_tick, by_wall):
+            assert_same_exits(got, reference.exit_times(series, ExitTimeConfig(r, direction, got.config.clock)))
+        # every exit lies in its entry's day, on either clock
+        exit_at = by_tick.entry_index + by_tick.tau
+        assert np.array_equal(
+            np.searchsorted(starts, by_tick.entry_index, side="right"),
+            np.searchsorted(starts, exit_at, side="right"),
+        )
+        assert exit_at.max(initial=0) < len(series)
+        assert np.array_equal(by_wall.entry_index, by_tick.entry_index)
+        assert np.array_equal(by_wall.tau, by_tick.tau * interval_s)
 
 
 def test_exit_times_refuses_keys_beyond_int64_before_building():
@@ -214,7 +281,7 @@ def test_exit_times_refuses_keys_beyond_int64_before_building():
 
 
 def test_exit_times_rejects_empty_and_non_finite_prices():
-    for empty in ([], np.array([], dtype=np.int64), [DayTicks(timestamps_ns=[], prices=[])]):
+    for empty in ([], np.array([], dtype=np.int64), Ticks(timestamps_ns=[], prices=[])):
         with pytest.raises(EmptyInput):
             exit_times(empty, UP1)
     # 9007199254740993 reads as the float 2**53, so a 1-tick move would
@@ -370,11 +437,7 @@ def test_fit_tail_power_law_on_exact_power_law():
 
 
 def test_entry_time_distribution():
-    day = DayTicks(
-        timestamps_ns=[NS * t for t in (0, 1800, 1900, 4000)],
-        prices=[0, 1, 2, 3],
-        session_open_ns=0,
-    )
+    day = Ticks(timestamps_ns=[NS * t for t in (0, 1800, 1900, 4000)], prices=[0, 1, 2, 3])
     exits = exit_times(day, UP1)
     rows = entry_time_distribution(exits, bin_seconds=1800.0)
     # resolved entries at seconds 0, 1800, 1900; the censored one is not timed

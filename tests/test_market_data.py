@@ -22,15 +22,15 @@ from _reference_book import assert_same_columns, snapshots
 from _tick_file import serialize_ticks
 from tickphys import (
     CrossedBook,
-    DayTicks,
     EmptyDay,
+    ImbalanceSeries,
     LadderOrderViolation,
     MalformedRow,
     NonMonotonicTime,
     ParseError,
     RegularSeries,
     Session,
-    TickEvent,
+    Ticks,
     TickSizeViolation,
     parse_book,
     parse_regular_series,
@@ -57,18 +57,22 @@ BOOK = """# tick_size=0.5 depth=2
 
 
 def test_parse_ticks_integer_grid():
-    events, tick_size = parse_ticks(TICKS)
+    ticks, tick_size = parse_ticks(TICKS)
     assert tick_size == Decimal("0.01")
-    assert [e.price for e in events] == [10005, 10007, 10007]
-    assert [e.kind for e in events] == ["Q", "T", "Q"]
-    assert events[0].timestamp_ns == NS
+    assert ticks.prices.tolist() == [10005, 10007, 10007]
+    assert ticks.kinds.tolist() == [b"Q", b"T", b"Q"]
+    assert ticks.volumes.tolist() == [10, 5, 0]
+    assert ticks.timestamps_ns[0] == NS
+    # one day, opening at its first tick
+    assert (ticks.session_boundaries, ticks.session_open_ns, ticks.dropped) == ((0,), (NS,), 0)
+    assert all(col.dtype == np.int64 for col in (ticks.timestamps_ns, ticks.prices, ticks.volumes))
 
 
 def test_parse_ticks_is_exact_for_small_tick_sizes():
     # 1.003 / 0.001 must come out as exactly 1003, never 1002.999...
     text = "# tick_size=0.001\n1,1.003,T,1\n"
-    events, _ = parse_ticks(text)
-    assert events[0].price == 1003
+    ticks, _ = parse_ticks(text)
+    assert ticks.prices[0] == 1003
 
 
 def test_parse_ticks_error_lines():
@@ -88,9 +92,17 @@ def test_parse_ticks_error_lines():
         parse_ticks("# tick_size=0.01\n5,100.00,T,1\n4,100.00,T,1\n")
 
 
+def assert_same_ticks(got, want):
+    for name in ("timestamps_ns", "prices", "volumes", "kinds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("session_boundaries", "session_open_ns", "dropped"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
 def test_tick_roundtrip_fixed():
-    events, tick_size = parse_ticks(TICKS)
-    assert parse_ticks(serialize_ticks(events, tick_size))[0] == events
+    ticks, tick_size = parse_ticks(TICKS)
+    assert_same_ticks(parse_ticks(serialize_ticks(ticks, tick_size))[0], ticks)
 
 
 @settings(max_examples=50, deadline=None)
@@ -99,7 +111,7 @@ def test_tick_roundtrip_fixed():
         st.tuples(
             st.integers(min_value=1, max_value=10**6),  # timestamp gaps
             st.integers(min_value=-10_000, max_value=10_000),  # price ticks
-            st.sampled_from(["Q", "T"]),
+            st.sampled_from([b"Q", b"T"]),
             st.integers(min_value=0, max_value=10**6),
         ),
         min_size=1,
@@ -107,14 +119,11 @@ def test_tick_roundtrip_fixed():
     )
 )
 def test_tick_roundtrip_property(data):
-    ts = 0
-    events = []
-    for gap, price, kind, volume in data:
-        ts += gap
-        events.append(TickEvent(ts, price, kind, volume))
-    text = serialize_ticks(events, Decimal("0.01"))
+    gaps, prices, kinds, volumes = zip(*data)
+    ticks = Ticks(np.cumsum(gaps), prices, np.array(volumes), np.array(kinds, dtype="S1"))
+    text = serialize_ticks(ticks, Decimal("0.01"))
     parsed, tick_size = parse_ticks(text)
-    assert parsed == events
+    assert_same_ticks(parsed, ticks)
     assert tick_size == Decimal("0.01")
 
 
@@ -302,7 +311,16 @@ def test_parse_book_int64_edges():
     assert parse_book("# tick_size=0.01 depth=1\n1,0,0000000000000001.00,1,,\n")[0].bid_px[0, 0] == 100
 
 
-@pytest.mark.parametrize("tick", ["NaN", "sNaN", "Infinity", "-Infinity", "nan", "inf", "x"])
+@pytest.mark.parametrize(
+    "tick",
+    [
+        "NaN", "sNaN", "Infinity", "-Infinity", "nan", "inf", "x",
+        # no nonzero 19-digit price is an int64 count of these ticks: each is
+        # refused before any arithmetic on numbers of its size
+        "1e19", "9e-38", "1." + "3" * 63,
+        "1e1000000", "1e-1000000", pytest.param("1." + "3" * 300_000, id="300k-digits"),
+    ],
+)
 def test_non_finite_tick_sizes_are_malformed_headers(tick):
     for parse, header in ((parse_book, f"# tick_size={tick} depth=1"), (parse_ticks, f"# tick_size={tick}")):
         with pytest.raises(MalformedRow) as err:
@@ -348,46 +366,65 @@ def test_sessionize_splits_days_and_drops_outside():
     def at(day, hour, minute):
         return base + day * 86_400 * NS + (hour * 3600 + minute * 60) * NS
 
-    events = [
-        TickEvent(at(0, 9, 59), 100, "T", 1),  # before open: dropped
-        TickEvent(at(0, 10, 0), 101, "T", 1),
-        TickEvent(at(0, 11, 0), 102, "T", 1),  # close is inclusive
-        TickEvent(at(1, 10, 30), 103, "T", 1),
-        TickEvent(at(1, 11, 1), 104, "T", 1),  # after close: dropped
-    ]
-    out = sessionize(events, session)
-    assert len(out) == 2
+    ticks = Ticks(
+        timestamps_ns=[
+            at(0, 9, 59),  # before open: dropped
+            at(0, 10, 0),
+            at(0, 11, 0),  # close is inclusive
+            at(1, 10, 30),
+            at(1, 11, 1),  # after close: dropped
+        ],
+        prices=[100, 101, 102, 103, 104],
+        volumes=np.arange(1, 6),
+        kinds=np.array([b"T", b"Q", b"T", b"Q", b"T"]),
+    )
+    out = sessionize(ticks, session)
+    assert out.session_boundaries == (0, 2)
     assert out.dropped == 2
-    assert out.days[0].prices.tolist() == [101, 102]
-    assert out.days[1].prices.tolist() == [103]
-    assert out.days[0].session_open_ns == at(0, 10, 0)
-    assert out.days[0].date == dt.date(2024, 1, 2)
+    assert out.prices.tolist() == [101, 102, 103]
+    assert out.volumes.tolist() == [2, 3, 4]
+    assert out.kinds.tolist() == [b"Q", b"T", b"Q"]
+    # each day opens at the session open of its own date, 2024-01-02 and -03
+    assert out.session_open_ns == (at(0, 10, 0), at(1, 10, 0))
 
-    only_day_two = sessionize(events, Session(dt.time(10, 0), dt.time(11, 0), date=dt.date(2024, 1, 3)))
-    assert len(only_day_two) == 1
+    only_day_two = sessionize(ticks, Session(dt.time(10, 0), dt.time(11, 0), date=dt.date(2024, 1, 3)))
+    assert only_day_two.prices.tolist() == [103]
+    assert (only_day_two.session_open_ns, only_day_two.dropped) == ((at(1, 10, 0),), 4)
+    # a second split drops nothing more and keeps the count
+    assert sessionize(out, session).dropped == 2
+    none_kept = sessionize(ticks, Session(dt.time(12, 0), dt.time(13, 0)))
+    assert (len(none_kept), none_kept.session_boundaries, none_kept.dropped) == (0, (0,), 5)
+    with pytest.raises(EmptyDay):
+        resample(none_kept, interval_ns=NS)
 
 
 def test_resample_previous_tick_and_backfill():
-    day = DayTicks(
+    ticks = Ticks(
         timestamps_ns=[int(0.5 * NS), int(1.2 * NS), int(2.8 * NS)],
         prices=[10, 11, 12],
-        session_open_ns=0,
+        session_open_ns=(0,),
     )
-    series = resample(day, interval_ns=NS, tick_size=0.5)
-    # grid 0,1,2: back-fill, then last price at or before each point
-    assert series.values.tolist() == [5.0, 5.0, 5.5]
+    series = resample(ticks, interval_ns=NS)
+    # grid 0,1,2: back-fill, then last price at or before each point, in ticks
+    assert series.values.tolist() == [10.0, 10.0, 11.0]
     assert series.session_boundaries == (0,)
     assert series.timestamps_ns.tolist() == [0, NS, 2 * NS]
 
 
 def test_resample_multi_day_boundaries():
-    day1 = DayTicks(timestamps_ns=[NS, 3 * NS], prices=[1, 2], session_open_ns=NS)
-    day2 = DayTicks(timestamps_ns=[10 * NS, 12 * NS], prices=[5, 6], session_open_ns=10 * NS)
-    series = resample([day1, day2], interval_ns=NS)
+    ticks = Ticks(
+        timestamps_ns=[NS, 3 * NS, 10 * NS, 12 * NS],
+        prices=[1, 2, 5, 6],
+        session_boundaries=(0, 2),
+    )
+    # each day's grid runs from its open, here its first tick, to its last tick
+    series = resample(ticks, interval_ns=NS)
     assert series.session_boundaries == (0, 3)
     assert series.values.tolist() == [1.0, 1.0, 2.0, 5.0, 5.0, 6.0]
     with pytest.raises(EmptyDay):
-        resample([], interval_ns=NS)
+        resample(Ticks(timestamps_ns=[], prices=[]), interval_ns=NS)
+    with pytest.raises(ValueError):
+        resample(ticks, interval_ns=0)
 
 
 def test_regular_series_validation():
@@ -397,6 +434,35 @@ def test_regular_series_validation():
         RegularSeries(start_ns=0, interval_ns=1, values=[])
     with pytest.raises(ValueError):
         RegularSeries(start_ns=0, interval_ns=1, values=[1.0, 2.0], session_boundaries=(1, 0))
+
+
+@pytest.mark.parametrize("bounds", [(), (3,), (0, 5, 3), (0, 5, 5), (0, 20), (1, 0)])
+def test_one_day_index_rule(bounds):
+    # RegularSeries, Ticks and ImbalanceSeries index ten rows' days alike
+    make = [
+        lambda b: RegularSeries(start_ns=0, interval_ns=1, values=np.zeros(10), session_boundaries=b),
+        lambda b: Ticks(timestamps_ns=np.arange(10), prices=np.zeros(10), session_boundaries=b),
+        lambda b: ImbalanceSeries(values=np.zeros(10), session_boundaries=b),
+    ]
+    for series in make:
+        with pytest.raises(ValueError, match="session_boundaries"):
+            series(bounds)
+        for good in ((0,), (0, 5), (0, 5, 10)):  # a last day may be empty
+            assert series(list(good)).session_boundaries == good
+
+
+def test_tick_sizes_at_the_edges_of_the_bound():
+    # a coarse, a fine and a long tick size that still give a nonzero
+    # 19-digit price an int64 tick count, and one with 300k trailing zeros
+    m = 1999999999999999999
+    for tick, price, ticks in (
+        ("1e18", "1000000000000000000", 1),
+        ("2e-37", "0.000000000000000001", 5 * 10**18),
+        (f"{m * 5**62}e-80", "1.999999999999999999", 2**62),  # 62 significant digits
+        ("1." + "0" * 300_000, "7", 7),
+    ):
+        assert parse_ticks(f"# tick_size={tick}\n1,{price},T,1\n")[0].prices.tolist() == [ticks]
+        assert parse_book(f"# tick_size={tick} depth=1\n1,0,{price},1,,\n")[0].bid_px[0, 0] == ticks
 
 
 def test_regular_series_roundtrip():

@@ -132,7 +132,7 @@ def test_entry_times_hand_case():
 
 
 def test_entry_times_skip_day_starts():
-    sig = ImbalanceSeries(values=np.array([0.2, 0.3, 0.8, 0.9]), day_boundaries=(0, 2))
+    sig = ImbalanceSeries(values=np.array([0.2, 0.3, 0.8, 0.9]), session_boundaries=(0, 2))
     # the 0.3 -> 0.8 crossing lands exactly on the second day's first index
     assert entry_times(sig, 0.5).tolist() == []
     same_day = ImbalanceSeries(values=np.array([0.2, 0.3, 0.8, 0.9]))
@@ -198,7 +198,7 @@ def test_relaxation_respects_day_boundaries():
     # sign survives into the next day: censored at the day end, not resolved
     # by the other day's values
     v = np.array([0.1, 0.6, 0.5, -0.4, -0.2, 0.3])
-    sig = ImbalanceSeries(values=v, day_boundaries=(0, 3))
+    sig = ImbalanceSeries(values=v, session_boundaries=(0, 3))
     samples = relaxation_times(sig, 0.5)
     assert samples.tau.tolist() == [1]
     assert samples.censored.tolist() == [True]
