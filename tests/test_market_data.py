@@ -648,7 +648,7 @@ def corrupt_regular_texts(draw):
             cells[draw(st.integers(0, len(cells) - 1))] = draw(odd_cells)
         elif fault == "fields":
             cells = cells[:1] if draw(st.booleans()) else cells + [draw(odd_cells)]
-        elif fault == "stamp" and cells[0].lstrip("-").isdigit():
+        elif fault == "stamp" and re.fullmatch(r"-?[0-9]+", cells[0]):
             t = int(cells[0])
             cells[0] = str(draw(st.sampled_from([t + 1, t - 1, t, 0, 2**63, -(2**63) - 1, t + 2**64])))
         if fault in ("cell", "fields", "stamp"):
