@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
-import io
 import json
 import math
 import secrets
@@ -65,30 +64,25 @@ def _utcnow() -> str:
 
 
 def _load(path: str, parse):
-    """``parse`` of the text of an input file, read once, and the sha256 of
-    its bytes.  The text is what ``Path.read_text`` gives: decoded with the
-    locale's encoding, with universal newlines.  An input that cannot be
-    read (absent, a directory, not permitted) is a data error."""
+    """``parse`` of the bytes of an input file, read once, and their sha256:
+    nothing decodes them or rewrites their line ends first.  An input that
+    cannot be read (absent, a directory, not permitted) is a data error."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(exc) from None
-    digest = hashlib.sha256(raw).hexdigest()
-    text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    del raw  # the parse needs only the text
-    return parse(text), digest
+    return parse(raw), hashlib.sha256(raw).hexdigest()
 
 
 def _manifest(subcommand: str, params: dict, digest: str, started: str) -> str:
-    doc = {
+    return _json({
         "subcommand": subcommand,
         "parameters": params,
         "input_digest": digest,
         "tool_version": __version__,
         "started": started,
         "finished": _utcnow(),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def _require_empty_out(out_dir: str) -> None:
@@ -136,21 +130,11 @@ def _pdf_csv(hist) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _parse_int_list(text: str, flag: str) -> list:
+def _parse_list(text: str, flag: str, read, what: str) -> list:
     try:
-        vals = [int(p) for p in text.split(",") if p != ""]
+        vals = [read(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not vals:
-        raise UsageError(f"{flag} is empty")
-    return vals
-
-
-def _parse_float_list(text: str, flag: str) -> list:
-    try:
-        vals = [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
+        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}")
     if not vals:
         raise UsageError(f"{flag} is empty")
     return vals
@@ -241,7 +225,7 @@ def _cmd_hurst(args) -> int:
 
 def _cmd_invstat(args) -> int:
     started = _utcnow()
-    targets = _parse_int_list(args.target, "--target")
+    targets = _parse_list(args.target, "--target", int, "integers")
     if any(r < 1 for r in targets):
         raise UsageError("--target values must be >= 1 tick")
     if args.bins_per_decade < 1:
@@ -298,7 +282,7 @@ def _cmd_invstat(args) -> int:
 
 def _cmd_relax(args) -> int:
     started = _utcnow()
-    kappas = _parse_float_list(args.kappa, "--kappa")
+    kappas = _parse_list(args.kappa, "--kappa", float, "numbers")
     if any(not 0.0 < k < 1.0 for k in kappas):
         raise UsageError("--kappa values must lie in (0, 1)")
     if args.depth < 1:

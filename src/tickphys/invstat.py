@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyInput,
     PriceRangeTooWide,
     TickSizeViolation,
@@ -147,9 +148,12 @@ def _as_days(data) -> list:
     if isinstance(data, RegularSeries):
         prices = _int_ticks(data.values, "regular series values")
         bounds = data.session_boundaries + (prices.size,)
-        # each day's stamps count from its open, built from its own slice
+        step, longest = int(data.interval_ns), max(b - a for a, b in zip(bounds, bounds[1:]))
+        if (longest - 1) * step >= 2**63:
+            raise DataError(f"a day of {longest} points {step} ns apart spans 2**63 ns or more, beyond int64")
+        # each day's stamps count from its open, built from its own slice (one point: 0)
         return [
-            (prices[a:b], np.arange(b - a, dtype=np.int64) * data.interval_ns, 0)
+            (prices[a:b], np.arange(b - a, dtype=np.int64) * (step if b - a > 1 else 0), 0)
             for a, b in zip(bounds, bounds[1:]) if b > a
         ]
     arr = np.asarray(data)
@@ -483,7 +487,7 @@ class HorizonRow:
     tau_star: float
     n_resolved: int
     n_censored: int
-    fit: FirstPassageFit | None
+    fit: FirstPassageFit
 
 
 def horizon_scaling(
@@ -494,22 +498,18 @@ def horizon_scaling(
     clock: str = "tick",
     bins_per_decade: int = 10,
     min_samples: int = 100,
-    method: str = "fit",
 ) -> list:
     """Optimal horizon per threshold, for the tau* ~ R^gamma diagnostic."""
-    if method not in ("fit", "hist"):
-        raise ValueError("method must be 'fit' or 'hist'")
     index = CrossingIndex(data, direction)
     rows = []
     for r in thresholds:
         exits = index.exit_times(int(r), clock)
         hist = first_passage_hist(exits, bins_per_decade, min_samples=min_samples)
-        fit = fit_first_passage(hist) if method == "fit" else None
-        tau_star = optimal_horizon(fit if fit is not None else hist)
+        fit = fit_first_passage(hist)
         rows.append(
             HorizonRow(
                 threshold=int(r),
-                tau_star=tau_star,
+                tau_star=optimal_horizon(fit),
                 n_resolved=len(exits),
                 n_censored=exits.censored_count,
                 fit=fit,

@@ -25,18 +25,18 @@ session, and ``resample`` puts each day on a regular grid in ticks.  A
 tick size is a finite positive decimal that some nonzero price of at most
 19 digits is an int64 count of; any other is a bad header.
 
-All three are read by one kernel: the text's UTF-8 bytes are split into
-blocks of lines, and each block into cells by its commas.  A block's rows
-all hold n fields when its commas number n - 1 a row and the i-th run of
-n - 1 commas lies within row i; only otherwise are the commas counted row
-by row, to find the first row that does not.  The cells of a column, or
-of a book's price or volume levels together, are read in one Horner pass
-over their bytes, right-aligned to the widest of them (at most 21 bytes),
-that also counts each cell's digits and dots: a cell is a number of the
-grammar below only if these and a leading minus are all of its bytes.
-Lines end in ``\n`` or ``\r\n`` (a lone ``\r`` and the other breaks of
-``str.splitlines`` do not end a line); lines of spaces, tabs and ``\r``
-are skipped but keep their numbers.
+Each reader takes a file's bytes, or a str as its UTF-8 encoding, and
+decodes only a header, the comments and the cells that ``int()`` and
+``float()`` read: one that is not UTF-8 is a ``MalformedRow`` at its
+line.  One kernel splits the bytes into blocks of lines, and each block
+into cells by its commas, checking field counts by comma stride.  The
+cells of a column, or of a book's price or volume levels together, are
+read in one Horner pass over their bytes, right-aligned to the widest of
+them (at most 21 bytes), that also counts each cell's digits and dots: a
+cell is a number of the grammar below only if these and a leading minus
+are all of its bytes.  Lines end in ``\n`` or ``\r\n`` (a lone ``\r`` and
+the other breaks of ``str.splitlines`` do not end a line); lines of
+spaces, tabs and ``\r`` are skipped, keeping their numbers.
 
 In tick and book files every number is ASCII ``-?digits(.digits)?`` with
 at most 19 digits, read exactly as integers and ticks that fit int64 (no
@@ -56,10 +56,8 @@ digits, "1_0", " 1.5", "+1", "nan", beyond int64) is read by Python's
 ``MalformedRow`` at its line: the first row with a wrong field count or a
 cell that ``int()``/``float()`` reject; the first row off the grid
 ts0 + k * interval or beyond int64, or with a non-finite value; then a
-bad footer (not integers, or not sorted, unique, from 0 and within the
-rows).  A reader built on ``str.splitlines`` and ``str.strip`` differs in
-three ways: it also ends lines at the other breaks above, skips lines of
-any whitespace, and meets a bad footer as a bare ``ValueError``.
+comment that is not UTF-8 or a bad footer (not integers, or not sorted,
+unique, from 0 and within the rows).
 """
 
 from __future__ import annotations
@@ -215,10 +213,10 @@ class Ticks:
     ticks and ``volumes``, and ``kinds`` b"Q" (quote) or b"T" (trade).
 
     Days are indexed as in RegularSeries: ``session_boundaries[i]`` is the
-    row of day i's first tick.  ``session_open_ns[i]`` is day i's open, from
-    which time of day is measured; it defaults to the day's first timestamp
-    (None for an empty last day).  ``dropped`` counts the ticks that
-    sessionize left out.
+    row of day i's first tick, and within a day no timestamp decreases.
+    ``session_open_ns[i]`` is day i's open, from which time of day is
+    measured; it defaults to the day's first timestamp (None for an empty
+    last day).  ``dropped`` counts the ticks that sessionize left out.
     """
 
     timestamps_ns: np.ndarray = field(repr=False)
@@ -235,6 +233,8 @@ class Ticks:
         if ts.shape != px.shape:
             raise ValueError("timestamps and prices must have equal length")
         b = _day_index(self.session_boundaries, ts.size)
+        if not set((np.flatnonzero(ts[1:] < ts[:-1]) + 1).tolist()) <= set(b):
+            raise ValueError("timestamps must be non-decreasing within each day")
         opens = self.session_open_ns
         if opens is None:  # only the last day can be empty
             opens = tuple(int(ts[i]) if i < ts.size else None for i in b)
@@ -254,6 +254,7 @@ class Ticks:
 _TICK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s*$")
 _BOOK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s+depth=(\d+)\s*$")
 _FOOTER = re.compile(r"#\s*session_boundaries=(.*)")
+_FIRST_LINE = re.compile(rb"[^\n]*")  # the header, without a copy of the rest
 _BLOCK_LINES = 1 << 13  # lines per vectorized pass: temporaries stay O(block)
 _I64_MAX = np.iinfo(np.int64).max
 _POW10 = np.array([float(10**k) for k in range(21)])  # each exact in float64
@@ -327,7 +328,20 @@ def _ticks(mant, frac, tick: Fraction):
     return ticks, on_grid, fits
 
 
-def _blocks(text: str, n_fields: int, comments: list | None = None):
+def _utf8(data: bytes | str) -> bytes:
+    """Bytes as they are; a str as its UTF-8 encoding, lone surrogates kept for no decode to accept."""
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+
+
+def _text(raw: bytes, lineno: int) -> str:
+    """``raw`` decoded as UTF-8, or a MalformedRow at ``lineno``."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(lineno, f"bytes that are not UTF-8 ({exc.reason})") from None
+
+
+def _blocks(data: bytes, n_fields: int, comments: list | None = None):
     """Yield ``(lineno, blk, s, e)`` per block of the non-blank rows after the
     header, cell j of row i being ``blk[s[i, j]:e[i, j]]``.  A row without
     ``n_fields`` fields raises after the rows before it, which may hold an
@@ -335,10 +349,9 @@ def _blocks(text: str, n_fields: int, comments: list | None = None):
 
     Given a list ``comments``, there is no header: rows start at line 1, and
     a line whose first byte is "#" is not a row but is appended to the list
-    as ``(lineno, line)``.  Text is UTF-8 encoded, so a cell's bytes decode
-    back to its exact text.
+    as ``(lineno, bytes of the line)``.
     """
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == 10)
     if buf.size and buf[-1] != 10:
         ends = np.append(ends, buf.size)  # a last line without "\n"
@@ -354,7 +367,7 @@ def _blocks(text: str, n_fields: int, comments: list | None = None):
         commas = np.flatnonzero(blk == 44)
         if comments is not None and (note := ink & (blk[s] == 35)).any():
             for k in np.flatnonzero(note).tolist():
-                comments.append((k + first + 1, blk[s[k] : e[k]].tobytes().decode("utf-8", "surrogatepass")))
+                comments.append((k + first + 1, blk[s[k] : e[k]].tobytes()))
             commas = commas[~note[np.searchsorted(s, commas, side="right") - 1]]
             ink &= ~note
         lineno, s, e = np.flatnonzero(ink) + first + 1, s[ink], e[ink]
@@ -379,18 +392,19 @@ def _raise_first(lineno, checks):
         raise error(int(lineno[row]), message)
 
 
-def parse_ticks(text: str) -> tuple[Ticks, Decimal]:
+def parse_ticks(data: bytes | str) -> tuple[Ticks, Decimal]:
     """Parse a tick CSV into columns with integer-tick prices, as one day.
 
     Returns ``(ticks, tick_size)``.  Raises MalformedRow, TickSizeViolation
     or NonMonotonicTime with the offending line number.
     """
-    m = _TICK_HEADER.match(text.partition("\n")[0])
+    data = _utf8(data)
+    m = _TICK_HEADER.match(_text(_FIRST_LINE.match(data)[0], 1))
     if not m:
         raise MalformedRow(1, "missing tick_size header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
     cols, prev = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, np.uint8),)], -1
-    for lineno, blk, s, e in _blocks(text, 4):
+    for lineno, blk, s, e in _blocks(data, 4):
         (ts, ts_ok), (volume, volume_ok) = _integer(blk, s[:, 0], e[:, 0]), _integer(blk, s[:, 3], e[:, 3])
         price, frac, price_ok = _number(blk, s[:, 1], e[:, 1])
         price, on_grid, fits = _ticks(price, frac, tick_frac)
@@ -415,24 +429,23 @@ def _format_price(ticks: int, tick_size: Decimal) -> str:
     return format(value, "f")
 
 
-def parse_book(text: str, depth: int | None = None) -> tuple[Book, Decimal, int]:
+def parse_book(data: bytes | str) -> tuple[Book, Decimal, int]:
     """Parse a book CSV into int64 columns.
 
-    ``depth``, when given, must match the header's declared depth.  Returns
-    ``(book, tick_size, depth)``.  The first bad row raises with its line
-    number and the error a reader going row by row would raise.
+    Returns ``(book, tick_size, depth)``, the depth the header declares.
+    The first bad row raises with its line number and the error a reader
+    going row by row would raise.
     """
-    m = _BOOK_HEADER.match(text.partition("\n")[0])
+    data = _utf8(data)
+    m = _BOOK_HEADER.match(_text(_FIRST_LINE.match(data)[0], 1))
     if not m:
         raise MalformedRow(1, "missing 'tick_size=... depth=...' header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
     d = int(m.group(2))
     if d < 1:
         raise MalformedRow(1, "depth must be >= 1")
-    if depth is not None and depth != d:
-        raise MalformedRow(1, f"requested depth {depth} but file declares {d}")
     rows, prev = [(np.zeros(0, np.int64),) * 2 + (np.zeros((0, 2 * d), np.int64),) * 2], -1
-    for lineno, blk, s, e in _blocks(text, 2 + 4 * d):
+    for lineno, blk, s, e in _blocks(data, 2 + 4 * d):
         # only rows of 2 + 4d fields get here, so d is bounded by the text:
         # a depth no row can hold is the first row's field-count error
         px_cols = 2 + 2 * np.arange(2 * d)  # bid levels best first, then ask levels
@@ -495,6 +508,8 @@ def sessionize(ticks: Ticks, session: Session) -> Ticks:
     session open.  Out-of-session ticks are dropped and counted, not
     fatal."""
     ts = ticks.timestamps_ns
+    if (ts[1:] < ts[:-1]).any():  # the days are found by binary search over ts
+        raise ValueError("sessionize needs timestamps non-decreasing across days")
     keep = np.zeros(ts.size, bool)
     starts, opens = [0], []
     if ts.size:
@@ -565,8 +580,8 @@ def _read_cells(blk, s, e, read) -> list:
     if raw.isascii():  # a byte offset is a character offset
         raw = raw.decode("ascii")
         cells = [raw[a:b] for a, b in at]
-    else:
-        cells = [raw[a:b].decode("utf-8", "surrogatepass") for a, b in at]
+    else:  # bytes that are not UTF-8 become lone surrogates, which read rejects
+        cells = [raw[a:b].decode("utf-8", "surrogateescape") for a, b in at]
     try:
         return list(map(read, cells))
     except ValueError:
@@ -600,13 +615,13 @@ def _off_grid(ts: np.ndarray, big: dict, t0: int, step: int) -> tuple[int, str]:
     return (k, f"timestamp {big[k]} is beyond int64") if k < ts.size else (k, "")
 
 
-def _regular_rows(text: str, notes: list):
+def _regular_rows(data: bytes, notes: list):
     """The timestamps, values and line numbers of a regular CSV's rows, as
     lists of one array per block, and the timestamps beyond int64 by row
-    (0 in their column).  The first row with a cell that ``int``/``float``
-    reject raises."""
+    (0 in their column).  The first row with a cell that is not UTF-8 or
+    that ``int``/``float`` reject raises."""
     stamps, values, lines, big, rows = [], [], [], {}, 0
-    for lineno, blk, s, e in _blocks(text, 2, notes):
+    for lineno, blk, s, e in _blocks(data, 2, notes):
         ts, ok = _integer(blk, s[:, 0], e[:, 0])
         mant, vfrac, vok = _number(blk, s[:, 1], e[:, 1])
         # an exact mantissa over an exact power of ten: one correctly rounded division
@@ -637,18 +652,18 @@ def _regular_rows(text: str, notes: list):
     return stamps, values, lines, big
 
 
-def parse_regular_series(text: str) -> RegularSeries:
+def parse_regular_series(data: bytes | str) -> RegularSeries:
     """Read rows ``timestamp_ns,value`` and the session-boundary footer.
 
     Timestamps must lie on the grid that ``serialize_regular_series``
     writes, ts0 + k * interval with the interval of the first two rows,
     and values must be finite.  The first row with a wrong field count or
-    a cell that ``int``/``float`` reject raises first, then the first row
-    off the grid or not finite, then a bad footer: each a ``MalformedRow``
-    at its line.
+    a cell that is not UTF-8 or that ``int``/``float`` reject raises first,
+    then the first row off the grid or not finite, then the first comment
+    that is not UTF-8 or a bad footer: each a ``MalformedRow`` at its line.
     """
     notes: list = []
-    ts, values, lines, big = _regular_rows(text, notes)
+    ts, values, lines, big = _regular_rows(_utf8(data), notes)
     if not ts:
         raise MalformedRow(1, "no data rows")
     ts, values = np.concatenate(ts), np.concatenate(values)
@@ -664,7 +679,7 @@ def parse_regular_series(text: str) -> RegularSeries:
 
     boundaries, footer = (0,), None
     for lineno, line in notes:
-        m = _FOOTER.fullmatch(line)
+        m = _FOOTER.fullmatch(_text(line, lineno))
         if m:
             try:
                 boundaries = tuple(int(p) for p in m.group(1).split(";") if p != "")

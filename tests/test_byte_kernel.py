@@ -60,15 +60,16 @@ def test_number_reads_every_cell_like_the_reference(rows):
             assert ((0 <= frac) & (frac <= 20)).all()
 
 
-def _outcome(blocks, text, n_fields, with_comments):
+def _outcome(blocks, data, n_fields, with_comments):
     notes = [] if with_comments else None
     out = []
     try:
-        for lineno, blk, s, e in blocks(text, n_fields, notes):
+        for lineno, blk, s, e in blocks(data, n_fields, notes):
             out.append((lineno.tolist(), blk.tobytes(), s.tolist(), e.tolist()))
     except MalformedRow as exc:
         out.append((exc.line, str(exc)))
-    return out, notes
+    # the kernel keeps a comment's bytes, the reference its decoded text
+    return out, notes and [(k, line if isinstance(line, bytes) else line.encode()) for k, line in notes]
 
 
 lines = st.one_of(
@@ -97,6 +98,6 @@ def test_blocks_cut_rows_like_the_reference(picked, n_fields, with_comments, new
     ) + end
     with mock.patch.object(market_data, "_BLOCK_LINES", block), \
             mock.patch.object(reference, "_BLOCK_LINES", block):
-        got = _outcome(market_data._blocks, text, n_fields, with_comments)
+        got = _outcome(market_data._blocks, text.encode(), n_fields, with_comments)
         assert got == _outcome(reference._blocks, text, n_fields, with_comments)
 

@@ -209,6 +209,8 @@ def test_invstat_bad_series_are_data_errors(tmp_path, capsys):
         "grid.csv": ("0,1.0\n10,2.0\n11,3.0\n500,4.0\n", "line 3"),
         "wide.csv": (f"0,0.0\n1,{float(2**32)!r}\n2,1.0\n3,2.0\n", "int64 keys"),
         "inexact.csv": (f"0,{float(2**61)!r}\n1,0.0\n2,1.0\n3,2.0\n", "2**53"),
+        "span.csv": ("-6000000000000000000,0\n0,1\n6000000000000000000,2\n", "2**63 ns"),
+        "step.csv": (f"{-2**63},1.0\n{2**63 - 1},2.0\n", "2**63 ns"),
     }
     for name, (text, message) in cases.items():
         (tmp_path / name).write_text(text)
@@ -242,21 +244,32 @@ def test_invstat_fits_are_unchanged(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_inputs_are_read_once_as_text_files(tmp_path):
-    """The manifest's digest is the sha256 of the input's bytes, and \r\n
-    or lone \r line ends read as \n, as a text-mode read gives them."""
+def test_inputs_are_read_once_as_text_files(tmp_path, capsys):
+    """The manifest's digest is the sha256 of the input's bytes, which the
+    parser reads as they are: \r\n line ends read as \n, while a lone \r
+    ends no line and a byte sequence that is not UTF-8 is no text, each a
+    data error at its line, as the library's readers give them."""
     cli.run(["synth", "--model", "tickwalk", "--n", "4000", "--seed", "2", "--out", str(tmp_path / "s")])
     series = (tmp_path / "s" / "series.csv").read_bytes()
     (tmp_path / "book.csv").write_text(_synthetic_book_text())
     book = (tmp_path / "book.csv").read_bytes()
+
+    def spoil(data, line, tail=b"\xe9"):  # a byte that is not UTF-8 ends the line
+        lines = data.split(b"\n")
+        lines[line - 1] += tail
+        return b"\n".join(lines)
+
+    # a value cell, a comment, a book's cell and its header
+    bad_series = [(spoil(series, 3), 3), (spoil(series, 1, b"\n# caf\xe9"), 2)]
     runs = {
-        "hurst": (series, ["--window", "512", "--shift", "256"]),
-        "invstat": (series, ["--target", "4", "--min-samples", "50"]),
-        "relax": (book, ["--kappa", "0.2", "--depth", "3", "--min-samples", "20"]),
+        "hurst": (series, ["--window", "512", "--shift", "256"], bad_series),
+        "invstat": (series, ["--target", "4", "--min-samples", "50"], bad_series),
+        "relax": (book, ["--kappa", "0.2", "--depth", "3", "--min-samples", "20"],
+                  [(spoil(book, 3), 3), (spoil(book, 1), 1)]),
     }
-    for command, (data, flags) in runs.items():
+    for command, (data, flags, bad) in runs.items():
         outputs = []
-        for end in (b"\n", b"\r\n", b"\r"):
+        for end in (b"\n", b"\r\n"):
             path = tmp_path / f"{command}{len(outputs)}.csv"
             path.write_bytes(data.replace(b"\n", end))
             out = tmp_path / f"out_{command}{len(outputs)}"
@@ -264,7 +277,14 @@ def test_inputs_are_read_once_as_text_files(tmp_path):
             digest = json.loads((out / "manifest.json").read_text())["input_digest"]
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), command
             outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
-        assert outputs[0] == outputs[1] == outputs[2], command
+        assert outputs[0] == outputs[1], command
+        for k, (text, line) in enumerate([(data.replace(b"\n", b"\r"), 1), *bad]):
+            path, out = tmp_path / f"{command}_bad{k}.csv", tmp_path / f"out_{command}_bad{k}"
+            path.write_bytes(text)
+            capsys.readouterr()
+            assert cli.run([command, "--input", str(path), *flags, "--out", str(out)]) == 2, (command, k)
+            assert capsys.readouterr().err.startswith(f"data error: line {line}: "), (command, k)
+            assert not out.exists()
 
 
 def test_bad_footer_is_a_data_error_at_its_line(tmp_path, capsys):

@@ -25,6 +25,7 @@ from _tick_file import serialize_ticks
 from tickphys import invstat
 from tickphys import (
     CrossingIndex,
+    DataError,
     EmptyInput,
     ExitTimeConfig,
     FirstPassageFit,
@@ -45,6 +46,7 @@ from tickphys import (
     log_bin,
     log_passage_density,
     optimal_horizon,
+    parse_regular_series,
     parse_ticks,
     passage_density,
     PriceRangeTooWide,
@@ -280,6 +282,17 @@ def test_exit_times_refuses_keys_beyond_int64_before_building():
             exit_times(np.array(prices), ExitTimeConfig(threshold=1, direction="both"))
 
 
+def test_time_spans_beyond_int64_are_data_errors():
+    # stamps -6e18, 0, 6e18 wrapped to a wall-clock tau of 1 s, not 1.2e10 s,
+    # and an interval of 2**64 - 1 ns did not fit an int64 stamp at all
+    for text in ("-6000000000000000000,0\n0,1\n6000000000000000000,2\n", f"{-2**63},1.0\n{2**63 - 1},2.0\n"):
+        with pytest.raises(DataError, match="2\\*\\*63 ns"):
+            CrossingIndex(parse_regular_series(text))
+    # a day of one point spans nothing, whatever the interval
+    one_point_days = parse_regular_series(f"{-2**63},1.0\n{2**63 - 1},2.0\n# session_boundaries=0;1\n")
+    assert CrossingIndex(one_point_days).exit_times(1, "wall").censored_count == 2
+
+
 def test_exit_times_rejects_empty_and_non_finite_prices():
     for empty in ([], np.array([], dtype=np.int64), Ticks(timestamps_ns=[], prices=[])):
         with pytest.raises(EmptyInput):
@@ -414,11 +427,11 @@ def test_optimal_horizon_closed_form_and_hist():
         optimal_horizon([1.0, 2.0])
 
 
-def test_horizon_scaling_hist_route():
+def test_horizon_scaling_fit_route():
     walk = np.rint(np.cumsum(np.random.default_rng(44).standard_normal(2**17) * 4.0))
-    rows = horizon_scaling(walk, (8, 16, 32), bins_per_decade=6, method="hist")
+    rows = horizon_scaling(walk, (8, 16, 32), bins_per_decade=6)
     assert [r.threshold for r in rows] == [8, 16, 32]
-    assert all(r.tau_star > 0 for r in rows)
+    assert all(r.tau_star > 0 and r.tau_star == optimal_horizon(r.fit) for r in rows)
     assert all(r.n_resolved + r.n_censored == 2**17 for r in rows)
     fit = fit_horizon_power_law(rows)
     assert abs(fit.exponent - 2.0) < 0.6  # diffusive scaling, loose at this size

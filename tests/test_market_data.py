@@ -122,9 +122,10 @@ def test_tick_roundtrip_property(data):
     gaps, prices, kinds, volumes = zip(*data)
     ticks = Ticks(np.cumsum(gaps), prices, np.array(volumes), np.array(kinds, dtype="S1"))
     text = serialize_ticks(ticks, Decimal("0.01"))
-    parsed, tick_size = parse_ticks(text)
-    assert_same_ticks(parsed, ticks)
-    assert tick_size == Decimal("0.01")
+    for data in (text, text.encode()):  # a str reads as its UTF-8 bytes
+        parsed, tick_size = parse_ticks(data)
+        assert_same_ticks(parsed, ticks)
+        assert tick_size == Decimal("0.01")
 
 
 def test_parse_book_levels_and_short_side():
@@ -152,8 +153,6 @@ def test_parse_book_rejects_bad_ladders():
         parse_book(head + "1,0,99.5,,99.0,4,100.0,7,100.5,2\n")  # half a level
     with pytest.raises(MalformedRow):
         parse_book(head + "1,0,99.5,0,99.0,4,100.0,7,100.5,2\n")  # zero volume
-    with pytest.raises(MalformedRow):
-        parse_book(BOOK, depth=3)  # declared depth wins
 
 
 def test_book_roundtrip():
@@ -208,11 +207,12 @@ block_lines = st.sampled_from([1, 2, 3, market_data._BLOCK_LINES])
 @given(text=book_texts(), block=block_lines)
 def test_parse_book_matches_row_by_row_reference(text, block):
     ref_snaps, ref_tick, ref_depth = reference.parse_book(text)
-    with mock.patch.object(market_data, "_BLOCK_LINES", block):
-        book, tick_size, depth = parse_book(text)
-    assert (tick_size, depth) == (ref_tick, ref_depth)
-    assert len(book) == len(ref_snaps)
-    assert_same_columns(book, ref_snaps, depth)
+    for data in (text, text.encode()):
+        with mock.patch.object(market_data, "_BLOCK_LINES", block):
+            book, tick_size, depth = parse_book(data)
+        assert (tick_size, depth) == (ref_tick, ref_depth)
+        assert len(book) == len(ref_snaps)
+        assert_same_columns(book, ref_snaps, depth)
 
 
 # Replacement cells that both readers judge alike, apart from prices whose
@@ -250,6 +250,7 @@ def test_corrupt_cell_fails_like_reference(data, block):
     text = "\n".join(lines)
     with mock.patch.object(market_data, "_BLOCK_LINES", block):
         got = _outcome(parse_book, text)
+        assert _outcome(parse_book, text.encode()) == got
     with mock.patch.object(reference, "_to_ticks", _int64_ticks):
         assert got == _outcome(reference.parse_book, text)
 
@@ -301,6 +302,26 @@ def test_parse_ticks_edge_cells_are_malformed_rows(row):
     with pytest.raises(MalformedRow) as err:
         parse_ticks("# tick_size=0.01\n1,1.00,Q,1\n\n" + row + "\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "parse, data, line",
+    [
+        (parse_ticks, b"# tick_size=0.01\xe9\n1,1.00,T,1\n", 1),  # a header
+        (parse_book, b"# tick_size=0.01 depth=1\n1,0,99.99,5\xe9,,\n", 2),  # a cell no reader decodes
+        (parse_regular_series, b"0,1\n# caf\xe9\n1,2\n", 2),  # a comment
+        (parse_regular_series, b"0,1\n# caf\xe9\n1,2\n5,3\n", 4),  # after the rows' own faults
+        (parse_regular_series, b"0,1\n1,2\n# session_boundaries=0;1\xe9\n", 3),  # the footer
+        (parse_regular_series, b"0,1\n1\xe9,2\n2,3\n", 2),  # a cell that int() reads
+        (parse_regular_series, b"0,1\n1,2.5\xe9\n2,x\n", 2),  # and one that float() reads
+        (parse_regular_series, "0,1\n# \ud800\n1,2\n", 2),  # a str's lone surrogate
+        (parse_regular_series, b"0,1\r1,2\r", 1),  # a lone \r ends no line
+    ],
+)
+def test_bytes_that_are_not_utf8_are_malformed_rows(parse, data, line):
+    with pytest.raises(MalformedRow) as err:
+        parse(data)
+    assert err.value.line == line
 
 
 def test_parse_book_int64_edges():
@@ -396,6 +417,17 @@ def test_sessionize_splits_days_and_drops_outside():
     assert (len(none_kept), none_kept.session_boundaries, none_kept.dropped) == (0, (0,), 5)
     with pytest.raises(EmptyDay):
         resample(none_kept, interval_ns=NS)
+
+
+def test_ticks_that_go_back_in_time_are_refused():
+    d = int(dt.datetime(2024, 1, 2, 10, tzinfo=dt.timezone.utc).timestamp()) * NS
+    stamps, session = [d + 86_400 * NS, d + 600 * NS, d + 1200 * NS], Session(dt.time(9, 0), dt.time(17, 0))
+    # as one day; sessionize once kept none of them and counted all three dropped
+    with pytest.raises(ValueError, match="non-decreasing within each day"):
+        Ticks(stamps, [3, 1, 2])
+    # each day in order, but sessionize searches all the stamps as one sorted array
+    with pytest.raises(ValueError, match="non-decreasing across days"):
+        sessionize(Ticks(stamps, [3, 1, 2], session_boundaries=(0, 1)), session)
 
 
 def test_resample_previous_tick_and_backfill():
@@ -611,6 +643,7 @@ def regular_texts(draw):
 def test_parse_regular_series_matches_row_by_row_reference(text, block):
     with mock.patch.object(market_data, "_BLOCK_LINES", block):
         got = _regular_outcome(parse_regular_series, text)
+        assert _regular_outcome(parse_regular_series, text.encode()) == got
     assert got == _reference_outcome(text)
     assert got[0] is not MalformedRow
 
@@ -672,6 +705,7 @@ def corrupt_regular_texts(draw):
 def test_corrupt_regular_series_fails_like_reference(text, block):
     with mock.patch.object(market_data, "_BLOCK_LINES", block):
         got = _regular_outcome(parse_regular_series, text)
+        assert _regular_outcome(parse_regular_series, text.encode()) == got
     assert got == _reference_outcome(text)
 
 
