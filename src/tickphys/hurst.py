@@ -12,6 +12,13 @@ paths: they difference the path first, so a fractional Brownian motion
 path with Hurst exponent H comes back as h ~ H (and a pure trend has
 identically vanishing fluctuations).  h is the OLS slope of log2 F(n)
 against log2 n with the regression's slope standard error attached.
+
+One engine, ``_tiling_rss``, fits the boxes of both estimators: each
+day's profile is one window of the global estimator, which pools the
+days' residuals so no box spans a day break, and ``local_hurst``'s
+windows are stretches of the prices.  Per box size, windows whose boxes
+hold few points (one window, or windows that barely overlap) are tiled
+by reshapes; dense windows share one fit of every box start.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSeries, SeriesTooShort, WindowTooLarge
 from .numerics import linfit
@@ -127,11 +135,75 @@ def _poly_basis(n: int, order: int) -> np.ndarray:
     return q
 
 
-def _box_rss(segments: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of the polynomial fit, per row."""
-    seg = segments - segments[:, :1]  # conditioning only; absorbed by the fit
+def _box_rss(seg: np.ndarray, q: np.ndarray) -> tuple:
+    """Sum of squares per row and the part of it the polynomial fit
+    explains; their difference is the fit's residual sum of squares."""
     proj = seg @ q
-    return np.einsum("ij,ij->i", seg, seg) - np.einsum("ij,ij->i", proj, proj)
+    return np.einsum("ij,ij->i", seg, seg), np.einsum("ij,ij->i", proj, proj)
+
+
+# Fitting every segment start (``_segment_rss``) cost 9 to 24 times as
+# much per point of x as tiling did per box point (order 1, box sizes 8
+# to 2048, 1e5 points, a 2-vCPU VM), so windows are tiled while their
+# boxes hold at most this many points per point of x.  From 2 up, a
+# single window always tiles.
+_TILE_BUDGET = 8
+# cancellation floor: differences this far below the subtracted terms
+# are rounding residue of an exactly-fitting box, not signal
+_FLOOR = 64.0 * np.finfo(float).eps
+
+
+def _tiling_rss(x, m: int, shift: int, config: DfaConfig) -> np.ndarray:
+    """Box RSS totals of the forward and backward tilings of each window
+    ``x[s : s + m + 1]``, s = 0, shift, ..., one column per box size:
+    size-n boxes start at s + 1 + j*n and s + 1 + m - k*n + j*n, j < k =
+    m // n, so a column over 2*k*n is F(n)^2, 0 where every box fits."""
+    wins = sliding_window_view(x, m + 1)[::shift]
+    starts = shift * np.arange(len(wins))
+    total = np.empty((starts.size, len(config.box_sizes)))
+    inc_fft = None
+    for j, n in enumerate(config.box_sizes):
+        k = m // n
+        q = _poly_basis(n, config.poly_order)
+        if tiled := 2 * starts.size * k * n <= _TILE_BUDGET * x.size:
+            seg = np.empty((starts.size, 2, k, n))
+            for half, first in enumerate((1, m + 1 - k * n)):
+                tiles = wins[:, first : first + k * n].reshape(starts.size, k, n)
+                np.subtract(tiles, tiles[:, :, :1], out=seg[:, half])  # conditioning only; absorbed by the fit
+            s2, quad = _box_rss(seg.reshape(-1, n), q)
+        else:
+            if inc_fft is None:
+                # the correlations read no wrapped lag once the transform
+                # holds all x.size - 1 increments
+                fft_len = 1 << (x.size - 2).bit_length()
+                inc_fft = np.fft.rfft(np.diff(x), fft_len)
+            s2, quad = _segment_rss(x, q, inc_fft, fft_len)
+        rss = s2 - quad
+        rss[rss <= _FLOOR * (s2 + quad)] = 0.0
+        if tiled:
+            total[:, j] = rss.reshape(starts.size, 2 * k).sum(axis=1)
+        else:
+            firsts = starts + 1 + np.array([[0], [m - k * n]])
+            total[:, j] = _strided_sums(rss, firsts, n, k).sum(axis=0)
+    return total
+
+
+def _pooled_f2(days, config: DfaConfig) -> np.ndarray:
+    """F(n)^2 per box size of increment series pooled as days: each day is
+    profiled as one window of ``_tiling_rss``, and F(n)^2 is the days'
+    total box RSS over their total box points."""
+    sizes = np.array(config.box_sizes)
+    rss = points = 0
+    for day, inc in enumerate(days):
+        if inc.size < sizes[-1] * config.min_boxes:
+            raise SeriesTooShort(
+                f"day {day}: length {inc.size} < largest box {sizes[-1]} x min_boxes {config.min_boxes}"
+            )
+        profile = np.zeros(inc.size + 1)
+        np.cumsum(inc - inc.mean(), out=profile[1:])
+        rss = rss + _tiling_rss(profile, inc.size, 1, config)[0]
+        points = points + 2 * (inc.size // sizes) * sizes
+    return np.maximum(rss, 0.0) / points
 
 
 def dfa_fluctuation(increments, config: DfaConfig) -> list:
@@ -142,52 +214,46 @@ def dfa_fluctuation(increments, config: DfaConfig) -> list:
     degree-d increment trend vanishes for poly_order >= d + 1).
     """
     x = np.asarray(increments, dtype=float).ravel()
-    n_obs = x.size
-    if n_obs < 4:
+    if x.size < 4:
         raise SeriesTooShort("need at least 4 increments")
     if np.all(x == x[0]):
         raise DegenerateSeries("constant input")
-    if n_obs < config.box_sizes[-1] * config.min_boxes:
-        raise SeriesTooShort(
-            f"length {n_obs} < largest box {config.box_sizes[-1]} x min_boxes {config.min_boxes}"
-        )
-    profile = np.cumsum(x - x.mean())
-    out = []
-    for n in config.box_sizes:
-        k = n_obs // n
-        q = _poly_basis(n, config.poly_order)
-        fwd = profile[: k * n].reshape(k, n)
-        bwd = profile[n_obs - k * n :].reshape(k, n)
-        rss = _box_rss(np.vstack([fwd, bwd]), q)
-        f = np.sqrt(max(float(rss.sum()), 0.0) / (2 * k * n))
-        out.append((int(n), f))
-    return out
+    return list(zip(config.box_sizes, np.sqrt(_pooled_f2([x], config))))
 
 
 def hurst_exponent(series, config: DfaConfig | None = None) -> HurstEstimate:
-    """DFA Hurst exponent of a price-like path (differenced internally)."""
+    """DFA Hurst exponent of a price-like path (differenced internally).
+
+    The days of ``session_boundaries`` are differenced and profiled apart
+    and pooled, so no box spans a day break; the default config comes from
+    the shortest day.
+    """
     arr = np.asarray(getattr(series, "values", series), dtype=float).ravel()
-    inc = np.diff(arr)
+    bounds = (*getattr(series, "session_boundaries", (0,)), arr.size)
+    days = [np.diff(arr[a:b]) for a, b in zip(bounds, bounds[1:])]
     if config is None:
-        config = DfaConfig.for_length(inc.size)
-    pairs = dfa_fluctuation(inc, config)
-    f = np.array([p[1] for p in pairs])
+        day = int(np.argmin([inc.size for inc in days]))
+        try:
+            config = DfaConfig.for_length(days[day].size)
+        except SeriesTooShort as exc:
+            raise SeriesTooShort(f"day {day}: {exc}") from None
+    f = np.sqrt(_pooled_f2(days, config))
     if np.any(f <= 0.0):
         raise DegenerateSeries("fluctuation function vanishes; no scaling exponent")
-    fit = linfit(np.log2([p[0] for p in pairs]), np.log2(f))
-    return HurstEstimate(h=fit.slope, stderr=fit.stderr, n_points=len(pairs))
+    fit = linfit(np.log2(config.box_sizes), np.log2(f))
+    return HurstEstimate(h=fit.slope, stderr=fit.stderr, n_points=f.size)
 
 
-def _segment_rss(x, n, order, inc_fft, fft_len):
-    """RSS of the degree-``order`` fit to every segment ``x[b : b + n]``,
-    b = 0 .. x.size - n, and whether it vanishes (flat or exactly
-    polynomial segments).
+def _segment_rss(x, q, inc_fft, fft_len) -> tuple:
+    """``_box_rss`` of the fit with basis q to every segment
+    ``x[b : b + n]``, b = 0 .. x.size - n.
 
     A box fit of a window's profile equals, in exact arithmetic, the same
     polynomial fit applied to the raw price segment covering the box
     (window-mean and profile-offset terms are affine and absorbed for
     poly_order >= 1).  ``inc_fft`` is ``rfft(diff(x), fft_len)``.
     """
+    n = q.shape[0]
     n_seg = x.size - n + 1
     # Squared deviations from the segment mean, from moment sums taken
     # within aligned blocks of n points relative to each block's first
@@ -212,15 +278,9 @@ def _segment_rss(x, n, order, inc_fft, fft_len):
     # Projections on the non-constant basis columns, by summation by parts:
     # each column q sums to zero, so sum_i q[i] x[b+i] = -sum_j Q[j] dx[b+j]
     # with Q the column's running sum, one cross-correlation per column.
-    run = np.cumsum(_poly_basis(n, order)[:, 1:], axis=0)[:-1].T
+    run = np.cumsum(q[:, 1:], axis=0)[:-1].T
     proj = np.fft.irfft(inc_fft * np.conj(np.fft.rfft(run, fft_len)), fft_len)[:, :n_seg]
-    quad = s1 * s1 / n + np.einsum("ij,ij->j", proj, proj)
-    rss = s2 - quad
-    # cancellation floor: differences this far below the subtracted terms
-    # are rounding residue of an exactly-fitting box, not signal
-    flat = rss <= 64.0 * np.finfo(float).eps * (s2 + quad)
-    rss[flat] = 0.0
-    return rss, flat
+    return s2, s1 * s1 / n + np.einsum("ij,ij->j", proj, proj)
 
 
 def _strided_sums(v, firsts, n, k):
@@ -262,23 +322,7 @@ def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None
     times = np.arange(window, n_obs + 1, shift, dtype=np.int64)
     starts = times - window
     sizes = np.array(config.box_sizes)
-
-    # Every box's RSS once per size, then each window's forward and
-    # backward partitions as strided sums; box starts are in price
-    # coordinates, one past the window start.  The correlations read no
-    # wrapped lag once the transform holds all n_obs - 1 increments.
-    fft_len = 1 << (n_obs - 2).bit_length()
-    inc_fft = np.fft.rfft(np.diff(arr), fft_len)
-    f2 = np.empty((times.size, sizes.size))
-    for j, n in enumerate(config.box_sizes):
-        k = m // n
-        rss, flat = _segment_rss(arr, n, config.poly_order, inc_fft, fft_len)
-        flat = flat.astype(np.int64)
-        firsts = (starts + 1, starts + 1 + m - k * n)
-        total = sum(_strided_sums(rss, a, n, k) for a in firsts)
-        n_flat = sum(_strided_sums(flat, a, n, k) for a in firsts)
-        total[n_flat == 2 * k] = 0.0
-        f2[:, j] = total / (2 * k * n)
+    f2 = _tiling_rss(arr, m, shift, config) / (2 * (m // sizes) * sizes)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logf = 0.5 * np.log2(f2)

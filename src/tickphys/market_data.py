@@ -197,6 +197,9 @@ class RegularSeries:
             raise ValueError("RegularSeries requires at least one value")
         if self.interval_ns <= 0:
             raise ValueError("interval must be positive")
+        last = int(self.start_ns) + int(self.interval_ns) * (self.values.size - 1)
+        if self.start_ns < -(2**63) or last >= 2**63:
+            raise ValueError(f"grid from {self.start_ns} to {last} ns leaves int64")
         object.__setattr__(self, "session_boundaries", _day_index(self.session_boundaries, self.values.size))
 
     def __len__(self) -> int:

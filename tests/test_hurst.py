@@ -3,12 +3,15 @@
 The generators provide the oracle: white noise and fBm have known H, a
 polynomial trend is absorbed exactly by a high enough detrending order,
 and the sliding-window estimator at shift = window must reproduce the
-whole-series estimator window by window.  The polynomial basis cache is
-held to the uncached estimator kept in ``_reference_hurst``.
+whole-series estimator window by window.  The polynomial basis cache and
+the one box-fitting engine are held to the estimators kept in
+``_reference_hurst``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _reference_hurst
 from tickphys import hurst
@@ -214,13 +217,14 @@ def test_hurst_exponent_matches_the_uncached_estimator(fresh_basis):
     assert info.hits > 0 and info.misses > info.maxsize
 
 
+@pytest.mark.parametrize("shift", [100, 1024])
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_local_hurst_is_the_same_from_a_cold_and_a_warm_basis(order, fresh_basis):
+def test_local_hurst_is_the_same_from_a_cold_and_a_warm_basis(order, shift, fresh_basis):
     path = gen_fbm(FbmSpec(hurst=0.6, n=6000, seed=21))
     cfg = DfaConfig.for_length(1023, poly_order=order)
-    cold = local_hurst(path, window=1024, shift=100, config=cfg)
+    cold = local_hurst(path, window=1024, shift=shift, config=cfg)
     assert hurst._poly_basis.cache_info().hits == 0
-    warm = local_hurst(path, window=1024, shift=100, config=cfg)
+    warm = local_hurst(path, window=1024, shift=shift, config=cfg)
     assert hurst._poly_basis.cache_info().hits == len(cfg.box_sizes)
     for name in ("times", "h", "stderr", "spans_boundary"):
         assert np.array_equal(getattr(cold, name), getattr(warm, name), equal_nan=True)
@@ -231,3 +235,68 @@ def test_cached_basis_is_read_only(fresh_basis):
     assert q is hurst._poly_basis(16, 2)
     with pytest.raises(ValueError):
         q[0, 0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.floats(min_value=0.3, max_value=0.95),
+    seed=st.integers(min_value=0, max_value=2**31),
+    order=st.integers(min_value=1, max_value=3),
+    window=st.sampled_from([64, 200, 512, 1024]),
+    shift_over_window=st.one_of(st.floats(min_value=0.002, max_value=0.2), st.floats(min_value=1.0, max_value=2.0)),
+    flat=st.booleans(),
+)
+@example(h=0.95, seed=1, order=3, window=512, shift_over_window=0.05, flat=True)
+@example(h=0.3, seed=2, order=1, window=1024, shift_over_window=1.0, flat=True)
+def test_local_hurst_matches_the_frozen_kernel(h, seed, order, window, shift_over_window, flat):
+    # shifts below the window fit every box start (all-starts branch),
+    # sparse ones tile each window; the frozen kernel always fits every start
+    path = gen_fbm(FbmSpec(hurst=h, n=5000, seed=seed))
+    if flat:  # a flat stretch and a ramp: every box inside them fits exactly
+        inc = np.diff(path)
+        inc[1000:2200] = 0.0
+        inc[3000:4200] = 0.5
+        path = np.concatenate(([path[0]], path[0] + np.cumsum(inc)))
+    shift = max(1, round(shift_over_window * window))
+    cfg = DfaConfig.for_length(window - 1, poly_order=order)
+    got = local_hurst(path, window, shift, cfg)
+    ref = _reference_hurst.local_hurst(path, window, shift, cfg)
+    assert np.array_equal(got.times, ref.times)
+    assert np.array_equal(np.isnan(got.h), np.isnan(ref.h))
+    m = window - 1
+    tiled = any(2 * got.times.size * (m // n) * n <= hurst._TILE_BUDGET * path.size for n in cfg.box_sizes)
+    if tiled:
+        np.testing.assert_allclose(got.h, ref.h, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got.stderr, ref.stderr, rtol=0, atol=1e-11)
+    else:
+        assert np.array_equal(got.h, ref.h, equal_nan=True)
+        assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
+
+
+def _two_days(jump):
+    # H = 0.3 days on a 1/1000 tick, so adding an integer jump is exact
+    days = [np.round(1000 * gen_fbm(FbmSpec(hurst=0.3, n=2**15, seed=s))) for s in (41, 42)]
+    sigma = float(np.std(np.diff(days[1])))
+    second = days[1] - days[1][0] + days[0][-1] + np.round(jump * sigma)
+    values = np.concatenate([days[0], second])
+    return days, RegularSeries(start_ns=0, interval_ns=1, values=values, session_boundaries=(0, 2**15))
+
+
+def test_hurst_exponent_pools_days_and_ignores_the_overnight_jump():
+    days, series = _two_days(0)
+    est = hurst_exponent(series)
+    cfg = DfaConfig.for_length(2**15 - 1)
+    assert est.h == _reference_hurst.pooled_hurst_exponent(days, cfg)
+    assert est.h == hurst_exponent(series, cfg).h
+    for jump in (50, 500):
+        assert repr(hurst_exponent(_two_days(jump)[1])) == repr(est)
+
+
+def test_hurst_exponent_names_the_day_too_short():
+    path = gen_brownian(700, seed=9)
+    series = RegularSeries(start_ns=0, interval_ns=1, values=path, session_boundaries=(0, 600))
+    with pytest.raises(SeriesTooShort, match="day 1"):
+        hurst_exponent(series, DfaConfig(box_sizes=(8, 16, 32)))
+    series = RegularSeries(start_ns=0, interval_ns=1, values=path, session_boundaries=(0, 10, 600))
+    with pytest.raises(SeriesTooShort, match="day 0"):
+        hurst_exponent(series)

@@ -510,6 +510,20 @@ def test_regular_series_roundtrip():
     assert back.session_boundaries == (0, 2)
 
 
+def test_regular_series_grid_stays_in_int64():
+    # a grid whose last stamp leaves int64 wrapped silently on output
+    with pytest.raises(ValueError, match="int64"):
+        RegularSeries(start_ns=0, interval_ns=2**62, values=[0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="int64"):
+        RegularSeries(start_ns=-(2**63) - 1, interval_ns=1, values=[0.0])
+    for start, step in ((2**63 - 1 - 2 * 2**61, 2**61), (-(2**63), 2**62)):
+        series = RegularSeries(start_ns=start, interval_ns=step, values=[0.0, 1.0, 2.0])
+        back = parse_regular_series(serialize_regular_series(series))
+        assert back.start_ns == start and back.interval_ns == step
+        assert back.timestamps_ns.tolist() == [start, start + step, start + 2 * step]
+        assert np.array_equal(back.values, series.values)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     values=st.lists(
