@@ -35,7 +35,13 @@ from .invstat import (
     fit_tail_power_law,
     optimal_horizon,
 )
-from .market_data import RegularSeries, parse_book, parse_regular_series, serialize_regular_series
+from .market_data import (
+    _CHUNK_BYTES,
+    RegularSeries,
+    parse_book,
+    parse_regular_series,
+    serialize_regular_series,
+)
 from .obrelax import (
     fit_stretched_exp,
     imbalance_series,
@@ -64,14 +70,27 @@ def _utcnow() -> str:
 
 
 def _load(path: str, parse):
-    """``parse`` of the bytes of an input file, read once, and their sha256:
-    nothing decodes them or rewrites their line ends first.  An input that
-    cannot be read (absent, a directory, not permitted) is a data error."""
+    """``parse`` of the bytes of an input file and their sha256.  The file
+    is read once, in chunks that are hashed as ``parse`` takes them, so it
+    is never held whole; nothing decodes the bytes or rewrites their line
+    ends first.  An input that cannot be read (absent, a directory, not
+    permitted) is a data error."""
+    digest = hashlib.sha256()
+
+    def hashed(chunks):
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            chunks = iter(lambda: f.read(_CHUNK_BYTES), b"")
+            parsed = parse(hashed(chunks))
+            for chunk in chunks:  # any bytes the parser left
+                digest.update(chunk)
     except OSError as exc:
         raise DataError(exc) from None
-    return parse(raw), hashlib.sha256(raw).hexdigest()
+    return parsed, digest.hexdigest()
 
 
 def _manifest(subcommand: str, params: dict, digest: str, started: str) -> str:

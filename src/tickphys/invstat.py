@@ -21,6 +21,7 @@ threshold; ``exit_times`` is a one-threshold query of a fresh index.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -137,12 +138,13 @@ def _int_ticks(values, what: str) -> np.ndarray:
 
 def _as_days(data) -> list:
     """Normalize ``Ticks``, a ``RegularSeries`` or a price array to
-    [(int64 prices, timestamps_ns or None, open_ns)], one entry per
-    non-empty day."""
+    [(int64 prices, stamps, open_ns)], one entry per non-empty day, where
+    ``stamps`` maps row indices to their int64 timestamps_ns (None without
+    a clock)."""
     if isinstance(data, Ticks):
         bounds = data.session_boundaries + (len(data),)
         return [
-            (data.prices[a:b], data.timestamps_ns[a:b], open_ns)
+            (data.prices[a:b], data.timestamps_ns[a:b].__getitem__, open_ns)
             for a, b, open_ns in zip(bounds, bounds[1:], data.session_open_ns) if b > a
         ]
     if isinstance(data, RegularSeries):
@@ -151,9 +153,10 @@ def _as_days(data) -> list:
         step, longest = int(data.interval_ns), max(b - a for a, b in zip(bounds, bounds[1:]))
         if (longest - 1) * step >= 2**63:
             raise DataError(f"a day of {longest} points {step} ns apart spans 2**63 ns or more, beyond int64")
-        # each day's stamps count from its open, built from its own slice (one point: 0)
+        # each day's stamps count from its open, i * step (one point: 0), and
+        # are computed per query rather than kept
         return [
-            (prices[a:b], np.arange(b - a, dtype=np.int64) * (step if b - a > 1 else 0), 0)
+            (prices[a:b], functools.partial(np.multiply, step if b - a > 1 else 0), 0)
             for a, b in zip(bounds, bounds[1:]) if b > a
         ]
     arr = np.asarray(data)
@@ -205,21 +208,25 @@ class _Ladder:
         key.sort()  # the keys are unique, so any sort gives the one order
         self.key = key
         self.entry_key = np.sort(levels * nn + np.arange(n, dtype=np.int64))  # sorted needles
-        self.entry_t = self.entry_key % nn
         self.span = span
 
     def first_crossing(self, threshold: int) -> np.ndarray:
         """Per entry t, the first j > t with p[j] >= p[t] + threshold, or -1."""
         if threshold >= self.span or not self.key.size:  # no level to reach
             return np.full(self.entry_key.size, -1, dtype=np.int64)
-        lift = np.int64(threshold) * np.int64(self.entry_key.size)
-        idx = np.searchsorted(self.key, self.entry_key + lift, side="right")
-        found = self.key[np.minimum(idx, self.key.size - 1)]
-        # found's time if it sits on the target level; a key at or below
-        # the query, where none is above it, gives j <= t
-        j = found - lift - self.entry_key + self.entry_t
+        n = self.entry_key.size
+        needle = self.entry_key + np.int64(threshold) * np.int64(n)
+        # the first key above each needle, or the last key where none is
+        j = self.key.take(np.searchsorted(self.key, needle, side="right"), mode="clip")
+        # its time if it sits on the target level; a key at or below the
+        # query gives j <= t
+        j -= needle
+        del needle
+        t = self.entry_key % np.int64(n)
+        j += t
+        j[(j <= t) | (j >= n)] = -1
         out = np.empty_like(j)
-        out[self.entry_t] = np.where((j > self.entry_t) & (j < self.entry_key.size), j, -1)
+        out[t] = j
         return out
 
 
@@ -240,7 +247,7 @@ class CrossingIndex:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         self.direction = direction
         self._days = []
-        for prices, ts_ns, open_ns in _as_days(data):
+        for prices, stamps, open_ns in _as_days(data):
             lo, hi = int(prices.min()), int(prices.max())
             span = hi - lo + 1
             _check_key_range(span, prices.size)  # before any level arithmetic
@@ -249,14 +256,14 @@ class CrossingIndex:
                 _Ladder(prices - np.int64(lo) if side > 0 else np.int64(hi) - prices, span)
                 for side in _SIDES[direction]
             ]
-            self._days.append((prices.size, ts_ns, open_ns, ladders))
+            self._days.append((prices.size, stamps, open_ns, ladders))
         if not self._days:
             raise EmptyInput("no prices to scan")
 
     def exit_times(self, threshold: int, clock: str = "tick") -> ExitTimes:
         """Waiting times to the first crossing of ``threshold`` ticks."""
         config = ExitTimeConfig(threshold=int(threshold), direction=self.direction, clock=clock)
-        if clock == "wall" and any(ts_ns is None for _, ts_ns, _, _ in self._days):
+        if clock == "wall" and any(stamps is None for _, stamps, _, _ in self._days):
             raise ValueError("wall clock needs timestamped input")
         # each day's exits written in place into arrays sized for every
         # entry, so no per-day chunks are held beside a concatenated copy
@@ -266,26 +273,28 @@ class CrossingIndex:
         entry_second = np.empty(n_entries)
         k = 0
         offset = 0
-        for n, ts_ns, open_ns, ladders in self._days:
+        for n, stamps, open_ns, ladders in self._days:
             exit_idx = ladders[0].first_crossing(config.threshold)
             if len(ladders) == 2:
                 dn_idx = ladders[1].first_crossing(config.threshold)
                 exit_idx = np.where(
                     (exit_idx >= 0) & ((dn_idx < 0) | (exit_idx <= dn_idx)), exit_idx, dn_idx
                 )
-            hit = exit_idx >= 0
-            t = np.nonzero(hit)[0]
-            j = exit_idx[hit]
+            t = np.flatnonzero(exit_idx >= 0)
+            j = exit_idx[t]
+            del exit_idx
             end = k + t.size
             if clock == "tick":
-                tau[k:end] = j - t
+                np.subtract(j, t, out=tau[k:end])
             else:
-                tau[k:end] = wall_seconds(ts_ns[j] - ts_ns[t])
+                j = stamps(j)
+                j -= stamps(t)
+                tau[k:end] = wall_seconds(j)
             entry_index[k:end] = t + offset
-            if ts_ns is None:
+            if stamps is None:
                 entry_second[k:end] = np.nan
             else:
-                entry_second[k:end] = (ts_ns[t] - open_ns) / NS_PER_S
+                entry_second[k:end] = (stamps(t) - open_ns) / NS_PER_S
             k = end
             offset += n
         return ExitTimes(

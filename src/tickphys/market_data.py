@@ -25,11 +25,13 @@ session, and ``resample`` puts each day on a regular grid in ticks.  A
 tick size is a finite positive decimal that some nonzero price of at most
 19 digits is an int64 count of; any other is a bad header.
 
-Each reader takes a file's bytes, or a str as its UTF-8 encoding, and
-decodes only a header, the comments and the cells that ``int()`` and
-``float()`` read: one that is not UTF-8 is a ``MalformedRow`` at its
-line.  One kernel splits the bytes into blocks of lines, and each block
-into cells by its commas, checking field counts by comma stride.  The
+Each reader takes a file's bytes, a str as its UTF-8 encoding, or an
+iterable of byte chunks cut anywhere, and reads them chunk by chunk
+(bytes in slices of ``_CHUNK_BYTES``).  It decodes only a header, the
+comments and the cells that ``int()`` and ``float()`` read: one that is
+not UTF-8 is a ``MalformedRow`` at its line.  One kernel cuts the chunks
+into blocks of lines, and each block into cells by its commas, checking
+field counts by comma stride.  The
 cells of a column, or of a book's price or volume levels together, are
 read in one Horner pass over their bytes, right-aligned to the widest of
 them (at most 21 bytes), that also counts each cell's digits and dots: a
@@ -63,6 +65,7 @@ unique, from 0 and within the rows).
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -257,8 +260,12 @@ class Ticks:
 _TICK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s*$")
 _BOOK_HEADER = re.compile(r"^#\s*tick_size=(\S+)\s+depth=(\d+)\s*$")
 _FOOTER = re.compile(r"#\s*session_boundaries=(.*)")
-_FIRST_LINE = re.compile(rb"[^\n]*")  # the header, without a copy of the rest
+_FIRST_LINE = re.compile(rb"[^\n]*")  # a chunk up to its first "\n"
 _BLOCK_LINES = 1 << 13  # lines per vectorized pass: temporaries stay O(block)
+# Bytes per read of an input, so that it is never held whole.  Larger reads
+# cost memory; smaller ones leave glibc's mmap threshold, which follows the
+# largest block freed, below the temporaries that the kernels allocate next.
+_CHUNK_BYTES = 1 << 21
 _I64_MAX = np.iinfo(np.int64).max
 _POW10 = np.array([float(10**k) for k in range(21)])  # each exact in float64
 
@@ -331,9 +338,29 @@ def _ticks(mant, frac, tick: Fraction):
     return ticks, on_grid, fits
 
 
-def _utf8(data: bytes | str) -> bytes:
-    """Bytes as they are; a str as its UTF-8 encoding, lone surrogates kept for no decode to accept."""
-    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+def _chunks(data):
+    """``data`` as an iterator of byte chunks: bytes in memoryview slices of
+    ``_CHUNK_BYTES``, a str as its UTF-8 encoding, lone surrogates kept for
+    no decode to accept, and any other iterable as it comes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if isinstance(data, bytes):
+        view = memoryview(data)
+        return (view[i : i + _CHUNK_BYTES] for i in range(0, len(view), _CHUNK_BYTES))
+    return iter(data)
+
+
+def _head(data) -> tuple[bytes, object]:
+    """The first line of ``data`` without its "\n", and an iterator over
+    all of its chunks, those read to find that line included."""
+    chunks, seen, line = _chunks(data), [], b""
+    for chunk in chunks:
+        seen.append(chunk)
+        part = _FIRST_LINE.match(chunk)[0]
+        line += part
+        if len(part) < len(chunk):
+            break
+    return line, itertools.chain(seen, chunks)
 
 
 def _text(raw: bytes, lineno: int) -> str:
@@ -344,25 +371,51 @@ def _text(raw: bytes, lineno: int) -> str:
         raise MalformedRow(lineno, f"bytes that are not UTF-8 ({exc.reason})") from None
 
 
-def _blocks(data: bytes, n_fields: int, comments: list | None = None):
+def _line_blocks(data, skip: int):
+    """Yield ``(lineno, blk, e)`` per block of ``_BLOCK_LINES`` lines of
+    ``data`` from its 0-based line ``skip`` on: ``blk`` holds the block's
+    bytes, every line ended by "\n" (one is added to a last line without
+    one), ``e`` the offsets of those "\n" and ``lineno`` the number of the
+    block's first line.  Only the lines of a block not yet whole wait for
+    the next chunk."""
+    held, count, line = [], 0, 0  # the arrays that wait, the "\n" in them, their first line
+    for chunk in itertools.chain(_chunks(data), [None]):
+        if chunk is not None:
+            held.append(np.frombuffer(chunk, np.uint8))
+            count += int(np.count_nonzero(held[-1] == 10))
+            if line + count < skip + _BLOCK_LINES:
+                continue
+        if not held:
+            return
+        buf = held[0] if len(held) == 1 else np.concatenate(held)
+        ends = np.flatnonzero(buf == 10)
+        if chunk is None and buf.size and buf[-1] != 10:
+            ends = np.append(ends, buf.size)  # a last line without "\n"
+        # every line at the end of the input, else those up to the last block edge
+        edge = (line + ends.size - skip) // _BLOCK_LINES * _BLOCK_LINES + skip
+        stop = ends.size if chunk is None else edge - line
+        for first in range(max(skip - line, 0), stop, _BLOCK_LINES):
+            lo, e = ends[first - 1] + 1 if first else 0, ends[first : first + _BLOCK_LINES]
+            blk, e = buf[lo : e[-1] + 1], e - lo
+            if blk.size == e[-1]:  # "\n" ends every block: it pads the first cell
+                blk = np.append(blk, np.uint8(10))
+            yield line + first + 1, blk, e
+        # a copy, so that the buffer of the blocks yielded is freed
+        held, count, line = [buf[ends[stop - 1] + 1 if stop else 0 :].copy()], ends.size - stop, line + stop
+
+
+def _blocks(data, n_fields: int, comments: list | None = None):
     """Yield ``(lineno, blk, s, e)`` per block of the non-blank rows after the
     header, cell j of row i being ``blk[s[i, j]:e[i, j]]``.  A row without
     ``n_fields`` fields raises after the rows before it, which may hold an
-    earlier error, are yielded.
+    earlier error, are yielded.  ``data`` is bytes, a str or an iterable of
+    byte chunks, which may split a line anywhere.
 
     Given a list ``comments``, there is no header: rows start at line 1, and
     a line whose first byte is "#" is not a row but is appended to the list
     as ``(lineno, bytes of the line)``.
     """
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    if buf.size and buf[-1] != 10:
-        ends = np.append(ends, buf.size)  # a last line without "\n"
-    for first in range(1 if comments is None else 0, ends.size, _BLOCK_LINES):
-        lo, e = ends[first - 1] + 1 if first else 0, ends[first : first + _BLOCK_LINES]
-        blk, e = buf[lo : e[-1] + 1], e - lo
-        if blk.size == e[-1]:  # "\n" ends every block: it pads the first cell
-            blk = np.append(blk, np.uint8(10))
+    for first, blk, e in _line_blocks(data, 1 if comments is None else 0):
         s = np.concatenate(([0], e[:-1] + 1))
         e -= (e > s) & (blk[e - 1] == 13)  # \r\n ends a line as \n does
         blank = np.flatnonzero((blk == 32) | (blk == 9) | (blk == 13))
@@ -370,10 +423,10 @@ def _blocks(data: bytes, n_fields: int, comments: list | None = None):
         commas = np.flatnonzero(blk == 44)
         if comments is not None and (note := ink & (blk[s] == 35)).any():
             for k in np.flatnonzero(note).tolist():
-                comments.append((k + first + 1, blk[s[k] : e[k]].tobytes()))
+                comments.append((k + first, blk[s[k] : e[k]].tobytes()))
             commas = commas[~note[np.searchsorted(s, commas, side="right") - 1]]
             ink &= ~note
-        lineno, s, e = np.flatnonzero(ink) + first + 1, s[ink], e[ink]
+        lineno, s, e = np.flatnonzero(ink) + first, s[ink], e[ink]
         # Every comma lies in a row.  If the commas number k per row and the
         # i-th group of k lies within row i, every row holds exactly k.
         k, n = n_fields - 1, e.size
@@ -395,14 +448,14 @@ def _raise_first(lineno, checks):
         raise error(int(lineno[row]), message)
 
 
-def parse_ticks(data: bytes | str) -> tuple[Ticks, Decimal]:
+def parse_ticks(data) -> tuple[Ticks, Decimal]:
     """Parse a tick CSV into columns with integer-tick prices, as one day.
 
     Returns ``(ticks, tick_size)``.  Raises MalformedRow, TickSizeViolation
     or NonMonotonicTime with the offending line number.
     """
-    data = _utf8(data)
-    m = _TICK_HEADER.match(_text(_FIRST_LINE.match(data)[0], 1))
+    head, data = _head(data)
+    m = _TICK_HEADER.match(_text(head, 1))
     if not m:
         raise MalformedRow(1, "missing tick_size header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
@@ -432,15 +485,15 @@ def _format_price(ticks: int, tick_size: Decimal) -> str:
     return format(value, "f")
 
 
-def parse_book(data: bytes | str) -> tuple[Book, Decimal, int]:
+def parse_book(data) -> tuple[Book, Decimal, int]:
     """Parse a book CSV into int64 columns.
 
     Returns ``(book, tick_size, depth)``, the depth the header declares.
     The first bad row raises with its line number and the error a reader
     going row by row would raise.
     """
-    data = _utf8(data)
-    m = _BOOK_HEADER.match(_text(_FIRST_LINE.match(data)[0], 1))
+    head, data = _head(data)
+    m = _BOOK_HEADER.match(_text(head, 1))
     if not m:
         raise MalformedRow(1, "missing 'tick_size=... depth=...' header")
     tick_frac, tick_dec = _parse_tick_size(m.group(1), 1)
@@ -596,48 +649,25 @@ def _read_cells(blk, s, e, read) -> list:
                 return out
 
 
-def _off_grid(ts: np.ndarray, big: dict, t0: int, step: int) -> tuple[int, str]:
-    """First row whose timestamp leaves int64 or the grid t0 + k * step, and
-    why; (len(ts), "") when none does.  ``big`` maps the rows beyond int64
-    to their timestamps, which read 0 in ``ts``."""
-    if step <= 0:
-        return 1, f"timestamp {t0 + step} does not follow {t0}"
-    k = min(big, default=ts.size)  # the rows before k fit int64
-    if k > 1:
-        head = ts[:k]
-        # a row past `reach` would need an offset beyond the spread: off the grid
-        reach = min(k, (int(head.max()) - int(head.min())) // step + 1)
-        # step fits uint64 (not always int64), as do the offsets from t0 of
-        # the rows at or above t0 and i * step for i < reach, which is at
-        # most the spread: each is exact in uint64
-        u = head[:reach].view(np.uint64)
-        off = (head[:reach] < t0) | (u - u[0] != np.arange(reach, dtype=np.uint64) * np.uint64(step))
-        j = int(np.argmax(off)) if off.any() else reach
-        if j < k:
-            return j, f"timestamp {int(ts[j])} is off the grid {t0} + k * {step}"
-    return (k, f"timestamp {big[k]} is beyond int64") if k < ts.size else (k, "")
-
-
-def _regular_rows(data: bytes, notes: list):
-    """The timestamps, values and line numbers of a regular CSV's rows, as
-    lists of one array per block, and the timestamps beyond int64 by row
-    (0 in their column).  The first row with a cell that is not UTF-8 or
-    that ``int``/``float`` reject raises."""
-    stamps, values, lines, big, rows = [], [], [], {}, 0
+def _regular_rows(data, notes: list):
+    """Per block of a regular CSV's rows: their line numbers, int64
+    timestamps and values, and the timestamps beyond int64 by row of the
+    block (0 in their column).  The first row with a cell that is not UTF-8
+    or that ``int``/``float`` reject raises."""
     for lineno, blk, s, e in _blocks(data, 2, notes):
         ts, ok = _integer(blk, s[:, 0], e[:, 0])
         mant, vfrac, vok = _number(blk, s[:, 1], e[:, 1])
         # an exact mantissa over an exact power of ten: one correctly rounded division
         val = np.abs(mant) / _POW10[vfrac]
         val = np.where(blk[s[:, 1]] == 45, -val, val)  # "-0" reads -0.0
-        bad = ts.size
+        bad, big = ts.size, {}
         slow = np.flatnonzero(~ok)
         got = _read_cells(blk, s[slow, 0], e[slow, 0], int)
         for i, t in zip(slow.tolist(), got):
             if -_I64_MAX - 1 <= t <= _I64_MAX:
                 ts[i] = t
             else:
-                big[rows + i], ts[i] = t, 0
+                big[i], ts[i] = t, 0
         if len(got) < slow.size:
             bad = slow[len(got)]
         slow = np.flatnonzero(~(vok & (np.abs(mant) < 2**53)))
@@ -648,14 +678,43 @@ def _regular_rows(data: bytes, notes: list):
             bad = slow[len(got)]
         if bad < ts.size:
             raise MalformedRow(int(lineno[bad]), "bad numeric field")
-        stamps.append(ts)
-        values.append(val)
-        lines.append(lineno)
-        rows += ts.size
-    return stamps, values, lines, big
+        yield lineno, ts, big, val
 
 
-def parse_regular_series(data: bytes | str) -> RegularSeries:
+def _first_fault(row: int, lineno, ts, big: dict, values, t0: int, step: int):
+    """``(line, why)`` of the first of a block's rows, rows ``row`` on,
+    beyond int64, off the grid t0 + i * step or not finite, or None.  With
+    step <= 0 only row 1 is off the grid."""
+    i = np.arange(row, row + ts.size, dtype=np.uint64)
+    if step <= 0:
+        grid = i == 1
+    elif -_I64_MAX - 1 <= t0 <= _I64_MAX:  # else row 0 is beyond int64
+        # Row i is on the grid if u_i - u_0 == i * step in uint64, i up to
+        # the grid's last point in int64: i * step is then exact, and the
+        # difference, of two int64, is too, unless it is negative, when
+        # t_i would lie below int64.
+        last = np.uint64((_I64_MAX - t0) // step)
+        off = ts.view(np.uint64) - np.uint64(t0 % 2**64) != i * np.uint64(min(step, 2**64 - 1))
+        grid = (i > last) | off
+        grid[list(big)] = True
+    else:
+        grid = np.ones(ts.size, bool)
+    bad = grid | ~np.isfinite(values)
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad))
+    if not grid[j]:
+        why = f"value {float(values[j])!r} is not finite"
+    elif step <= 0:
+        why = f"timestamp {t0 + step} does not follow {t0}"
+    elif j in big:
+        why = f"timestamp {big[j]} is beyond int64"
+    else:
+        why = f"timestamp {int(ts[j])} is off the grid {t0} + k * {step}"
+    return int(lineno[j]), why
+
+
+def parse_regular_series(data) -> RegularSeries:
     """Read rows ``timestamp_ns,value`` and the session-boundary footer.
 
     Timestamps must lie on the grid that ``serialize_regular_series``
@@ -664,21 +723,26 @@ def parse_regular_series(data: bytes | str) -> RegularSeries:
     a cell that is not UTF-8 or that ``int``/``float`` reject raises first,
     then the first row off the grid or not finite, then the first comment
     that is not UTF-8 or a bad footer: each a ``MalformedRow`` at its line.
+    Only the value column is kept; the grid is checked block by block.
     """
-    notes: list = []
-    ts, values, lines, big = _regular_rows(_utf8(data), notes)
-    if not ts:
+    notes, values, stamps, waiting, fault, rows = [], [], [], [], None, 0
+    for lineno, ts, big, val in _regular_rows(data, notes):
+        values.append(val)
+        stamps += [big.get(i, int(ts[i])) for i in range(min(2 - len(stamps), ts.size))]
+        if fault is None:
+            waiting.append((rows, lineno, ts, big, val))  # until rows 0 and 1 give the step
+            if len(stamps) == 2:
+                t0, step = stamps[0], stamps[1] - stamps[0]
+                fault = next(filter(None, (_first_fault(*block, t0, step) for block in waiting)), None)
+                waiting = []
+        rows += ts.size
+    if not values:
         raise MalformedRow(1, "no data rows")
-    ts, values = np.concatenate(ts), np.concatenate(values)
-    t0 = big.get(0, int(ts[0]))
-    step = big.get(1, int(ts[1])) - t0 if ts.size > 1 else 1
-    k, why = _off_grid(ts, big, t0, step)
-    finite = np.isfinite(values)
-    if not finite[:k].all():
-        k = int(np.argmin(finite))
-        why = f"value {float(values[k])!r} is not finite"
-    if k < ts.size:
-        raise MalformedRow(int(np.concatenate(lines)[k]), why)
+    if waiting:  # one row
+        t0, step = stamps[0], 1
+        fault = _first_fault(*waiting[0], t0, step)
+    if fault:
+        raise MalformedRow(*fault)
 
     boundaries, footer = (0,), None
     for lineno, line in notes:
@@ -689,6 +753,7 @@ def parse_regular_series(data: bytes | str) -> RegularSeries:
             except ValueError:
                 raise MalformedRow(lineno, f"bad session_boundaries {m.group(1)!r}") from None
             footer = lineno
+    values = np.concatenate(values)
     try:
         return RegularSeries(start_ns=t0, interval_ns=step, values=values, session_boundaries=boundaries)
     except ValueError as exc:  # only the footer can be at fault here

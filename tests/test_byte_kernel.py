@@ -4,7 +4,7 @@
 ``market_data._blocks`` checks field counts by comma stride; the kernel
 they replaced lives in ``_reference_kernel``.  Both must classify and
 read every cell alike, and cut every text into the same rows, cells and
-errors, whatever the block size.
+errors, whatever the block size and however the bytes are cut into chunks.
 """
 
 from unittest import mock
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel as reference
+from _chunks import chunked
 from tickphys import MalformedRow
 from tickphys import market_data
 
@@ -101,3 +102,26 @@ def test_blocks_cut_rows_like_the_reference(picked, n_fields, with_comments, new
         got = _outcome(market_data._blocks, text.encode(), n_fields, with_comments)
         assert got == _outcome(reference._blocks, text, n_fields, with_comments)
 
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    picked=st.lists(st.one_of(lines, st.sampled_from(["# caf\u00e9", "\u00e9,\u20ac", "\U0001f600"])),
+                    max_size=25),
+    n_fields=st.integers(2, 5),
+    with_comments=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    end=st.sampled_from(["", "\n"]),
+    block=st.sampled_from([1, 2, 3, reference._BLOCK_LINES]),
+)
+def test_blocks_cut_chunks_like_one_buffer(data, picked, n_fields, with_comments, newline, end, block):
+    """A stream of chunks, cut anywhere, gives the blocks, comments and
+    error of its bytes in one piece."""
+    raw = (newline.join(
+        line if isinstance(line, str) else ",".join([line[1]] * (n_fields + line[0]))
+        for line in picked
+    ) + end).encode()
+    chunks = data.draw(chunked(raw))
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        got = _outcome(market_data._blocks, iter(chunks), n_fields, with_comments)
+        assert got == _outcome(market_data._blocks, [raw], n_fields, with_comments)

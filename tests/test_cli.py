@@ -287,6 +287,44 @@ def test_inputs_are_read_once_as_text_files(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_inputs_are_hashed_chunk_by_chunk_as_they_are_parsed(tmp_path, capsys, monkeypatch):
+    """An input several chunks long gives the artifacts of one read whole,
+    and its manifest's digest is the sha256 of the file.  A bad row past
+    the first chunk is a data error at its line that leaves no --out, and
+    an absent or directory input is a data error too."""
+    cli.run(["synth", "--model", "tickwalk", "--n", "4000", "--seed", "2", "--out", str(tmp_path / "s")])
+    (tmp_path / "book.csv").write_text(_synthetic_book_text())
+    runs = {
+        "hurst": (tmp_path / "s" / "series.csv", ["--window", "512", "--shift", "256"]),
+        "invstat": (tmp_path / "s" / "series.csv", ["--target", "4", "--min-samples", "50"]),
+        "relax": (tmp_path / "book.csv", ["--kappa", "0.2", "--depth", "3", "--min-samples", "20"]),
+    }
+    whole = cli._CHUNK_BYTES
+    for command, (path, flags) in runs.items():
+        data = path.read_bytes()
+        lines = data.split(b"\n")
+        bad = len(lines) * 3 // 4
+        lines[bad - 1] += b"x"
+        (tmp_path / f"{command}_bad.csv").write_bytes(b"\n".join(lines))
+        outputs = []
+        for chunk in (whole, 4096):
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+            out = tmp_path / f"out_{command}_{chunk}"
+            assert cli.run([command, "--input", str(path), *flags, "--out", str(out)]) == 0, command
+            digest = json.loads((out / "manifest.json").read_text())["input_digest"]
+            assert digest == hashlib.sha256(data).hexdigest(), command
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert len(data) > 4 * 4096 and len(b"\n".join(lines[: bad - 1])) > 4096, command
+        assert outputs[0] == outputs[1], command
+        bad_inputs = [(tmp_path / f"{command}_bad.csv", bad), (tmp_path / "absent.csv", None), (tmp_path, None)]
+        for source, line in bad_inputs:
+            out = tmp_path / f"out_{command}_bad"
+            capsys.readouterr()
+            assert cli.run([command, "--input", str(source), *flags, "--out", str(out)]) == 2, (command, source)
+            assert capsys.readouterr().err.startswith(f"data error: line {line}: " if line else "data error: ")
+            assert not out.exists()
+
+
 def test_bad_footer_is_a_data_error_at_its_line(tmp_path, capsys):
     for footer in ("0;x", "0;5", "1", ""):
         path = tmp_path / "series.csv"

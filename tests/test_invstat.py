@@ -205,6 +205,32 @@ def test_crossing_index_matches_per_threshold_search(days, direction, clock, thr
             assert_same_exits(exit_times(prices, cfg), reference.exit_times(prices, cfg))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    step=st.sampled_from([1, 7, NS, 2**40]),
+    direction=st.sampled_from(("up", "down", "both")),
+    clock=st.sampled_from(("tick", "wall")),
+    thresholds=st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=4),
+)
+def test_regular_series_step_matches_its_stamps(data, step, direction, clock, thresholds):
+    """A RegularSeries day keeps its step, not a stamp per row: tau is
+    (j - t) * step and the entry second t * step / 1e9.  The same grid
+    given as Ticks with explicit stamps gathers both from its stamps; the
+    two must agree bit for bit, over several days and a one-point day."""
+    lengths = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3))
+    lengths.insert(data.draw(st.integers(min_value=0, max_value=len(lengths))), 1)
+    n = sum(lengths)
+    prices = np.cumsum(data.draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=n, max_size=n)))
+    start = data.draw(st.integers(min_value=-(2**62), max_value=2**62))
+    bounds = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+    series = RegularSeries(start, step, prices.astype(float), bounds)
+    ticks = Ticks(series.timestamps_ns, prices, session_boundaries=bounds)
+    from_step, from_stamps = CrossingIndex(series, direction), CrossingIndex(ticks, direction)
+    for r in thresholds:
+        assert_same_exits(from_step.exit_times(r, clock), from_stamps.exit_times(r, clock))
+
+
 SESSION = Session(open=dt.time(10, 0), close=dt.time(11, 0))
 
 

@@ -6,6 +6,7 @@ line number, since the CLI surfaces both.
 """
 
 import calendar
+import dataclasses
 import datetime as dt
 import re
 from decimal import Decimal
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import _reference_book as reference
 import _reference_regular
+from _chunks import chunked
 from _reference_book import assert_same_columns, snapshots
 from _tick_file import serialize_ticks
 from tickphys import (
@@ -585,6 +587,27 @@ def test_parse_regular_series_rejects_off_grid_and_non_finite_rows(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0,nan\n10,2\n20,3\n", 1),  # row 0 is judged once row 1 gives the step
+        (f"{2**63},1\n{2**63 + 10},2\n", 1),
+        (f"{2**63},1\n0,2\n", 2),  # no positive interval: row 0's stamp is not judged
+        ("0,nan\n0,2\n", 1),  # a non-finite row 0 comes before it
+        ("0,1\n10,inf\n20,3\n", 2),
+        ("0,1\n10,2\n21,3\n", 3),
+        ("0,1\n10,2\n20,3\n", None),
+    ],
+)
+def test_grid_faults_are_found_whatever_block_holds_rows_0_and_1(text, line):
+    outcomes = []
+    for block in (1, 2, market_data._BLOCK_LINES):
+        with mock.patch.object(market_data, "_BLOCK_LINES", block):
+            outcomes.append(_read(parse_regular_series, text))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][:2] == ([0, 10] if line is None else (MalformedRow, line))  # start and step
+
+
 # ------------------------------------------- regular series against reference
 
 # Where the columnar reader differs from the row-by-row one on purpose, and
@@ -741,3 +764,72 @@ def test_value_cells_read_as_float_reads_them(cells):
         return
     got = parse_regular_series(text).values
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# ------------------------------------------------ a stream of chunks cut anywhere
+
+
+@st.composite
+def tick_texts(draw):
+    """Tick files as serialize_ticks writes them, one to 30 rows."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=10**6),
+            st.integers(min_value=-10_000, max_value=10_000),
+            st.sampled_from([b"Q", b"T"]),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        min_size=1,
+        max_size=30,
+    ))
+    gaps, prices, kinds, volumes = zip(*rows)
+    ticks = Ticks(np.cumsum(gaps), prices, np.array(volumes), np.array(kinds, dtype="S1"))
+    return serialize_ticks(ticks, Decimal("0.01"))
+
+
+@st.composite
+def spoiled(draw, texts):
+    """A text of ``texts``, maybe with a cell swapped for a corrupt one and
+    a line of multi-byte characters inserted, with \\n or \\r\\n line ends."""
+    lines = draw(texts).split("\n")
+    if draw(st.booleans()):
+        i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(corrupt_cells)
+        lines[i] = ",".join(cells)
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from(["# caf\u00e9", "\u00e9,\u20ac", "# \U0001f600"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def _read(parse, data):
+    """A reader's columns and other results, or its error's class, line
+    and message."""
+    try:
+        got = parse(data)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    obj, rest = (got, ()) if isinstance(got, RegularSeries) else (got[0], got[1:])
+    parts = [getattr(obj, f.name) for f in dataclasses.fields(obj)] + list(rest)
+    return [p.tobytes() if isinstance(p, np.ndarray) else p for p in parts]
+
+
+READER_TEXTS = {
+    parse_regular_series: st.one_of(regular_texts(), corrupt_regular_texts()),
+    parse_book: book_texts(min_rows=1),
+    parse_ticks: tick_texts(),
+}
+
+
+@pytest.mark.parametrize("parse", list(READER_TEXTS), ids=lambda parse: parse.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), block=block_lines)
+def test_readers_read_a_stream_of_chunks_like_one_buffer(parse, data, block):
+    """Chunks cut anywhere, a header, a "\\r\\n" or a UTF-8 sequence split
+    included, give the columns or the error (class, line and message) of
+    the whole bytes."""
+    raw = data.draw(spoiled(READER_TEXTS[parse])).encode()
+    chunks = data.draw(chunked(raw))
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        assert _read(parse, iter(chunks)) == _read(parse, [raw])
