@@ -13,10 +13,11 @@ upward move that passes that level.  ``CrossingIndex`` therefore keeps,
 per day and side, every level that each upward move passes, keyed
 level * n + time and sorted once, plus the entries' keys p[t] * n + t,
 also sorted once.  A threshold query lifts the entry keys by R levels,
-which keeps them ascending, and one vectorized binary search over the
-ladder finds every entry's exit.  ``horizon_scaling`` and the
-``invstat`` subcommand build one index and query it threshold by
-threshold; ``exit_times`` is a one-threshold query of a fresh index.
+which keeps them ascending, and vectorized binary searches over the
+ladder, a fixed slice of entries at a time, find every entry's exit, so
+a query holds one day's exits beside its outputs.  ``horizon_scaling``
+and the ``invstat`` subcommand build one index and query it threshold
+by threshold; ``exit_times`` is a one-threshold query of a fresh index.
 """
 
 from __future__ import annotations
@@ -124,47 +125,48 @@ _KEY_LIMIT = 2**62
 def _int_ticks(values, what: str) -> np.ndarray:
     """Finite, exactly integer-valued float prices below 2**53 in magnitude
     as int64 ticks.  From 2**53 on a float no longer holds every integer,
-    so a value there may already be a neighbouring tick, rounded."""
+    so a value there may already be a neighbouring tick, rounded.  Beside
+    ``values`` it holds one rounded copy while it checks, then the result."""
     vals = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(vals)):
+    lo, hi = vals.min(), vals.max()  # a NaN or an infinity shows in these
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise TickSizeViolation(f"{what} are not finite")
-    ints = np.rint(vals)
-    if not np.array_equal(vals, ints):
+    if not np.array_equal(vals, np.rint(vals)):
         raise TickSizeViolation(f"{what} are not integer ticks")
-    if np.max(np.abs(ints)) >= 2.0**53:
+    if max(-lo, hi) >= 2.0**53:
         raise TickSizeViolation(f"{what} reach 2**53 ticks, beyond exact float integers")
-    return ints.astype(np.int64)
+    return vals.astype(np.int64)
 
 
-def _as_days(data) -> list:
+def _as_days(data):
     """Normalize ``Ticks``, a ``RegularSeries`` or a price array to
-    [(int64 prices, stamps, open_ns)], one entry per non-empty day, where
+    (int64 prices, stamps, open_ns), one per non-empty day, where
     ``stamps`` maps row indices to their int64 timestamps_ns (None without
-    a clock)."""
+    a clock).  A ``RegularSeries`` is converted a day at a time, as the
+    days are taken."""
     if isinstance(data, Ticks):
         bounds = data.session_boundaries + (len(data),)
-        return [
+        yield from (
             (data.prices[a:b], data.timestamps_ns[a:b].__getitem__, open_ns)
             for a, b, open_ns in zip(bounds, bounds[1:], data.session_open_ns) if b > a
-        ]
-    if isinstance(data, RegularSeries):
-        prices = _int_ticks(data.values, "regular series values")
-        bounds = data.session_boundaries + (prices.size,)
+        )
+    elif isinstance(data, RegularSeries):
+        bounds = data.session_boundaries + (data.values.size,)
         step, longest = int(data.interval_ns), max(b - a for a, b in zip(bounds, bounds[1:]))
         if (longest - 1) * step >= 2**63:
             raise DataError(f"a day of {longest} points {step} ns apart spans 2**63 ns or more, beyond int64")
         # each day's stamps count from its open, i * step (one point: 0), and
         # are computed per query rather than kept
-        return [
-            (prices[a:b], functools.partial(np.multiply, step if b - a > 1 else 0), 0)
-            for a, b in zip(bounds, bounds[1:]) if b > a
-        ]
-    arr = np.asarray(data)
-    if arr.size == 0:
-        return []
-    if not np.issubdtype(arr.dtype, np.integer):
-        arr = _int_ticks(arr, "prices")
-    return [(arr.astype(np.int64), None, 0)]
+        for a, b in zip(bounds, bounds[1:]):
+            if b > a:
+                prices = _int_ticks(data.values[a:b], "regular series values")
+                yield prices, functools.partial(np.multiply, step if b - a > 1 else 0), 0
+    else:
+        arr = np.asarray(data)
+        if arr.size:
+            if not np.issubdtype(arr.dtype, np.integer):
+                arr = _int_ticks(arr, "prices")
+            yield arr.astype(np.int64, copy=False), None, 0
 
 
 def _check_key_range(span: int, size: int) -> None:
@@ -173,6 +175,40 @@ def _check_key_range(span: int, size: int) -> None:
         raise PriceRangeTooWide(
             f"price range of {span} ticks times {size} ladder elements exceeds int64 keys"
         )
+
+
+# Entries a query handles at once: every per-entry temporary of a query is
+# this long, so only the index and one day's exits are held whole.
+_SLICE = 1 << 16
+
+
+def _passed_keys(levels: np.ndarray, span: int) -> np.ndarray:
+    """The key level * n + t of every level that a move up passes, in time
+    order, as running sums: within a move the level rises by one (+n);
+    from one move's top to the next move's first level, level and time
+    both jump.  Its per-move arrays are gone when it returns, before the
+    keys are sorted and the entry keys made."""
+    n = levels.size
+    d = np.diff(levels)
+    move = np.flatnonzero(d > 0)
+    lens = d[move]  # levels each move up passes
+    del d
+    move += 1  # the indices the moves up enter
+    total = int(lens.sum())
+    # as large as the virtual ladder: one element per event plus the
+    # levels each move up jumps past
+    _check_key_range(span, n + total - lens.size)
+    nn = np.int64(n)
+    key = np.full(total, nn)
+    if move.size:
+        key[0] = (levels[move[0] - 1] + 1) * nn + move[0]
+        jump = levels[move[1:] - 1]  # from the top of the move before
+        jump -= levels[move[:-1]]
+        jump += 1
+        jump *= nn
+        jump += np.diff(move)
+        key[np.cumsum(lens[:-1])] = jump
+    return np.cumsum(key, out=key)
 
 
 class _Ladder:
@@ -188,46 +224,35 @@ class _Ladder:
     """
 
     def __init__(self, levels: np.ndarray, span: int):
-        n = levels.size
-        d = np.diff(levels)
-        move = np.flatnonzero(d > 0) + 1  # indices entered by a move up
-        lens = d[move - 1]
-        # as large as the virtual ladder: one element per event plus the
-        # levels each move up jumps past
-        _check_key_range(span, n + int(lens.sum()) - lens.size)
-        nn = np.int64(n)
-        # Keys in time order as running sums: within a move the level
-        # rises by one (+n); from one move's top to the next move's first
-        # level, level and time both jump.
-        key = np.full(int(lens.sum()), nn)
-        if move.size:
-            key[0] = (levels[move[0] - 1] + 1) * nn + move[0]
-            starts = np.cumsum(lens[:-1])
-            key[starts] = (levels[move[1:] - 1] + 1 - levels[move[:-1]]) * nn + np.diff(move)
-        np.cumsum(key, out=key)
-        key.sort()  # the keys are unique, so any sort gives the one order
-        self.key = key
-        self.entry_key = np.sort(levels * nn + np.arange(n, dtype=np.int64))  # sorted needles
+        self.key = _passed_keys(levels, span)
+        self.key.sort()  # the keys are unique, so any sort gives the one order
+        entry_key = levels * np.int64(levels.size)
+        entry_key += np.arange(levels.size, dtype=np.int64)
+        entry_key.sort()
+        self.entry_key = entry_key  # sorted needles
         self.span = span
 
-    def first_crossing(self, threshold: int) -> np.ndarray:
-        """Per entry t, the first j > t with p[j] >= p[t] + threshold, or -1."""
+    def first_crossing(self, threshold: int):
+        """Per slice of at most ``_SLICE`` entries in key order, ``(t, j)``:
+        the entries t and, per entry, the first j > t with
+        p[j] >= p[t] + threshold, or -1.  Yields nothing when no level is
+        that far up."""
         if threshold >= self.span or not self.key.size:  # no level to reach
-            return np.full(self.entry_key.size, -1, dtype=np.int64)
-        n = self.entry_key.size
-        needle = self.entry_key + np.int64(threshold) * np.int64(n)
-        # the first key above each needle, or the last key where none is
-        j = self.key.take(np.searchsorted(self.key, needle, side="right"), mode="clip")
-        # its time if it sits on the target level; a key at or below the
-        # query gives j <= t
-        j -= needle
-        del needle
-        t = self.entry_key % np.int64(n)
-        j += t
-        j[(j <= t) | (j >= n)] = -1
-        out = np.empty_like(j)
-        out[t] = j
-        return out
+            return
+        n = np.int64(self.entry_key.size)
+        lift = np.int64(threshold) * n
+        for s in range(0, self.entry_key.size, _SLICE):
+            entry = self.entry_key[s : s + _SLICE]
+            needle = entry + lift
+            # the first key above each needle, or the last key where none is
+            j = self.key.take(np.searchsorted(self.key, needle, side="right"), mode="clip")
+            # its time if it sits on the target level; a key at or below the
+            # query gives j <= t
+            j -= needle
+            t = entry % n
+            j += t
+            j[(j <= t) | (j >= n)] = -1
+            yield t, j
 
 
 _SIDES = {"up": (1,), "down": (-1,), "both": (1, -1)}
@@ -274,28 +299,32 @@ class CrossingIndex:
         k = 0
         offset = 0
         for n, stamps, open_ns, ladders in self._days:
-            exit_idx = ladders[0].first_crossing(config.threshold)
-            if len(ladders) == 2:
-                dn_idx = ladders[1].first_crossing(config.threshold)
-                exit_idx = np.where(
-                    (exit_idx >= 0) & ((dn_idx < 0) | (exit_idx <= dn_idx)), exit_idx, dn_idx
-                )
-            t = np.flatnonzero(exit_idx >= 0)
-            j = exit_idx[t]
-            del exit_idx
-            end = k + t.size
-            if clock == "tick":
-                np.subtract(j, t, out=tau[k:end])
-            else:
-                j = stamps(j)
-                j -= stamps(t)
-                tau[k:end] = wall_seconds(j)
-            entry_index[k:end] = t + offset
-            if stamps is None:
-                entry_second[k:end] = np.nan
-            else:
-                entry_second[k:end] = (stamps(t) - open_ns) / NS_PER_S
-            k = end
+            exits = np.full(n, -1, dtype=np.int64)  # the day's exits in time order
+            for side, ladder in enumerate(ladders):
+                for t, j in ladder.first_crossing(config.threshold):
+                    if side:  # "both": the earlier of the two sides, -1 being none
+                        up = exits[t]
+                        j = np.where((up >= 0) & ((j < 0) | (up <= j)), up, j)
+                    exits[t] = j
+            for s in range(0, n, _SLICE):
+                j = exits[s : s + _SLICE]
+                t = np.flatnonzero(j >= 0)
+                j = j[t]
+                t += s
+                end = k + t.size
+                if clock == "tick":
+                    np.subtract(j, t, out=tau[k:end])
+                else:
+                    j = stamps(j)
+                    j -= stamps(t)
+                    tau[k:end] = wall_seconds(j)
+                np.add(t, offset, out=entry_index[k:end])
+                if stamps is None:
+                    entry_second[k:end] = np.nan
+                else:
+                    entry_second[k:end] = (stamps(t) - open_ns) / NS_PER_S
+                k = end
+            del exits  # before the next day's map is made
             offset += n
         return ExitTimes(
             tau=tau[:k],
@@ -561,7 +590,9 @@ def entry_time_distribution(exits: ExitTimes, bin_seconds: float = 1800.0) -> li
     """When, within the day, resolved entries occur."""
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
-    sec = exits.entry_second[np.isfinite(exits.entry_second)]
+    sec = exits.entry_second
+    if not np.isfinite(sec).all():  # no copy when every entry is timed
+        sec = sec[np.isfinite(sec)]
     if sec.size == 0:
         raise EmptyInput("entries carry no wall-clock times")
     n_bins = int(sec.max() // bin_seconds) + 1

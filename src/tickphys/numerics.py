@@ -70,17 +70,21 @@ def log_bin(samples, bins_per_decade: int, censored_count: int = 0) -> LogBinned
 
     Edges start at the smallest sample and step by 10**(1/bins_per_decade);
     enough bins are laid down that the largest sample falls strictly inside
-    the last one.  Empty interior bins are kept (density 0).
+    the last one.  Empty interior bins are kept (density 0).  Integer
+    samples are binned as they are: ``np.histogram`` casts them to float a
+    block at a time, and the cast is monotone, so edges and counts are
+    those of the float copy that is never made.
     """
-    s = np.asarray(samples, dtype=float).ravel()
+    s = np.asarray(samples).ravel()
+    if not np.issubdtype(s.dtype, np.integer):
+        s = s.astype(float, copy=False)
     if s.size == 0:
         raise EmptyInput("log_bin requires at least one sample")
-    if not np.all(s > 0):
+    lo, hi = float(s.min()), float(s.max())
+    if not lo > 0:  # a NaN fails this too
         raise ValueError("log_bin requires strictly positive samples")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
-    lo = float(s.min())
-    hi = float(s.max())
     n_bins = int(math.floor(bins_per_decade * math.log10(hi / lo))) + 1
     edges = lo * 10.0 ** (np.arange(n_bins + 1) / bins_per_decade)
     while hi >= edges[-1]:  # guard against round-off at the top edge

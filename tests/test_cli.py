@@ -8,6 +8,7 @@ byte-identical apart from the manifest timestamps.
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -458,8 +459,11 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.run(["--help"])
     assert exc.value.code == 0
+    # the child imports tickphys from where this process did, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-m", "tickphys.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "tickphys.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "selftest" in proc.stdout

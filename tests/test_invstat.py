@@ -9,9 +9,11 @@ sampler itself validated against its defining gamma transform.
 """
 
 import calendar
+import dataclasses
 import datetime as dt
 import math
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +231,39 @@ def test_regular_series_step_matches_its_stamps(data, step, direction, clock, th
     from_step, from_stamps = CrossingIndex(series, direction), CrossingIndex(ticks, direction)
     for r in thresholds:
         assert_same_exits(from_step.exit_times(r, clock), from_stamps.exit_times(r, clock))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    regular=st.booleans(),
+    slice_=st.sampled_from([1, 2, 3, invstat._SLICE]),
+    direction=st.sampled_from(("up", "down", "both")),
+    clock=st.sampled_from(("tick", "wall")),
+    thresholds=st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=4),
+)
+def test_query_slices_match_the_per_threshold_search(data, regular, slice_, direction, clock, thresholds):
+    """A query walks each day's entries ``_SLICE`` at a time, in key order
+    for the search and in time order for the outputs.  With slices of 1,
+    2 and 3 entries every day ends inside a slice or on its edge; the
+    exits must be those of the reference, bit for bit, over several days
+    and a one-point day, for a RegularSeries and for Ticks."""
+    lengths = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3))
+    lengths.insert(data.draw(st.integers(min_value=0, max_value=len(lengths))), 1)
+    n = sum(lengths)
+    prices = np.cumsum(data.draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=n, max_size=n)))
+    bounds = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+    if regular:
+        step = data.draw(st.sampled_from([1, 7, NS]))
+        days = RegularSeries(0, step, prices.astype(float), bounds)
+    else:
+        gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3 * NS), min_size=n, max_size=n))
+        days = Ticks(np.cumsum(gaps), prices, session_boundaries=bounds)
+    with mock.patch.object(invstat, "_SLICE", slice_):
+        index = CrossingIndex(days, direction)
+        for r in thresholds:
+            want = reference.exit_times(days, ExitTimeConfig(r, direction, clock))
+            assert_same_exits(index.exit_times(r, clock), want)
 
 
 SESSION = Session(open=dt.time(10, 0), close=dt.time(11, 0))
@@ -488,3 +523,17 @@ def test_entry_time_distribution():
     no_clock = exit_times(np.array([0, 1, 2]), UP1)
     with pytest.raises(EmptyInput):
         entry_time_distribution(no_clock)
+
+
+def test_entry_time_distribution_skips_untimed_entries():
+    """Seconds that are all finite are binned as they are; NaN seconds
+    mixed in are left out and change no row."""
+    rng = np.random.default_rng(7)
+    stamps = np.cumsum(rng.integers(1, 120 * NS, 400))
+    exits = exit_times(Ticks(stamps, np.cumsum(rng.integers(-3, 4, 400))), ExitTimeConfig(threshold=2))
+    assert np.isfinite(exits.entry_second).all()
+    rows = entry_time_distribution(exits, bin_seconds=900.0)
+    assert sum(row.count for row in rows) == len(exits)
+    at = rng.integers(0, len(exits) + 1, 25)
+    mixed = dataclasses.replace(exits, entry_second=np.insert(exits.entry_second, at, np.nan))
+    assert entry_time_distribution(mixed, bin_seconds=900.0) == rows

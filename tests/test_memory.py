@@ -1,4 +1,5 @@
-"""Memory that the regular-series reader and the crossing index take per row.
+"""Memory that the regular-series reader, the crossing index, its queries
+and the binning of their results take per row.
 
 ``tracemalloc`` sees numpy's buffers as well as Python's objects, so its
 peak is the whole working set of a call.  The input is built before
@@ -10,8 +11,17 @@ import tracemalloc
 
 import numpy as np
 
-from tickphys import CrossingIndex, RegularSeries, parse_regular_series
-from tickphys import market_data
+from tickphys import (
+    CrossingIndex,
+    RegularSeries,
+    cli,
+    entry_time_distribution,
+    invstat,
+    log_bin,
+    market_data,
+    parse_regular_series,
+    serialize_regular_series,
+)
 
 NS = 1_000_000_000
 MIB = 1 << 20
@@ -21,6 +31,12 @@ def _walk(rows: int, seed: int = 0) -> np.ndarray:
     """A rounded Gaussian walk of sigma 4 ticks per step, as the invstat
     benchmark's."""
     return np.rint(np.cumsum(np.random.default_rng(seed).normal(0.0, 4.0, rows)))
+
+
+def _ladder_keys(values, bounds) -> list:
+    """Per day, the levels that its upward moves pass: its ladder length."""
+    bounds = (*bounds, values.size)
+    return [int(np.maximum(np.diff(values[a:b]), 0).sum()) for a, b in zip(bounds, bounds[1:])]
 
 
 def _traced(call):
@@ -67,9 +83,100 @@ def test_crossing_index_keeps_only_its_keys():
     rows = 1_000_000
     values = _walk(rows, seed=1)
     series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
-    ladder = sum(
-        int(np.maximum(np.diff(values[a:b]), 0).sum()) for a, b in ((0, rows // 2), (rows // 2, rows))
-    )
+    ladder = sum(_ladder_keys(values, series.session_boundaries))
     index, _, held = _traced(lambda: CrossingIndex(series, "up"))
     assert held <= 8 * (rows + ladder) + 64 * 1024, held / rows
     assert index.exit_times(8, "wall").n_entries == rows
+
+
+def test_crossing_index_build_holds_one_day_beside_what_it_keeps():
+    """A series is turned into int64 ticks one day at a time, as its
+    ladders are built, so beside the keys of the days before, the build
+    holds only the day at hand: its int64 prices and levels, and then
+    either the ladder's running sums (the index of each move up, its
+    length, its jump to the next move, a slice of the keys: about 2
+    int64 per move, one move per two rows on a walk) or, as the entry
+    keys are formed, the row times.  Each is 24 bytes per row of the day
+    beyond the keys it keeps.  So the peak is bounded by
+    8 * (rows + ladder keys) + 24 bytes per row of the longest day plus
+    2 MiB.  Converting the whole series first would add 8 bytes per row
+    of the other days, and a full-size difference of the levels kept
+    through the ladder, another 8 bytes per row of the day.
+    """
+    rows = 1_000_000
+    values = _walk(rows, seed=3)
+    for days in (1, 2, 4):
+        bounds = tuple(range(0, rows, rows // days))
+        series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=bounds)
+        ladder = sum(_ladder_keys(values, bounds))
+        _, peak, _ = _traced(lambda: CrossingIndex(series, "up"))
+        assert peak <= 8 * (rows + ladder) + 24 * (rows // days) + 2 * MIB, (days, peak / rows)
+
+
+def test_exit_times_holds_one_day_of_exits_beside_its_outputs():
+    """A query writes three columns of 8 bytes for every entry (tau,
+    entry_index, entry_second; the resolved ones are filled, the
+    censored leave a tail) and holds one day's exits in time order, 8
+    bytes per row of the longest day.  Every other array it makes is one
+    slice long: needles, search positions, gathered keys, entry times,
+    the other side's exits, exit and entry stamps and the rounding to
+    whole seconds, at most 12 int64 columns of ``_SLICE`` entries.  So
+    its peak is bounded by 24 bytes per entry + 8 per row of the longest
+    day + 12 * 8 * _SLICE bytes (6 MiB).  A search over a whole day at
+    once would hold its needles, positions, keys and times, 32 bytes per
+    row of the day more.
+    """
+    rows = 1_000_000
+    values = _walk(rows, seed=4)
+    series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
+    for direction in ("up", "both"):
+        index = CrossingIndex(series, direction)
+        exits, peak, _ = _traced(lambda: index.exit_times(8, "wall"))
+        assert exits.n_entries == rows
+        bound = 24 * rows + 8 * (rows // 2) + 12 * 8 * invstat._SLICE
+        assert peak <= bound, (direction, (peak - 24 * rows) / (rows // 2))
+
+
+def test_binning_makes_no_copy_of_its_samples():
+    """``log_bin`` bins int64 waiting times as they are, and
+    ``entry_time_distribution`` bins entry seconds that are all finite
+    as they are; ``np.histogram`` sorts and casts them a block of 65536
+    at a time.  Only a finiteness mask of one byte per sample is made
+    whole.  So each peak is bounded by 2 bytes per sample plus 2 MiB; a
+    float copy of the samples would add 8 bytes per sample.
+    """
+    rows = 1_000_000
+    values = _walk(rows, seed=5)
+    series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
+    exits = CrossingIndex(series, "up").exit_times(8, "wall")
+    for call in (
+        lambda: log_bin(exits.tau, 10, censored_count=exits.censored_count),
+        lambda: entry_time_distribution(exits, 1800.0),
+    ):
+        _, peak, _ = _traced(call)
+        assert peak <= 2 * exits.tau.size + 2 * MIB, peak / exits.tau.size
+
+
+def test_invstat_holds_the_index_and_one_thresholds_exits(tmp_path):
+    """The whole ``invstat`` subcommand on a two-day file: the reader's
+    peak is 17 bytes per row plus 8 MiB (see above) and the index build's
+    the series (8 bytes per row), the index and one day's 24 bytes per
+    row.  The series is let go once the index is built, so the queries
+    hold the index, 8 * (rows + ladder keys) bytes, one threshold's
+    exits, 24 bytes per row, and one day's exit map, 8 bytes per row of
+    that day: 49 bytes per row on this walk, plus a query's slices, the
+    binning's blocks and the artifacts, within 6 MiB.  A series held
+    through the queries would add 8 bytes per row (7.6 MiB here).
+    """
+    rows = 1_000_000
+    values = _walk(rows, seed=2)
+    bounds = (0, rows // 2)
+    path = tmp_path / "walk.csv"
+    path.write_text(serialize_regular_series(RegularSeries(0, NS, values, bounds)))
+    ladder = sum(_ladder_keys(values, bounds))
+    del values
+    argv = ["invstat", "--input", str(path), "--target", "8", "--clock", "wall", "--out", str(tmp_path / "out")]
+    code, peak, _ = _traced(lambda: cli.run(argv))
+    assert code == 0
+    bound = 8 * (rows + ladder) + 24 * rows + 8 * (rows // 2) + 6 * MIB
+    assert peak <= bound, (peak - bound) / MIB

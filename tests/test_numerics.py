@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_fit as reference
@@ -71,6 +71,10 @@ def test_log_bin_rejects_bad_input():
         log_bin([1.0, -2.0], 10)
     with pytest.raises(ValueError):
         log_bin([1.0], 0)
+    # a NaN or a non-positive sample, float or int, is refused
+    for bad in ([np.nan], [1.0, np.nan, 2.0], np.array([3, 0]), np.array([-1, 5], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            log_bin(bad, 10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,6 +90,32 @@ def test_log_bin_conserves_counts_and_mass(samples, bpd):
     # every sample falls inside the edge range
     assert hist.edges[0] <= min(samples) and max(samples) < hist.edges[-1]
     assert np.isclose(float(hist.densities @ np.diff(hist.edges)), 1.0)
+
+
+def assert_same_hist(got, want):
+    assert got.edges.tobytes() == want.edges.tobytes()
+    assert got.counts.dtype == want.counts.dtype and got.counts.tobytes() == want.counts.tobytes()
+    assert got.densities.tobytes() == want.densities.tobytes()
+    assert (got.total_count, got.censored_count) == (want.total_count, want.censored_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(
+        st.one_of(st.integers(min_value=1, max_value=10**6), st.integers(min_value=2**53 - 3, max_value=2**63 - 1)),
+        min_size=1,
+        max_size=200,
+    ),
+    bpd=st.integers(min_value=1, max_value=25),
+    censored=st.integers(min_value=0, max_value=50),
+)
+@example(samples=[2**53 + 1], bpd=10, censored=0)  # one sample, beyond exact floats
+@example(samples=[2**53, 2**53 + 1, 2**53 - 1, 7], bpd=3, censored=2)
+def test_log_bin_bins_ints_as_their_float_copy(samples, bpd, censored):
+    """int64 samples are binned without a float copy, with the edges,
+    counts and densities of that copy, bit for bit."""
+    ints = np.array(samples, dtype=np.int64)
+    assert_same_hist(log_bin(ints, bpd, censored), log_bin(ints.astype(float), bpd, censored))
 
 
 # ------------------------------------------------------------------ linfit
