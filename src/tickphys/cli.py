@@ -38,13 +38,13 @@ from .invstat import (
 from .market_data import (
     _CHUNK_BYTES,
     RegularSeries,
-    parse_book,
+    _book_blocks,
     parse_regular_series,
     serialize_regular_series,
 )
 from .obrelax import (
+    _imbalance,
     fit_stretched_exp,
-    imbalance_series,
     mean_relaxation_from_fit,
     relaxation_hist,
     relaxation_times,
@@ -149,14 +149,31 @@ def _pdf_csv(hist) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _parse_list(text: str, flag: str, read, what: str) -> list:
+def _parse_list(text: str, flag: str, read, what: str, name) -> dict:
     try:
         vals = [read(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}")
     if not vals:
         raise UsageError(f"{flag} is empty")
-    return vals
+    named = {name(v): v for v in vals}
+    if len(named) < len(vals):  # one file would hold the last value of a name
+        raise UsageError(f"{flag} {text!r} gives two values the same artifact names")
+    return named
+
+
+def _book_imbalance(data, depth: int, source: str):
+    """The imbalance of a book file, block by block; a ``depth`` beyond the file's fails after any bad row."""
+    _, file_depth, blocks = _book_blocks(data)
+
+    def levels():
+        for ts, tcd, _, vol in blocks:
+            yield ts, tcd, vol[:, :file_depth], vol[:, file_depth:]
+            del _, vol  # the next block is read without this one's levels
+        if depth > file_depth:
+            raise UsageError(f"--depth {depth} exceeds the depth {file_depth} of {source}")
+
+    return _imbalance(levels(), min(depth, file_depth))
 
 
 # ------------------------------------------------------------- subcommands
@@ -244,8 +261,8 @@ def _cmd_hurst(args) -> int:
 
 def _cmd_invstat(args) -> int:
     started = _utcnow()
-    targets = _parse_list(args.target, "--target", int, "integers")
-    if any(r < 1 for r in targets):
+    targets = _parse_list(args.target, "--target", int, "integers", str)
+    if any(r < 1 for r in targets.values()):
         raise UsageError("--target values must be >= 1 tick")
     if args.bins_per_decade < 1:
         raise UsageError("--bins-per-decade must be at least 1")
@@ -257,7 +274,7 @@ def _cmd_invstat(args) -> int:
 
     files = {}
     scaling_rows = ["# columns: R,tau_star"]
-    for r in targets:
+    for r in targets.values():
         exits = index.exit_times(r, args.clock)
         hist = first_passage_hist(exits, args.bins_per_decade, min_samples=args.min_samples)
         fit = fit_first_passage(hist)
@@ -302,27 +319,23 @@ def _cmd_invstat(args) -> int:
 
 def _cmd_relax(args) -> int:
     started = _utcnow()
-    kappas = _parse_list(args.kappa, "--kappa", float, "numbers")
-    if any(not 0.0 < k < 1.0 for k in kappas):
+    kappas = _parse_list(args.kappa, "--kappa", float, "numbers", "{:g}".format)
+    if any(not 0.0 < k < 1.0 for k in kappas.values()):
         raise UsageError("--kappa values must lie in (0, 1)")
     if args.depth < 1:
         raise UsageError("--depth must be at least 1")
     if args.bins_per_decade < 1:
         raise UsageError("--bins-per-decade must be at least 1")
-    (book, _, file_depth), digest = _load(args.input, parse_book)
-    if args.depth > file_depth:
-        raise UsageError(f"--depth {args.depth} exceeds the depth {file_depth} of {args.input}")
-    sig = imbalance_series(book, depth=args.depth)
+    sig, digest = _load(args.input, lambda data: _book_imbalance(data, args.depth, args.input))
     clock = {"ticks": "event", "trades": "trade"}[args.clock]
 
     files = {}
     mean_rows = ["# columns: kappa,mean_tau,n_resolved,n_censored"]
-    for kappa in kappas:
+    for tag, kappa in kappas.items():
         samples = relaxation_times(sig, kappa, clock=clock)
         hist = relaxation_hist(samples, args.bins_per_decade, min_samples=args.min_samples)
         fit = fit_stretched_exp(hist)
         power = fit_tail_power_law(hist, (hist.edges[0], hist.edges[-1]))
-        tag = f"{kappa:g}"
         files[f"pdf_k{tag}.csv"] = _pdf_csv(hist)
         files[f"fit_k{tag}.json"] = _json(
             {

@@ -553,6 +553,7 @@ def horizon_scaling(
                 fit=fit,
             )
         )
+        del exits  # one threshold's exits at a time beside the index
     return rows
 
 

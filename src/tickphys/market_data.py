@@ -492,6 +492,14 @@ def parse_book(data) -> tuple[Book, Decimal, int]:
     The first bad row raises with its line number and the error a reader
     going row by row would raise.
     """
+    tick_dec, d, blocks = _book_blocks(data)
+    rows = [(np.zeros(0, np.int64),) * 2 + (np.zeros((0, 2 * d), np.int64),) * 2, *blocks]
+    ts, tcd, px, vol = (np.concatenate(c) for c in zip(*rows))
+    return Book(ts, tcd, px[:, :d], vol[:, :d], px[:, d:], vol[:, d:]), tick_dec, d
+
+
+def _book_blocks(data):
+    """A book CSV's tick size and depth, its header read now, and a generator of its checked blocks."""
     head, data = _head(data)
     m = _BOOK_HEADER.match(_text(head, 1))
     if not m:
@@ -500,43 +508,51 @@ def parse_book(data) -> tuple[Book, Decimal, int]:
     d = int(m.group(2))
     if d < 1:
         raise MalformedRow(1, "depth must be >= 1")
-    rows, prev = [(np.zeros(0, np.int64),) * 2 + (np.zeros((0, 2 * d), np.int64),) * 2], -1
-    for lineno, blk, s, e in _blocks(data, 2 + 4 * d):
-        # only rows of 2 + 4d fields get here, so d is bounded by the text:
-        # a depth no row can hold is the first row's field-count error
-        px_cols = 2 + 2 * np.arange(2 * d)  # bid levels best first, then ask levels
-        (ts, ts_ok), (tcd, tcd_ok) = _integer(blk, s[:, 0], e[:, 0]), _integer(blk, s[:, 1], e[:, 1])
-        px, frac, px_ok = _number(blk, s[:, px_cols], e[:, px_cols])
-        px, on_grid, fits = _ticks(px, frac, tick_frac)
-        vol, vol_ok = _integer(blk, s[:, px_cols + 1], e[:, px_cols + 1])
-        pe, ve = (s == e)[:, px_cols], (s == e)[:, px_cols + 1]
-        gone = (pe & ve).reshape(-1, 2, d)
-        gap = (np.cumsum(gone, axis=2) > gone).reshape(-1, 2 * d)  # an empty level came before
-        held = ~pe & ~ve
-        level = [
-            (gap & ~(pe & ve), MalformedRow, "non-contiguous book levels"),
-            (pe ^ ve, MalformedRow, "price/volume must be both present or both empty"),
-            (held & ~vol_ok, MalformedRow, "bad volume field"),
-            (held & (vol <= 0), MalformedRow, "level volume must be positive"),
-            (held & ~(px_ok & fits), MalformedRow, "bad price"),
-            (held & ~on_grid, TickSizeViolation, "price is not a multiple of the tick size"),
-        ]
-        _raise_first(lineno, [
-            (~(ts_ok & tcd_ok), MalformedRow, "bad integer field"),
-            (ts <= 0, MalformedRow, "timestamp must be positive"),
-            (tcd < 0, MalformedRow, "trade_count_delta must be non-negative"),
-            (ts < np.concatenate(([prev], ts[:-1])), NonMonotonicTime, "timestamps must be non-decreasing"),
-            *[(mask[:, j], error, msg) for j in range(2 * d) for mask, error, msg in level],
-            ((held[:, 1:d] & (px[:, 1:d] >= px[:, : d - 1])).any(1), LadderOrderViolation,
-             "bid prices must be strictly decreasing"),
-            ((held[:, d + 1 :] & (px[:, d + 1 :] <= px[:, d:-1])).any(1), LadderOrderViolation,
-             "ask prices must be strictly increasing"),
-            (held[:, 0] & held[:, d] & (px[:, 0] >= px[:, d]), CrossedBook, "best bid is at or above best ask"),
-        ])
-        rows.append((ts, tcd, px, vol))
-        prev = ts[-1]
-    ts, tcd, px, vol = (np.concatenate(c) for c in zip(*rows))
-    return Book(ts, tcd, px[:, :d], vol[:, :d], px[:, d:], vol[:, d:]), tick_dec, d
+
+    def blocks(prev=-1):
+        for lineno, blk, s, e in _blocks(data, 2 + 4 * d):
+            prev = (block := _book_block(lineno, blk, s, e, tick_frac, d, prev))[0][-1]
+            yield block
+            del block  # the next block is read without this one
+
+    return tick_dec, d, blocks()
+
+
+def _book_block(lineno, blk, s, e, tick_frac, d, prev):
+    """A block's rows checked after a row stamped ``prev``; returning frees its temporaries."""
+    # only rows of 2 + 4d fields get here, so d is bounded by the text:
+    # a depth no row can hold is the first row's field-count error
+    px_cols = 2 + 2 * np.arange(2 * d)  # bid levels best first, then ask levels
+    (ts, ts_ok), (tcd, tcd_ok) = _integer(blk, s[:, 0], e[:, 0]), _integer(blk, s[:, 1], e[:, 1])
+    # a side at a time: gathers small enough that glibc keeps them for the next block, not trims
+    sides = [_number(blk, s[:, c], e[:, c]) + _integer(blk, s[:, c + 1], e[:, c + 1]) for c in np.split(px_cols, 2)]
+    px, frac, px_ok, vol, vol_ok = (np.hstack(c) for c in zip(*sides))
+    px, on_grid, fits = _ticks(px, frac, tick_frac)
+    pe, ve = (s == e)[:, px_cols], (s == e)[:, px_cols + 1]
+    gone = (pe & ve).reshape(-1, 2, d)
+    gap = (np.cumsum(gone, axis=2) > gone).reshape(-1, 2 * d)  # an empty level came before
+    held = ~pe & ~ve
+    level = [
+        (gap & ~(pe & ve), MalformedRow, "non-contiguous book levels"),
+        (pe ^ ve, MalformedRow, "price/volume must be both present or both empty"),
+        (held & ~vol_ok, MalformedRow, "bad volume field"),
+        (held & (vol <= 0), MalformedRow, "level volume must be positive"),
+        (held & ~(px_ok & fits), MalformedRow, "bad price"),
+        (held & ~on_grid, TickSizeViolation, "price is not a multiple of the tick size"),
+    ]
+    _raise_first(lineno, [
+        (~(ts_ok & tcd_ok), MalformedRow, "bad integer field"),
+        (ts <= 0, MalformedRow, "timestamp must be positive"),
+        (tcd < 0, MalformedRow, "trade_count_delta must be non-negative"),
+        (ts < np.concatenate(([prev], ts[:-1])), NonMonotonicTime, "timestamps must be non-decreasing"),
+        *[(mask[:, j], error, msg) for j in range(2 * d) for mask, error, msg in level],
+        ((held[:, 1:d] & (px[:, 1:d] >= px[:, : d - 1])).any(1), LadderOrderViolation,
+         "bid prices must be strictly decreasing"),
+        ((held[:, d + 1 :] & (px[:, d + 1 :] <= px[:, d:-1])).any(1), LadderOrderViolation,
+         "ask prices must be strictly increasing"),
+        (held[:, 0] & held[:, d] & (px[:, 0] >= px[:, d]), CrossedBook, "best bid is at or above best ask"),
+    ])
+    return ts, tcd, px, vol
 
 
 def serialize_book(snaps, tick_size: Decimal, depth: int) -> str:

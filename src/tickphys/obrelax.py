@@ -76,25 +76,30 @@ class ImbalanceSeries:
 def imbalance_series(book, depth: int) -> ImbalanceSeries:
     """Depth imbalance of one day of a market_data.Book.
 
-    Volumes are summed as exact integers before the single float division,
-    so each level volume within ``depth`` must stay below 2**53 / (2 depth);
-    a snapshot with no volume on either side within ``depth`` has no defined
-    imbalance and raises EmptySide.
+    Volumes are summed as exact integers before one float division, so each
+    level volume within ``depth`` must stay below 2**53 / (2 depth); a snapshot
+    with no volume on either side within ``depth`` has no imbalance: EmptySide.
     """
+    return _imbalance([(book.timestamps_ns, book.trade_count_delta, book.bid_vol, book.ask_vol)], depth)
+
+
+def _imbalance(blocks, depth: int) -> ImbalanceSeries:
+    """``imbalance_series`` of blocks ``(ts, tcd, bid_vol, ask_vol)``, reduced as read; raises after the last."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    bid, ask = book.bid_vol[:, :depth], book.ask_vol[:, :depth]
-    if max(np.abs(bid).max(initial=0), np.abs(ask).max(initial=0)) >= 2**53 // (2 * depth):
+    parts, top = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0),)], 0
+    for ts, tcd, bid, ask in blocks:
+        bid, ask = bid[:, :depth], ask[:, :depth]
+        top = max(top, np.abs(bid).max(initial=0), np.abs(ask).max(initial=0))
+        bid, ask = bid.sum(axis=1), ask.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # only x / 0 is not finite: EmptySide
+            parts.append((ts, tcd, (bid - ask) / (bid + ask)))
+    if top >= 2**53 // (2 * depth):
         raise ValueError(f"level volumes must stay below 2**53 / {2 * depth} to sum exactly")
-    bid, ask = bid.sum(axis=1), ask.sum(axis=1)
-    total = bid + ask
-    empty = np.flatnonzero(total == 0)
-    if empty.size:
-        raise EmptySide(f"snapshot {empty[0]}: no volume within depth {depth}")
-    return ImbalanceSeries(
-        values=(bid - ask) / total, timestamps_ns=book.timestamps_ns,
-        trades=np.cumsum(book.trade_count_delta), depth=depth,
-    )
+    ts, tcd, values = (np.concatenate(c) for c in zip(*parts))
+    if not (finite := np.isfinite(values)).all():
+        raise EmptySide(f"snapshot {finite.argmin()}: no volume within depth {depth}")
+    return ImbalanceSeries(values=values, timestamps_ns=ts, trades=np.cumsum(tcd, out=tcd), depth=depth)
 
 
 def entry_times(series, kappa: float) -> np.ndarray:

@@ -6,7 +6,7 @@ Each row is split with ``str.split``, each price goes through
 ``imbalance`` is the per-snapshot imbalance loop that the columnar
 ``imbalance_series`` replaced.  ``book_of`` turns such rows into a ``Book``, ``snapshots`` turns a
 ``Book`` back into rows, and ``assert_same_columns`` checks a ``Book``
-against rows.
+against rows.  ``book_texts`` draws valid book files for the properties.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tickphys import (
     Book,
@@ -160,3 +161,32 @@ def imbalance(snaps, depth: int) -> list[float]:
         ask = sum(v for _, v in snap.asks[:depth])
         out.append((bid - ask) / (bid + ask))
     return out
+
+
+@st.composite
+def book_texts(draw, min_rows=0, max_volume=10**9):
+    """Valid book files over several tick sizes: short and empty sides,
+    negative prices, trailing zeros or none, blank and whitespace-only
+    lines, and \\n or \\r\\n endings.  Level volumes lie in [1, max_volume]."""
+    tick =Decimal(draw(st.sampled_from(["0.5", "0.25", "0.01", "0.0001"])))
+    depth = draw(st.integers(1, 4))
+    lines = [f"# tick_size={tick} depth={depth}"]
+    ts = 0
+    for _ in range(draw(st.integers(min_rows, 12))):
+        ts += draw(st.sampled_from([0, 1, 10**9, 10**17]))  # ties allowed
+        mid = draw(st.integers(-(10**6), 10**6))
+        cells = [str(ts + 1), str(draw(st.integers(0, 3)))]
+        for sign in (-1, 1):
+            n = draw(st.integers(0, depth))
+            px = mid + sign * np.cumsum(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n)))
+            for level in range(depth):
+                if level < n:
+                    value = Decimal(int(px[level])) * tick
+                    value = value.normalize() if draw(st.booleans()) else value
+                    cells += [format(value, "f"), str(draw(st.integers(1, max_volume)))]
+                else:
+                    cells += ["", ""]
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=1))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tickphys import FitDiverged, cli, parse_regular_series, serialize_regular_series
+from tickphys import FitDiverged, cli, market_data, parse_regular_series, serialize_regular_series
 from tickphys.selftest import _synthetic_book_text
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -384,6 +384,73 @@ def test_relax_artifacts(tmp_path, capsys):
                 ["relax", "--input", str(path), "--kappa", "0.2", "--depth", "3",
                  "--bins-per-decade", bad, "--out", str(tmp_path / "c")]
             ) == 1, bad
+
+
+# the cells after a row's timestamp: no volume at depth 2, a volume at the
+# bound for depth 2, and a bad volume
+EMPTY = ",0" + ",," * 4
+HUGE = f",0,99.99,{2**53 // 4},99.98,1,100.01,1,100.02,1"
+BAD = ",0,99.99,5,99.98,x,100.01,1,100.02,1"
+BOUND = "data error: level volumes must stay below 2**53 / 4 to sum exactly"
+DEPTH = "usage error: --depth 3 exceeds the depth 2 of "
+
+
+@pytest.mark.parametrize(
+    "faults, depth, code, message",
+    [
+        ({450: EMPTY}, "2", 2, "data error: snapshot 450: no volume within depth 2"),
+        ({500: HUGE}, "2", 2, BOUND),
+        ({}, "3", 1, DEPTH),
+        ({560: BAD}, "3", 2, "data error: line 562: bad volume field"),
+        ({5: EMPTY, 590: HUGE}, "2", 2, BOUND),
+        ({5: EMPTY, 590: HUGE}, "3", 1, DEPTH),
+    ],
+    ids=["empty-snapshot", "volume-bound", "depth", "bad-row-before-depth", "bound-before-empty",
+         "depth-before-bound"],
+)
+def test_relax_book_errors_come_in_order_wherever_the_blocks_fall(
+    tmp_path, capsys, monkeypatch, faults, depth, code, message
+):
+    """A book is checked whole before its imbalance is judged: a bad row
+    anywhere first, then a --depth beyond the file's, then the volume
+    bound over every row, then the first empty snapshot, however the
+    file falls into blocks and chunks."""
+    rows = [f"{i + 1},1,99.99,5,99.98,6,100.01,3,100.02,4" for i in range(600)]
+    for i, cells in faults.items():
+        rows[i] = f"{i + 1}{cells}"
+    path = tmp_path / "book.csv"
+    path.write_text("# tick_size=0.01 depth=2\n" + "\n".join(rows) + "\n")
+    assert path.stat().st_size > 4 * 4096
+    runs = 0
+    for block in (1, 2, market_data._BLOCK_LINES):
+        for chunk in (cli._CHUNK_BYTES, 4096):
+            monkeypatch.setattr(market_data, "_BLOCK_LINES", block)
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+            out = tmp_path / f"out{runs}"
+            capsys.readouterr()
+            argv = ["relax", "--input", str(path), "--kappa", "0.2", "--depth", depth, "--out", str(out)]
+            assert cli.run(argv) == code, (block, chunk)
+            assert capsys.readouterr().err.startswith(message), (block, chunk)
+            assert not out.exists()
+            runs += 1
+
+
+def test_two_values_that_name_one_artifact_are_refused_before_the_input_is_read(tmp_path, capsys):
+    """Artifacts are named by each --kappa's 6-digit form and each
+    --target's integer, so two values with one name would leave one file
+    for both: a usage error before the input (absent here) is read."""
+    absent = str(tmp_path / "absent.csv")
+    for command, flags in (
+        ("relax", ["--kappa", "0.2,0.2000001", "--depth", "1"]),
+        ("relax", ["--kappa", "0.3,0.4,0.3", "--depth", "1"]),
+        ("invstat", ["--target", "8,8"]),
+        ("invstat", ["--target", "8,16,008"]),
+    ):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run([command, "--input", absent, *flags, "--out", str(out)]) == 1, flags
+        assert "the same artifact names" in capsys.readouterr().err, flags
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import _reference_book as reference
 import _reference_regular
 from _chunks import chunked
-from _reference_book import assert_same_columns, snapshots
+from _reference_book import assert_same_columns, book_texts, snapshots
 from _tick_file import serialize_ticks
 from tickphys import (
     CrossedBook,
@@ -162,35 +162,6 @@ def test_book_roundtrip():
     again = parse_book(serialize_book(snapshots(book), tick_size, depth))[0]
     assert snapshots(again) == snapshots(book)
     assert_same_columns(again, snapshots(book), depth)
-
-
-@st.composite
-def book_texts(draw, min_rows=0):
-    """Valid book files over several tick sizes: short and empty sides,
-    negative prices, trailing zeros or none, blank and whitespace-only
-    lines, and \\n or \\r\\n endings."""
-    tick = Decimal(draw(st.sampled_from(["0.5", "0.25", "0.01", "0.0001"])))
-    depth = draw(st.integers(1, 4))
-    lines = [f"# tick_size={tick} depth={depth}"]
-    ts = 0
-    for _ in range(draw(st.integers(min_rows, 12))):
-        ts += draw(st.sampled_from([0, 1, 10**9, 10**17]))  # ties allowed
-        mid = draw(st.integers(-(10**6), 10**6))
-        cells = [str(ts + 1), str(draw(st.integers(0, 3)))]
-        for sign in (-1, 1):
-            n = draw(st.integers(0, depth))
-            px = mid + sign * np.cumsum(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n)))
-            for level in range(depth):
-                if level < n:
-                    value = Decimal(int(px[level])) * tick
-                    value = value.normalize() if draw(st.booleans()) else value
-                    cells += [format(value, "f"), str(draw(st.integers(1, 10**9)))]
-                else:
-                    cells += ["", ""]
-        lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=1))
-        lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 def _outcome(parse, text):

@@ -1,5 +1,5 @@
-"""Memory that the regular-series reader, the crossing index, its queries
-and the binning of their results take per row.
+"""Memory that the regular-series reader, the crossing index, its queries,
+the binning of their results and the ``relax`` subcommand take per row.
 
 ``tracemalloc`` sees numpy's buffers as well as Python's objects, so its
 peak is the whole working set of a call.  The input is built before
@@ -178,5 +178,61 @@ def test_invstat_holds_the_index_and_one_thresholds_exits(tmp_path):
     argv = ["invstat", "--input", str(path), "--target", "8", "--clock", "wall", "--out", str(tmp_path / "out")]
     code, peak, _ = _traced(lambda: cli.run(argv))
     assert code == 0
+    bound = 8 * (rows + ladder) + 24 * rows + 8 * (rows // 2) + 6 * MIB
+    assert peak <= bound, (peak - bound) / MIB
+
+
+def _book_text(rows: int) -> str:
+    """A depth-3 book at tick 0.01 with prices such as 100.01, as the relax
+    benchmark's: uniform level volumes around a mid on a walk."""
+    rng = np.random.default_rng(0)
+    stamps = np.cumsum(rng.integers(1, 10**8, rows)).tolist()
+    trades = rng.poisson(0.6, rows).tolist()
+    mids = (10_000 + np.cumsum(rng.integers(-1, 2, rows))).tolist()
+    volumes = rng.integers(1, 1000, (rows, 6)).tolist()
+    lines = ["# tick_size=0.01 depth=3"]
+    for t, c, m, vol in zip(stamps, trades, mids, volumes):
+        prices = (m - 1, m - 2, m - 3, m + 1, m + 2, m + 3)
+        lines.append(f"{t},{c}," + ",".join(f"{p // 100}.{p % 100:02d},{v}" for p, v in zip(prices, vol)))
+    return "\n".join(lines) + "\n"
+
+
+def test_relax_keeps_the_imbalance_not_the_book(tmp_path):
+    """The whole ``relax`` subcommand on a depth-3 book.  Each block is
+    reduced as it is read to its stamps, trade deltas and imbalances, 24
+    bytes per row, beside the reader's chunks and one block's cells:
+    chunk-sized, the chunk the header came in, the chunk being cut and
+    the join of its lines with those that wait (2 MiB each, 8 MiB with a
+    mask over one); block-sized, a block's cell offsets (14 cells and 13
+    commas of 8192 rows, 2.6 MiB) and the gather of one side's price
+    cells' bytes, an int64 index per byte of the widest cell (6 bytes of
+    24576 cells, twice: 2.3 MiB), within 8 MiB.  The blocks are joined once
+    read, 24 bytes per row beside the blocks', and the relaxation search
+    holds the series and up to three float columns of its own: 48 bytes
+    per row either way.  So the peak is bounded by 48 bytes per row plus
+    16 MiB.  A parsed ``Book`` (112 bytes per row at depth 3), held
+    beside its blocks at their join, would exceed it at 2.5e5 rows.
+    """
+    rows = 250_000
+    path = tmp_path / "book.csv"
+    path.write_text(_book_text(rows))
+    argv = ["relax", "--input", str(path), "--kappa", "0.2,0.4,0.6", "--depth", "3", "--out", str(tmp_path / "out")]
+    code, peak, _ = _traced(lambda: cli.run(argv))
+    assert code == 0
+    assert peak <= 48 * rows + 16 * MIB, (peak - 16 * MIB) / rows
+
+
+def test_horizon_scaling_holds_one_thresholds_exits():
+    """``horizon_scaling`` builds one index and queries it threshold by
+    threshold, letting each threshold's exits go before the next query,
+    so its peak is the ``invstat`` subcommand's above: the index, one
+    threshold's exits and one day's exit map, plus 6 MiB.  Exits kept
+    across the next query would add 24 bytes per row (23 MiB here)."""
+    rows = 1_000_000
+    values = _walk(rows, seed=6)
+    series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
+    ladder = sum(_ladder_keys(values, series.session_boundaries))
+    scan, peak, _ = _traced(lambda: invstat.horizon_scaling(series, (8, 16), clock="wall"))
+    assert [row.threshold for row in scan] == [8, 16]
     bound = 8 * (rows + ladder) + 24 * rows + 8 * (rows // 2) + 6 * MIB
     assert peak <= bound, (peak - bound) / MIB

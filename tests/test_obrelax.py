@@ -8,6 +8,7 @@ the mean formula double-checked by quadrature.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_book as reference
-from _reference_book import book_of
-from tickphys import obrelax
+from _chunks import chunked
+from _reference_book import book_of, book_texts
+from tickphys import cli, market_data, obrelax, parse_book
 from tickphys import (
     BookSnapshot,
     EmptySide,
@@ -120,6 +122,50 @@ def test_imbalance_rejects_volumes_too_large_to_sum_exactly():
     with pytest.raises(ValueError):
         imbalance([book([(99, 2**52)], [(101, 1)])], depth=1)
     assert imbalance([book([(99, 2**52 - 1)], [(101, 1)])], depth=1).values[0] > 0.99
+
+
+def _imbalance_outcome(call):
+    """The stamps, cumulative trades and imbalances ``call()`` gives, as
+    bytes, or its error's class and message."""
+    try:
+        sig = call()
+    except (EmptySide, ValueError) as exc:
+        return type(exc), str(exc)
+    return sig.timestamps_ns.tobytes(), sig.trades.tobytes(), sig.values.tobytes(), sig.depth
+
+
+def _reference_imbalance(snaps, depth):
+    """``_imbalance_outcome`` of the per-snapshot loop over the rows that
+    the row-by-row reader gives, with the library's volume bound first."""
+    top = max((v for s in snaps for side in (s.bids, s.asks) for _, v in side[:depth]), default=0)
+    if top >= 2**53 // (2 * depth):
+        return ValueError, f"level volumes must stay below 2**53 / {2 * depth} to sum exactly"
+    try:
+        values = np.array(reference.imbalance(snaps, depth), dtype=float)
+    except ZeroDivisionError:
+        empty = next(i for i, s in enumerate(snaps) if not (s.bids[:depth] or s.asks[:depth]))
+        return EmptySide, f"snapshot {empty}: no volume within depth {depth}"
+    stamps = np.array([s.timestamp_ns for s in snaps], dtype=np.int64)
+    trades = np.cumsum(np.array([s.trade_count_delta for s in snaps], dtype=np.int64))
+    return stamps.tobytes(), trades.tobytes(), values.tobytes(), depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, market_data._BLOCK_LINES]))
+def test_book_blocks_reduce_to_the_imbalance_of_the_whole_book(data, block):
+    """``relax`` reduces a book file block by block as it reads it.  At
+    every depth up to the file's it gives the stamps, trades and
+    imbalances of ``imbalance_series`` over ``parse_book``'s ``Book`` and
+    of the per-snapshot loop bit for bit, or the same error: the volume
+    bound over the whole file first, then the first empty snapshot."""
+    text = data.draw(book_texts(max_volume=data.draw(st.sampled_from([10**9, 2**51]))))
+    chunks = data.draw(chunked(text.encode()))
+    snaps, _, file_depth = reference.parse_book(text)
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        for depth in range(1, file_depth + 1):
+            got = _imbalance_outcome(lambda: cli._book_imbalance(iter(chunks), depth, "book.csv"))
+            whole = _imbalance_outcome(lambda: imbalance_series(parse_book(iter(chunks))[0], depth))
+            assert got == whole == _reference_imbalance(snaps, depth), depth
 
 
 def test_entry_times_hand_case():
