@@ -144,8 +144,8 @@ def _json(doc: dict) -> str:
 
 def _pdf_csv(hist) -> str:
     rows = ["# columns: tau_lo,tau_hi,density"]
-    for i in range(len(hist)):
-        rows.append(f"{_fmt(hist.edges[i])},{_fmt(hist.edges[i + 1])},{_fmt(hist.densities[i])}")
+    edges = hist.edges.tolist()  # Python floats, not a NumPy scalar per cell
+    rows += [f"{_fmt(lo)},{_fmt(hi)},{_fmt(d)}" for lo, hi, d in zip(edges, edges[1:], hist.densities.tolist())]
     return "\n".join(rows) + "\n"
 
 
@@ -233,8 +233,8 @@ def _cmd_hurst(args) -> int:
     hs = local_hurst(series, args.window, args.shift, config)
 
     rows = ["# columns: t,h,stderr,spans_boundary"]
-    for t, h, se, spans in zip(hs.times, hs.h, hs.stderr, hs.spans_boundary):
-        rows.append(f"{int(t)},{_fmt(h)},{_fmt(se)},{int(spans)}")
+    for t, h, se, spans in zip(*(c.tolist() for c in (hs.times, hs.h, hs.stderr, hs.spans_boundary))):
+        rows.append(f"{t},{_fmt(h)},{_fmt(se)},{int(spans)}")
     finite = hs.h[np.isfinite(hs.h)]
     summary = {
         "mean": float(finite.mean()) if finite.size else None,

@@ -179,12 +179,15 @@ def _tiling_rss(x, m: int, shift: int, config: DfaConfig) -> np.ndarray:
                 inc_fft = np.fft.rfft(np.diff(x), fft_len)
             s2, quad = _segment_rss(x, q, inc_fft, fft_len)
         rss = s2 - quad
-        rss[rss <= _FLOOR * (s2 + quad)] = 0.0
+        np.add(s2, quad, out=s2)
+        rss[rss <= np.multiply(_FLOOR, s2, out=s2)] = 0.0
+        del s2, quad  # rss is all that the totals read
         if tiled:
             total[:, j] = rss.reshape(starts.size, 2 * k).sum(axis=1)
         else:
             firsts = starts + 1 + np.array([[0], [m - k * n]])
             total[:, j] = _strided_sums(rss, firsts, n, k).sum(axis=0)
+        del rss  # not held through the next box size
     return total
 
 
@@ -255,42 +258,59 @@ def _segment_rss(x, q, inc_fft, fft_len) -> tuple:
     """
     n = q.shape[0]
     n_seg = x.size - n + 1
+    # Projections on the non-constant basis columns, by summation by parts:
+    # each column q sums to zero, so sum_i q[i] x[b+i] = -sum_j Q[j] dx[b+j]
+    # with Q the column's running sum, one cross-correlation per column.
+    # They come first, so their transforms are gone before the moment sums.
+    f = np.fft.rfft(np.cumsum(q[:, 1:], axis=0)[:-1].T, fft_len)
+    np.multiply(inc_fft, np.conjugate(f, out=f), out=f)
+    proj = np.fft.irfft(f, fft_len)[:, :n_seg]
+    del f
+    quad = np.einsum("ij,ij->j", proj, proj)
+    del proj
     # Squared deviations from the segment mean, from moment sums taken
     # within aligned blocks of n points relative to each block's first
     # value: a segment spans at most two blocks, joined through their
     # level step, so rounding follows the segment's own variation rather
-    # than the price level of the whole series.
+    # than the price level of the whole series.  The sums are built in
+    # place, term by term in the order of their plain expressions.
     n_blk = -(-x.size // n)
-    blk = np.pad(x, (0, n_blk * n - x.size), mode="edge").reshape(n_blk, n)
-    lead = blk[:, 0]
-    y = blk - lead[:, None]
+    y = np.pad(x, (0, n_blk * n - x.size), mode="edge").reshape(n_blk, n)
+    lead = y[:, 0].copy()
+    y -= lead[:, None]
     p1 = np.zeros((n_blk + 1, n + 1))
     p2 = np.zeros((n_blk + 1, n + 1))
     np.cumsum(y, axis=1, out=p1[:-1, 1:])
-    np.cumsum(y * y, axis=1, out=p2[:-1, 1:])
-    r = np.arange(n)
+    np.cumsum(np.multiply(y, y, out=y), axis=1, out=p2[:-1, 1:])
     step = np.append(np.diff(lead), 0.0)[:, None]
+    rs = np.multiply(np.arange(n), step, out=y)
     t1 = p1[1:, :n]
-    s1 = p1[:-1, n:] - p1[:-1, :n] + t1 + r * step
-    s2 = p2[:-1, n:] - p2[:-1, :n] + p2[1:, :n] + step * (2.0 * t1 + r * step)
+    s1 = np.subtract(p1[:-1, n:], p1[:-1, :n])
+    s1 += t1
+    s1 += rs
+    t1 *= 2.0  # s1 has read t1
+    t1 += rs
+    t1 *= step
+    s2 = np.subtract(p2[:-1, n:], p2[:-1, :n], out=y)  # t1 has read rs
+    s2 += p2[1:, :n]
+    s2 += t1
     s1 = s1.ravel()[:n_seg]
-    s2 = s2.ravel()[:n_seg]
-    # Projections on the non-constant basis columns, by summation by parts:
-    # each column q sums to zero, so sum_i q[i] x[b+i] = -sum_j Q[j] dx[b+j]
-    # with Q the column's running sum, one cross-correlation per column.
-    run = np.cumsum(q[:, 1:], axis=0)[:-1].T
-    proj = np.fft.irfft(inc_fft * np.conj(np.fft.rfft(run, fft_len)), fft_len)[:, :n_seg]
-    return s2, s1 * s1 / n + np.einsum("ij,ij->j", proj, proj)
+    s1 *= s1
+    s1 /= n
+    s1 += quad
+    return s2.ravel()[:n_seg], s1
 
 
 def _strided_sums(v, firsts, n, k):
     """``sum(v[a + j * n] for j in range(k))`` for every a in ``firsts``,
     as two lookups into running sums within each residue class mod n."""
     rows = -(-v.size // n) + 1
-    c = np.zeros(rows * n, dtype=v.dtype)
-    c[n : n + v.size] = v
-    c = np.cumsum(c.reshape(rows, n), axis=0).ravel()
-    return c[firsts + k * n] - c[firsts]
+    c = np.zeros((rows, n), dtype=v.dtype)
+    c.ravel()[n : n + v.size] = v
+    c = np.cumsum(c, axis=0, out=c).ravel()
+    sums = c[firsts + k * n]
+    sums -= c[firsts]
+    return sums
 
 
 def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None) -> HurstSeries:
@@ -322,26 +342,30 @@ def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None
     times = np.arange(window, n_obs + 1, shift, dtype=np.int64)
     starts = times - window
     sizes = np.array(config.box_sizes)
-    f2 = _tiling_rss(arr, m, shift, config) / (2 * (m // sizes) * sizes)
-
+    # the table becomes 1/2 log2 F(n) in place, and the fit works in it
+    logf = _tiling_rss(arr, m, shift, config)
+    logf /= 2 * (m // sizes) * sizes
     with np.errstate(divide="ignore", invalid="ignore"):
-        logf = 0.5 * np.log2(f2)
+        np.log2(logf, out=logf)
+    logf *= 0.5
     ok = np.all(np.isfinite(logf), axis=1)
 
     # vectorized OLS of log2 F on log2 n, one fit per window
     lx = np.log2(sizes)
     lx = lx - lx.mean()
     sxx = float(np.sum(lx**2))
+    y = logf if ok.all() else logf[ok]
+    del logf
+    y -= y.mean(axis=1, keepdims=True)
+    slopes = y @ lx / sxx
+    for j, v in enumerate(lx):
+        y[:, j] -= slopes * v
+    rss = np.einsum("ij,ij->i", y, y)
+    del y
     h = np.full(times.size, np.nan)
     se = np.full(times.size, np.nan)
-    if np.any(ok):
-        y = logf[ok]
-        slopes = (y - y.mean(axis=1, keepdims=True)) @ lx / sxx
-        resid = y - y.mean(axis=1, keepdims=True) - slopes[:, None] * lx[None, :]
-        rss = np.einsum("ij,ij->i", resid, resid)
-        dof = sizes.size - 2
-        h[ok] = slopes
-        se[ok] = np.sqrt(np.maximum(rss, 0.0) / dof / sxx)
+    h[ok] = slopes
+    se[ok] = np.sqrt(np.maximum(rss, 0.0) / (sizes.size - 2) / sxx)
 
     inner = boundaries[(boundaries > 0) & (boundaries < n_obs)]
     spans = np.searchsorted(inner, times) > np.searchsorted(inner, starts, side="right")

@@ -352,7 +352,7 @@ def _chunks(data):
 
 def _head(data) -> tuple[bytes, object]:
     """The first line of ``data`` without its "\n", and an iterator over
-    all of its chunks, those read to find that line included."""
+    all of its chunks, those read to find that line let go once handed on."""
     chunks, seen, line = _chunks(data), [], b""
     for chunk in chunks:
         seen.append(chunk)
@@ -360,7 +360,7 @@ def _head(data) -> tuple[bytes, object]:
         line += part
         if len(part) < len(chunk):
             break
-    return line, itertools.chain(seen, chunks)
+    return line, itertools.chain((seen.pop(0) for _ in range(len(seen))), chunks)
 
 
 def _text(raw: bytes, lineno: int) -> str:

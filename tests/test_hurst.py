@@ -273,6 +273,18 @@ def test_local_hurst_matches_the_frozen_kernel(h, seed, order, window, shift_ove
         assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
 
 
+@pytest.mark.parametrize("window, shift, order", [(8192, 10, 1), (4096, 64, 2), (2048, 64, 3)])
+def test_local_hurst_matches_the_frozen_kernel_at_full_length(window, shift, order):
+    # 1e5 points: transforms of 2**17, as the benchmark's, where the
+    # property above runs on 8192; every box size is fitted at every start
+    path = gen_fbm(FbmSpec(hurst=0.5, n=100_000, seed=17))
+    cfg = DfaConfig.for_length(window - 1, poly_order=order)
+    got = local_hurst(path, window, shift, cfg)
+    ref = _reference_hurst.local_hurst(path, window, shift, cfg)
+    for name in ("times", "h", "stderr"):  # NaN where the reference has NaN
+        assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
+
+
 def _two_days(jump):
     # H = 0.3 days on a 1/1000 tick, so adding an integer jump is exact
     days = [np.round(1000 * gen_fbm(FbmSpec(hurst=0.3, n=2**15, seed=s))) for s in (41, 42)]

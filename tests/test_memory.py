@@ -1,5 +1,6 @@
 """Memory that the regular-series reader, the crossing index, its queries,
-the binning of their results and the ``relax`` subcommand take per row.
+the binning of their results, the ``relax`` subcommand and the sliding
+Hurst estimator take per row, and the chunks the readers let go of.
 
 ``tracemalloc`` sees numpy's buffers as well as Python's objects, so its
 peak is the whole working set of a call.  The input is built before
@@ -8,18 +9,25 @@ what the reader allocates is counted.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
 
 from tickphys import (
     CrossingIndex,
+    DfaConfig,
     RegularSeries,
     cli,
     entry_time_distribution,
+    gen_brownian,
     invstat,
+    local_hurst,
     log_bin,
     market_data,
+    parse_book,
     parse_regular_series,
+    parse_ticks,
     serialize_regular_series,
 )
 
@@ -236,3 +244,61 @@ def test_horizon_scaling_holds_one_thresholds_exits():
     assert [row.threshold for row in scan] == [8, 16]
     bound = 8 * (rows + ladder) + 24 * rows + 8 * (rows // 2) + 6 * MIB
     assert peak <= bound, (peak - bound) / MIB
+
+
+@pytest.mark.parametrize("parse, header, row", [
+    (parse_ticks, "# tick_size=0.01", "{t},100.{c:02d},Q,{v}"),
+    (parse_book, "# tick_size=0.01 depth=1", "{t},0,99.{c:02d},{v},101.{c:02d},{v}"),
+], ids=["ticks", "book"])
+def test_readers_let_go_of_the_chunk_that_held_the_header(parse, header, row):
+    """The chunks read to find the header line are handed on to the rows'
+    reader and held no longer than the chunks after them: a block's lines
+    wait in views of their chunks until the block is whole, and what is
+    left over is copied, so the first chunk is gone well before the last
+    is read.  Kept to the end of the read, it would hold a whole chunk
+    (2 MiB in the CLI) beside the reader's working set."""
+    lines = [header] + [row.format(t=k + 1, c=k % 100, v=k % 7 + 1) for k in range(20_000)]
+    data = np.frombuffer("\n".join(lines).encode() + b"\n", np.uint8)
+    pieces = [data[i : i + 4096].copy() for i in range(0, data.size, 4096)]
+    first = weakref.ref(pieces[0])
+    alive = []
+
+    def stream():
+        while pieces:
+            alive.append(first() is not None)
+            yield pieces.pop(0)
+
+    assert len(parse(stream())[0]) == 20_000
+    assert not alive[-1]
+
+
+@pytest.mark.parametrize("window, shift, order", [(1024, 1, 1), (4096, 64, 2)])
+def test_local_hurst_holds_its_table_and_one_box_sizes_buffers(window, shift, order):
+    """``local_hurst`` keeps one float64 per window and box size, its table,
+    and turns it into 1/2 log2 F(n) and fits each window in place.  Beside
+    the table it holds, throughout, 24 bytes per window (the times and
+    the window starts, twice) and the transform of the increments, L/2 + 1
+    complex values, 8 L bytes, at the transform length L.  Each box size
+    fitted at every start then takes the largest of three steps, one after
+    the other: the projections, a transform of each of the c = order basis
+    columns, complex and then real (16 c L bytes); the moment sums, five
+    arrays of 8 bytes per point (the projections' sum of squares, the
+    block copy, two running sums, one moment sum) plus one column per
+    block in the running sums and two block-level arrays, 44 bytes per
+    point at boxes of 8; or the window totals, the box RSS and their
+    running sums (16 bytes per point) and two first-box indices and two
+    sums per window with one gather in flight (48 bytes per window).
+    Masks and small arrays fit in 1 MiB.  At shift 1 that is about 1.65
+    times the table; a second table-sized array (the fluctuation function
+    beside its log, or the centred copy of the fit) would exceed it, and
+    so would a box size's buffers held through the next one at shift 64.
+    """
+    path = gen_brownian(100_000, seed=3)
+    config = DfaConfig.for_length(window - 1, poly_order=order)
+    hs, peak, _ = _traced(lambda: local_hurst(path, window, shift, config))
+    n, w, fft_len = path.size, len(hs), 1 << (path.size - 2).bit_length()
+    table = 8 * w * len(config.box_sizes)
+    steps = max(16 * order * fft_len, 44 * n, 16 * n + 48 * w)
+    bound = table + 24 * w + 8 * fft_len + steps + MIB
+    assert np.isfinite(hs.h).all()
+    assert peak <= bound, ((peak - table) / n, (bound - table) / n)
