@@ -55,7 +55,6 @@ from .hurst import (
     DfaConfig,
     HurstEstimate,
     HurstSeries,
-    dfa_fluctuation,
     hurst_exponent,
     local_hurst,
     hurst_pdf,
@@ -88,10 +87,8 @@ from .obrelax import (
     relaxation_times,
     relaxation_hist,
     fit_stretched_exp,
-    log_stretched_density,
     mean_relaxation_from_fit,
     sample_stretched_exp,
-    mean_relax_vs_kappa,
 )
 from .numerics import (
     LogBinnedPdf,

@@ -183,6 +183,8 @@ def _cmd_synth(args) -> int:
     started = _utcnow()
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if not 0.0 < args.scale < math.inf:  # every model, although tickwalk ignores it
+        raise UsageError("--scale must be finite and positive")
     if args.model == "fbm":
         if args.hurst is None:
             raise UsageError("--hurst is required for --model fbm")

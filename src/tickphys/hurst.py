@@ -1,11 +1,10 @@
 """Hurst exponent estimation by detrended fluctuation analysis.
 
-``dfa_fluctuation`` implements the classic recipe on an increment series:
-integrate the mean-subtracted increments into a profile, split the profile
-into non-overlapping boxes of size n taken from the start *and* from the
-end (so every point is covered even when n does not divide the length),
-least-squares detrend each box with a polynomial, and report
-F(n) = the RMS of all box residuals.
+DFA follows the classic recipe: integrate the mean-subtracted increments
+into a profile, split the profile into non-overlapping boxes of size n
+taken from the start *and* from the end (so every point is covered even
+when n does not divide the length), least-squares detrend each box with
+a polynomial, and take F(n) = the RMS of all box residuals.
 
 ``hurst_exponent`` and the sliding-window routines operate on price-like
 paths: they difference the path first, so a fractional Brownian motion
@@ -36,7 +35,6 @@ __all__ = [
     "DfaConfig",
     "HurstEstimate",
     "HurstSeries",
-    "dfa_fluctuation",
     "hurst_exponent",
     "local_hurst",
     "hurst_pdf",
@@ -171,6 +169,7 @@ def _tiling_rss(x, m: int, shift: int, config: DfaConfig) -> np.ndarray:
                 tiles = wins[:, first : first + k * n].reshape(starts.size, k, n)
                 np.subtract(tiles, tiles[:, :, :1], out=seg[:, half])  # conditioning only; absorbed by the fit
             s2, quad = _box_rss(seg.reshape(-1, n), q)
+            del seg  # not held through the next box size
         else:
             if inc_fft is None:
                 # the correlations read no wrapped lag once the transform
@@ -207,21 +206,6 @@ def _pooled_f2(days, config: DfaConfig) -> np.ndarray:
         rss = rss + _tiling_rss(profile, inc.size, 1, config)[0]
         points = points + 2 * (inc.size // sizes) * sizes
     return np.maximum(rss, 0.0) / points
-
-
-def dfa_fluctuation(increments, config: DfaConfig) -> list:
-    """Fluctuation function of an increment series.
-
-    Returns ``[(n, F(n)), ...]`` for each configured box size.  F(n) can be
-    exactly zero when the profile is a polynomial the box fits absorb (a
-    degree-d increment trend vanishes for poly_order >= d + 1).
-    """
-    x = np.asarray(increments, dtype=float).ravel()
-    if x.size < 4:
-        raise SeriesTooShort("need at least 4 increments")
-    if np.all(x == x[0]):
-        raise DegenerateSeries("constant input")
-    return list(zip(config.box_sizes, np.sqrt(_pooled_f2([x], config))))
 
 
 def hurst_exponent(series, config: DfaConfig | None = None) -> HurstEstimate:

@@ -342,7 +342,7 @@ def exit_times(data, config: ExitTimeConfig) -> ExitTimes:
 
 
 def first_passage_hist(
-    exits, bins_per_decade: int = 10, *, min_samples: int = 100
+    exits: ExitTimes, bins_per_decade: int = 10, *, min_samples: int = 100
 ) -> LogBinnedPdf:
     """Log-binned density of waiting times.
 
@@ -350,15 +350,9 @@ def first_passage_hist(
     resolved fraction), so deep thresholds are not flattered by dropping
     their unresolved entries.
     """
-    if isinstance(exits, ExitTimes):
-        samples = exits.tau
-        censored = exits.censored_count
-    else:
-        samples = np.asarray(exits, dtype=float)
-        censored = 0
-    if samples.size < min_samples:
-        raise TooFewSamples(f"{samples.size} resolved exits < min_samples={min_samples}")
-    return log_bin(samples, bins_per_decade, censored_count=censored)
+    if exits.tau.size < min_samples:
+        raise TooFewSamples(f"{exits.tau.size} resolved exits < min_samples={min_samples}")
+    return log_bin(exits.tau, bins_per_decade, censored_count=exits.censored_count)
 
 
 # ----------------------------------------------------------------- the model
@@ -474,30 +468,15 @@ def fit_first_passage(hist: LogBinnedPdf, restarts: int = 8) -> FirstPassageFit:
     )
 
 
-def optimal_horizon(obj) -> float:
-    """Most probable waiting time.
-
-    From a fit the mode is closed form,
+def optimal_horizon(fit: FirstPassageFit) -> float:
+    """Most probable waiting time of the fitted law, in closed form:
     tau* = beta^2 (nu / (alpha+1))^(1/nu) - tau0, floored at zero when the
-    density is monotone.  From a histogram it is the geometric center of
-    the highest-density occupied bin.
-    """
-    if isinstance(obj, FirstPassageFit):
-        tau_star = obj.beta**2 * (obj.nu / (obj.alpha + 1.0)) ** (1.0 / obj.nu) - obj.tau0
-        if tau_star <= 0.0:
-            logger.warning("fitted density is monotone decreasing; mode at zero")
-            return 0.0
-        return float(tau_star)
-    if isinstance(obj, LogBinnedPdf):
-        occ = np.nonzero(obj.occupied)[0]
-        if occ.size == 0:
-            raise EmptyInput("empty histogram")
-        dens = obj.densities[occ]
-        k = int(np.argmax(dens))
-        if k in (0, occ.size - 1):
-            logger.warning("histogram mode sits on the edge of the occupied range")
-        return float(obj.centers[occ[k]])
-    raise TypeError("expected a FirstPassageFit or LogBinnedPdf")
+    density is monotone."""
+    tau_star = fit.beta**2 * (fit.nu / (fit.alpha + 1.0)) ** (1.0 / fit.nu) - fit.tau0
+    if tau_star <= 0.0:
+        logger.warning("fitted density is monotone decreasing; mode at zero")
+        return 0.0
+    return float(tau_star)
 
 
 # ------------------------------------------------------- scaling with theta

@@ -28,8 +28,8 @@ tick size is a finite positive decimal that some nonzero price of at most
 Each reader takes a file's bytes, a str as its UTF-8 encoding, or an
 iterable of byte chunks cut anywhere, and reads them chunk by chunk
 (bytes in slices of ``_CHUNK_BYTES``).  It decodes only a header, the
-comments and the cells that ``int()`` and ``float()`` read: one that is
-not UTF-8 is a ``MalformedRow`` at its line.  One kernel cuts the chunks
+comments and the cells that ``float()`` reads: one that is not UTF-8 is
+a ``MalformedRow`` at its line.  One kernel cuts the chunks
 into blocks of lines, and each block into cells by its commas, checking
 field counts by comma stride.  The
 cells of a column, or of a book's price or volume levels together, are
@@ -40,26 +40,25 @@ are all of its bytes.  Lines end in ``\n`` or ``\r\n`` (a lone ``\r`` and
 the other breaks of ``str.splitlines`` do not end a line); lines of
 spaces, tabs and ``\r`` are skipped, keeping their numbers.
 
-In tick and book files every number is ASCII ``-?digits(.digits)?`` with
-at most 19 digits, read exactly as integers and ticks that fit int64 (no
-exponent, "+", "_", spaces or bare dot).
+In tick and book files every number, and in a regular CSV every
+timestamp, is ASCII ``-?digits(.digits)?`` with at most 19 digits, read
+exactly as integers and ticks that fit int64 (no exponent, "+", "_",
+spaces or bare dot); a timestamp has no dot.
 
 In a regular CSV a line whose first character is ``#`` is a comment, and
 the last comment ``#<spaces>session_boundaries=<list>`` gives the day
-starts: ``;``-separated ``int()`` literals, empty items skipped.  A
-timestamp cell is any ``int()`` literal and a value cell any ``float()``
-literal, as Python reads them.  Cells of the kernel's grammar take a fast
-path: a timestamp is its int64 mantissa, and a value whose mantissa is
-below 2**53 is |mantissa| / 10**frac, both operands exact in float64, so
-that one correctly rounded division gives float(cell) bit for bit
-(Clinger 1990).  Every other cell (exponents, 16 to 19 significant
-digits, "1_0", " 1.5", "+1", "nan", beyond int64) is read by Python's
-``int()``/``float()`` from its text.  Errors come in this order, each a
-``MalformedRow`` at its line: the first row with a wrong field count or a
-cell that ``int()``/``float()`` reject; the first row off the grid
-ts0 + k * interval or beyond int64, or with a non-finite value; then a
-comment that is not UTF-8 or a bad footer (not integers, or not sorted,
-unique, from 0 and within the rows).
+starts: ``;``-separated ``int()`` literals, empty items skipped.  A value
+cell is any ``float()`` literal, as Python reads it.  A value of the
+kernel's grammar whose mantissa is below 2**53 is |mantissa| / 10**frac,
+both operands exact in float64, so that one correctly rounded division
+gives float(cell) bit for bit (Clinger 1990).  Every other value
+(exponents, 16 to 19 significant digits, "1_0", " 1.5", "+1", "nan") is
+read by Python's ``float()`` from its text.  Errors come in this order,
+each a ``MalformedRow`` at its line: the first row with a wrong field
+count, a timestamp outside the grammar or a value that ``float()``
+rejects; the first row off the grid ts0 + k * interval or with a
+non-finite value; then a comment that is not UTF-8 or a bad footer (not
+integers, or not sorted, unique, from 0 and within the rows).
 """
 
 from __future__ import annotations
@@ -314,7 +313,7 @@ def _number(blk, s, e):
     # digits, dots and a leading minus are all of the cell's bytes; a cell
     # wider than the window can pass this only with 20 or more digits
     ok = (digits + dots == e - s - neg) & (dots <= 1) & ((dots == 0) | (frac > 0)) & (frac < digits)
-    ok &= (digits <= 19) & (mant <= _I64_MAX)
+    ok &= (digits <= 19) & (mant <= np.uint64(_I64_MAX) + neg)  # -2**63 fits
     value = np.where(neg, -mant.astype(np.int64), mant.astype(np.int64))
     return value.reshape(shape), frac.reshape(shape), ok.reshape(shape)
 
@@ -333,7 +332,8 @@ def _ticks(mant, frac, tick: Fraction):
         r = Fraction(tick.denominator, tick.numerator * 10**f)  # ticks per unit of mant
         at, m = frac == f, mant[frac == f]
         q, rem = np.divmod(m, r.denominator) if r.denominator <= _I64_MAX else (0 * m, m)
-        on_grid[at], fits[at] = rem == 0, np.abs(q) <= _I64_MAX // r.numerator
+        lim = _I64_MAX // r.numerator  # not np.abs(q) <= lim: it wraps at -2**63
+        on_grid[at], fits[at] = rem == 0, (-lim <= q) & (q <= lim)
         ticks[at] = q * min(r.numerator, _I64_MAX)
     return ticks, on_grid, fits
 
@@ -645,76 +645,60 @@ def serialize_regular_series(series: RegularSeries) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _read_cells(blk, s, e, read) -> list:
-    """``read`` (``int`` or ``float``) of the text of each cell
-    ``blk[s[i]:e[i]]``, up to the first cell that it rejects."""
+def _read_cells(blk, s, e) -> list:
+    """``float`` of the text of each cell ``blk[s[i]:e[i]]``, up to the
+    first cell that it rejects."""
     raw, at = blk.tobytes() if s.size else b"", zip(s.tolist(), e.tolist())
     if raw.isascii():  # a byte offset is a character offset
         raw = raw.decode("ascii")
         cells = [raw[a:b] for a, b in at]
-    else:  # bytes that are not UTF-8 become lone surrogates, which read rejects
+    else:  # bytes that are not UTF-8 become lone surrogates, which float rejects
         cells = [raw[a:b].decode("utf-8", "surrogateescape") for a, b in at]
     try:
-        return list(map(read, cells))
+        return list(map(float, cells))
     except ValueError:
         out = []
         for cell in cells:
             try:
-                out.append(read(cell))
+                out.append(float(cell))
             except ValueError:
                 return out
 
 
 def _regular_rows(data, notes: list):
     """Per block of a regular CSV's rows: their line numbers, int64
-    timestamps and values, and the timestamps beyond int64 by row of the
-    block (0 in their column).  The first row with a cell that is not UTF-8
-    or that ``int``/``float`` reject raises."""
+    timestamps and values.  The first row with a timestamp outside the
+    kernel's grammar or a value cell that ``float`` rejects raises."""
     for lineno, blk, s, e in _blocks(data, 2, notes):
         ts, ok = _integer(blk, s[:, 0], e[:, 0])
         mant, vfrac, vok = _number(blk, s[:, 1], e[:, 1])
         # an exact mantissa over an exact power of ten: one correctly rounded division
         val = np.abs(mant) / _POW10[vfrac]
         val = np.where(blk[s[:, 1]] == 45, -val, val)  # "-0" reads -0.0
-        bad, big = ts.size, {}
-        slow = np.flatnonzero(~ok)
-        got = _read_cells(blk, s[slow, 0], e[slow, 0], int)
-        for i, t in zip(slow.tolist(), got):
-            if -_I64_MAX - 1 <= t <= _I64_MAX:
-                ts[i] = t
-            else:
-                big[i], ts[i] = t, 0
-        if len(got) < slow.size:
-            bad = slow[len(got)]
-        slow = np.flatnonzero(~(vok & (np.abs(mant) < 2**53)))
-        slow = slow[slow < bad]
-        got = _read_cells(blk, s[slow, 1], e[slow, 1], float)
+        slow = np.flatnonzero(~(vok & (-(2**53) < mant) & (mant < 2**53)))  # np.abs(mant) wraps at -2**63
+        got = _read_cells(blk, s[slow, 1], e[slow, 1])
         val[slow[: len(got)]] = got
-        if len(got) < slow.size:
-            bad = slow[len(got)]
-        if bad < ts.size:
-            raise MalformedRow(int(lineno[bad]), "bad numeric field")
-        yield lineno, ts, big, val
+        bad = [*np.flatnonzero(~ok)[:1], *slow[len(got) : len(got) + 1]]
+        if bad:
+            raise MalformedRow(int(lineno[min(bad)]), "bad numeric field")
+        yield lineno, ts, val
 
 
-def _first_fault(row: int, lineno, ts, big: dict, values, t0: int, step: int):
-    """``(line, why)`` of the first of a block's rows, rows ``row`` on,
-    beyond int64, off the grid t0 + i * step or not finite, or None.  With
-    step <= 0 only row 1 is off the grid."""
+def _first_fault(row: int, lineno, ts, values, t0: int, step: int):
+    """``(line, why)`` of the first of a block's rows, rows ``row`` on, off
+    the grid t0 + i * step or not finite, or None.  With step <= 0 only
+    row 1 is off the grid."""
     i = np.arange(row, row + ts.size, dtype=np.uint64)
     if step <= 0:
         grid = i == 1
-    elif -_I64_MAX - 1 <= t0 <= _I64_MAX:  # else row 0 is beyond int64
+    else:
         # Row i is on the grid if u_i - u_0 == i * step in uint64, i up to
         # the grid's last point in int64: i * step is then exact, and the
         # difference, of two int64, is too, unless it is negative, when
         # t_i would lie below int64.
         last = np.uint64((_I64_MAX - t0) // step)
-        off = ts.view(np.uint64) - np.uint64(t0 % 2**64) != i * np.uint64(min(step, 2**64 - 1))
+        off = ts.view(np.uint64) - np.uint64(t0 % 2**64) != i * np.uint64(step)
         grid = (i > last) | off
-        grid[list(big)] = True
-    else:
-        grid = np.ones(ts.size, bool)
     bad = grid | ~np.isfinite(values)
     if not bad.any():
         return None
@@ -723,8 +707,6 @@ def _first_fault(row: int, lineno, ts, big: dict, values, t0: int, step: int):
         why = f"value {float(values[j])!r} is not finite"
     elif step <= 0:
         why = f"timestamp {t0 + step} does not follow {t0}"
-    elif j in big:
-        why = f"timestamp {big[j]} is beyond int64"
     else:
         why = f"timestamp {int(ts[j])} is off the grid {t0} + k * {step}"
     return int(lineno[j]), why
@@ -735,18 +717,19 @@ def parse_regular_series(data) -> RegularSeries:
 
     Timestamps must lie on the grid that ``serialize_regular_series``
     writes, ts0 + k * interval with the interval of the first two rows,
-    and values must be finite.  The first row with a wrong field count or
-    a cell that is not UTF-8 or that ``int``/``float`` reject raises first,
-    then the first row off the grid or not finite, then the first comment
-    that is not UTF-8 or a bad footer: each a ``MalformedRow`` at its line.
+    and values must be finite.  The first row with a wrong field count, a
+    timestamp outside the kernel's grammar or a value that is not UTF-8 or
+    that ``float`` rejects raises first, then the first row off the grid
+    or not finite, then the first comment that is not UTF-8 or a bad
+    footer: each a ``MalformedRow`` at its line.
     Only the value column is kept; the grid is checked block by block.
     """
     notes, values, stamps, waiting, fault, rows = [], [], [], [], None, 0
-    for lineno, ts, big, val in _regular_rows(data, notes):
+    for lineno, ts, val in _regular_rows(data, notes):
         values.append(val)
-        stamps += [big.get(i, int(ts[i])) for i in range(min(2 - len(stamps), ts.size))]
+        stamps += ts[: 2 - len(stamps)].tolist()
         if fault is None:
-            waiting.append((rows, lineno, ts, big, val))  # until rows 0 and 1 give the step
+            waiting.append((rows, lineno, ts, val))  # until rows 0 and 1 give the step
             if len(stamps) == 2:
                 t0, step = stamps[0], stamps[1] - stamps[0]
                 fault = next(filter(None, (_first_fault(*block, t0, step) for block in waiting)), None)

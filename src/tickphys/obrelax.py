@@ -22,13 +22,11 @@ import numpy as np
 from .errors import EmptySide, TooFewBins, TooFewSamples
 from .market_data import _day_index, wall_seconds
 from .numerics import (
-    LinFit,
     LogBinnedPdf,
     _by_row,
     _columns,
     _fit_log_density,
     _power_by_row,
-    linfit,
     log_bin,
 )
 
@@ -36,8 +34,6 @@ __all__ = [
     "ImbalanceSeries",
     "RelaxationSamples",
     "StretchedExpFit",
-    "KappaRow",
-    "KappaScan",
     "imbalance_series",
     "entry_times",
     "relaxation_times",
@@ -45,7 +41,6 @@ __all__ = [
     "fit_stretched_exp",
     "mean_relaxation_from_fit",
     "sample_stretched_exp",
-    "mean_relax_vs_kappa",
 ]
 
 CLOCKS = ("event", "trade", "wall")
@@ -232,20 +227,10 @@ class StretchedExpFit:
     n_bins: int
 
 
-def log_stretched_density(tau, tau_tilde: float, alpha: float):
-    if not (tau_tilde > 0 and 0 < alpha <= 1):
-        raise ValueError("need tau_tilde > 0 and alpha in (0, 1]")
-    t = np.asarray(tau, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("tau must be positive")
-    with np.errstate(over="ignore"):
-        return _log_stretched_density(t, tau_tilde, alpha)
-
-
 def _log_stretched_density(t, tau_tilde, alpha):
-    """log_stretched_density, unchecked: t and tau_tilde must be positive
-    and alpha in (0, 1].  The parameters are scalars, or (K, 1) columns for
-    K rows at once."""
+    """log of the ``StretchedExpFit`` density at t, unchecked: t and
+    tau_tilde must be positive and alpha in (0, 1].  The parameters are
+    scalars, or (K, 1) columns for K rows at once."""
     r = t / tau_tilde
     const = _by_row(lambda a, tt: math.log(a) - math.log(tt), alpha, tau_tilde)
     return const + (alpha - 1.0) * np.log(r) - _power_by_row(r, alpha)
@@ -299,56 +284,3 @@ def sample_stretched_exp(n: int, tau_tilde: float, alpha: float, seed: int = 0) 
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     return tau_tilde * (-np.log1p(-u)) ** (1.0 / alpha)
-
-
-# ------------------------------------------------------------ kappa scaling
-
-
-@dataclass(frozen=True)
-class KappaRow:
-    kappa: float
-    mean_tau: float
-    n_resolved: int
-    n_censored: int
-
-
-@dataclass(frozen=True)
-class KappaScan:
-    rows: tuple
-    fit: LinFit | None
-
-
-def mean_relax_vs_kappa(
-    series: ImbalanceSeries,
-    kappas,
-    *,
-    clock: str = "event",
-    min_samples: int = 10,
-    fit_range: tuple | None = None,
-) -> KappaScan:
-    """Mean resolved relaxation time per entry level.
-
-    When at least three levels inside ``fit_range`` have enough entries,
-    the scan carries a straight-line fit of mean tau against kappa.
-    """
-    rows = []
-    for kappa in kappas:
-        samples = relaxation_times(series, float(kappa), clock=clock)
-        resolved = samples.resolved_tau
-        if resolved.size < min_samples:
-            continue
-        rows.append(
-            KappaRow(
-                kappa=float(kappa),
-                mean_tau=float(resolved.mean()),
-                n_resolved=int(resolved.size),
-                n_censored=samples.censored_count,
-            )
-        )
-    fit = None
-    if fit_range is not None:
-        lo, hi = fit_range
-        pts = [(r.kappa, r.mean_tau) for r in rows if lo <= r.kappa <= hi]
-        if len(pts) >= 3:
-            fit = linfit([p[0] for p in pts], [p[1] for p in pts])
-    return KappaScan(rows=tuple(rows), fit=fit)

@@ -41,14 +41,16 @@ class FbmSpec:
             raise ValueError("hurst must lie in (0, 1)")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < np.inf:  # NaN fails too
+            raise ValueError("scale must be finite and positive")
 
 
 def gen_brownian(n: int, scale: float = 1.0, seed: int = 0) -> np.ndarray:
     """Gaussian random walk of length n starting at 0."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    if not 0.0 < scale < np.inf:
+        raise ValueError("scale must be finite and positive")
     rng = np.random.default_rng(seed)
     steps = rng.standard_normal(n - 1) * scale
     out = np.empty(n)

@@ -39,7 +39,7 @@ def _number(blk, s, e):
     weight, neg = _WEIGHT[b].sum(0), blk[s] == 45
     dots, digits = weight & 31, e - s - neg - (weight & 31)
     ok = (weight >> 5 == neg) & (dots <= 1) & ((dots == 0) | (frac > 0)) & (frac < digits)
-    ok &= (digits <= 19) & (mant <= _I64_MAX)
+    ok &= (digits <= 19) & (mant <= np.uint64(_I64_MAX) + neg)
     value = np.where(neg, -mant.astype(np.int64), mant.astype(np.int64))
     return value.reshape(shape), frac.reshape(shape), ok.reshape(shape)
 

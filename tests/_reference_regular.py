@@ -1,10 +1,12 @@
 """The row-by-row regular-series reader that the columnar one replaced,
 kept as the reference the tests hold ``tickphys.parse_regular_series`` to.
 
-Each line of ``str.splitlines`` is split with ``str.split``, its cells go
-through ``int`` and ``float``, the grid is checked afterwards (exactly,
-row by row, where the timestamps leave int64), and the line number of a
-failing row is found by a second scan of the text.
+Each line of ``str.splitlines`` is split with ``str.split``, a timestamp
+cell must be ASCII ``-?digits`` of at most 19 digits within int64 (the
+byte kernel's grammar) and a value cell goes through ``float``, the grid
+is checked afterwards (exactly, row by row, where the timestamps spread
+beyond int64), and the line number of a failing row is found by a second
+scan of the text.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from tickphys import MalformedRow, RegularSeries
 
 _I64_MAX = np.iinfo(np.int64).max
+_STAMP = re.compile(r"-?[0-9]{1,19}")
 
 
 def _data_line(text: str, k: int) -> int:
@@ -29,22 +32,17 @@ def _data_line(text: str, k: int) -> int:
 
 
 def _grid_break(ts: list) -> tuple[int, str]:
-    """First row whose timestamp leaves int64 or the grid ts[0] + k * step,
-    with step = ts[1] - ts[0], and why; (len(ts), "") when none does."""
+    """First row whose timestamp leaves the grid ts[0] + k * step, with
+    step = ts[1] - ts[0], and why; (len(ts), "") when none does."""
     n = len(ts)
     step = ts[1] - ts[0] if n > 1 else 1
     if step <= 0:
         return 1, f"timestamp {ts[1]} does not follow {ts[0]}"
     why = f"timestamp {{}} is off the grid {ts[0]} + k * {step}"
-    try:
-        stamps = np.array(ts, dtype=np.int64)
-        spread = int(stamps.max()) - int(stamps.min())
-    except OverflowError:
-        stamps, spread = None, None
-    if stamps is None or spread > _I64_MAX:  # exact Python integers, row by row
+    stamps = np.array(ts, dtype=np.int64)
+    spread = int(stamps.max()) - int(stamps.min())
+    if spread > _I64_MAX:  # exact Python integers, row by row
         for k, t in enumerate(ts):
-            if not -_I64_MAX - 1 <= t <= _I64_MAX:
-                return k, f"timestamp {t} is beyond int64"
             if t != ts[0] + k * step:
                 return k, why.format(t)
         return n, ""
@@ -78,6 +76,8 @@ def parse_regular_series(text: str) -> RegularSeries:
         if len(parts) != 2:
             raise MalformedRow(lineno, f"expected 2 fields, got {len(parts)}")
         try:
+            if not (_STAMP.fullmatch(parts[0]) and -_I64_MAX - 1 <= int(parts[0]) <= _I64_MAX):
+                raise ValueError(f"bad timestamp {parts[0]!r}")
             ts.append(int(parts[0]))
             vals.append(float(parts[1]))
         except ValueError:

@@ -1,7 +1,14 @@
 """The public names of ``tickphys``, pinned so that adding or removing one
-is a reviewed change to this file."""
+is a reviewed change to this file, and each held to a consumer outside
+the tests."""
+
+import ast
+import types
+from pathlib import Path
 
 import tickphys
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "Book",
@@ -48,7 +55,6 @@ PUBLIC = {
     "UsageError",
     "WindowTooLarge",
     "avg_hurst_vs_scale",
-    "dfa_fluctuation",
     "entry_time_distribution",
     "entry_times",
     "errors",
@@ -71,9 +77,7 @@ PUBLIC = {
     "local_hurst",
     "log_bin",
     "log_passage_density",
-    "log_stretched_density",
     "market_data",
-    "mean_relax_vs_kappa",
     "mean_relaxation_from_fit",
     "minimize",
     "numerics",
@@ -98,3 +102,41 @@ PUBLIC = {
 
 def test_public_names_are_pinned():
     assert set(tickphys.__all__) == PUBLIC
+
+
+# Public names whose consumer is still to come, each with the ROADMAP item
+# that brings it: the CLI outputs of item 5 and the ingest of item 2.
+AWAITING_A_CONSUMER = {
+    "hurst_pdf": 5,
+    "avg_hurst_vs_scale": 5,
+    "parse_ticks": 2,
+    "sessionize": 2,
+    "resample": 2,
+}
+
+
+def _loads(path: Path) -> set:
+    """Names that ``path`` loads, attributes it reads and the string
+    constants it holds (the bench tracer patches functions by name), apart
+    from its own ``__all__``, which only exports."""
+    tree = ast.parse(path.read_text(), str(path))
+    tree.body = [
+        node for node in tree.body
+        if not (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    ]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_consumer_outside_the_tests():
+    sources = [p for p in (ROOT / "src" / "tickphys").glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_loads, sources + sorted((ROOT / "bench").glob("*.py"))))
+    names = {n for n in tickphys.__all__ if not isinstance(getattr(tickphys, n), types.ModuleType)}
+    assert sorted(names - used) == sorted(AWAITING_A_CONSUMER)

@@ -61,6 +61,16 @@ def test_synth_tickwalk_and_validation(tmp_path):
     assert not (tmp_path / "b").exists()  # failed runs leave nothing behind
 
 
+@pytest.mark.parametrize("model", ["fbm", "brownian", "tickwalk"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-2"])
+def test_synth_refuses_a_scale_that_is_not_finite_and_positive(tmp_path, model, scale, capsys):
+    out = tmp_path / "s"
+    argv = ["synth", "--model", model, "--n", "100", "--seed", "1", "--hurst", "0.6", f"--scale={scale}"]
+    assert cli.run(argv + ["--out", str(out)]) == 1
+    assert "--scale must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hurst_artifacts(tmp_path):
     src = tmp_path / "src"
     cli.run(["synth", "--model", "brownian", "--n", "2048", "--seed", "5", "--out", str(src)])

@@ -23,7 +23,6 @@ from tickphys import (
     SeriesTooShort,
     WindowTooLarge,
     avg_hurst_vs_scale,
-    dfa_fluctuation,
     gen_brownian,
     gen_fbm,
     hurst_exponent,
@@ -52,25 +51,14 @@ def test_dfa_config_for_length_spans_the_series():
     assert all(a < b for a, b in zip(cfg.box_sizes, cfg.box_sizes[1:]))
 
 
-def test_dfa_fluctuation_rejects_degenerate_input():
-    cfg = DfaConfig(box_sizes=(8, 12, 16))
-    with pytest.raises(DegenerateSeries):
-        dfa_fluctuation(np.ones(200), cfg)
-    with pytest.raises(SeriesTooShort):
-        dfa_fluctuation(np.arange(3.0), cfg)
-    with pytest.raises(SeriesTooShort):
-        dfa_fluctuation(np.random.default_rng(0).standard_normal(40), cfg)
-
-
 def test_dfa_absorbs_polynomial_trend_exactly():
     # linear increments make a quadratic profile, which quadratic
     # detrending fits with zero residual (up to rounding)
     inc = 0.5 + 0.01 * np.arange(400.0)
     cfg = DfaConfig(box_sizes=(8, 16, 32, 64), poly_order=2)
-    pairs = dfa_fluctuation(inc, cfg)
+    f = np.sqrt(hurst._pooled_f2([inc], cfg))
     profile_scale = float(np.abs(np.cumsum(inc - inc.mean())).max())
-    for _, f in pairs:
-        assert f <= 1e-8 * profile_scale
+    assert f.size == 4 and (f <= 1e-8 * profile_scale).all()
 
 
 def test_hurst_exponent_white_noise_path():
@@ -212,7 +200,8 @@ def test_hurst_exponent_matches_the_uncached_estimator(fresh_basis):
                 got = hurst_exponent(path, cfg)
                 assert repr(got) == repr(_reference_hurst.hurst_exponent(path, cfg))
                 inc = np.diff(path)
-                assert dfa_fluctuation(inc, cfg) == _reference_hurst.dfa_fluctuation(inc, cfg)
+                want = [f for _, f in _reference_hurst.dfa_fluctuation(inc, cfg)]
+                assert np.sqrt(hurst._pooled_f2([inc], cfg)).tolist() == want
     info = hurst._poly_basis.cache_info()
     assert info.hits > 0 and info.misses > info.maxsize
 

@@ -475,17 +475,11 @@ def test_fit_needs_enough_spread():
         fit_first_passage(log_bin(np.linspace(10.0, 20.0, 500), 10))
 
 
-def test_optimal_horizon_closed_form_and_hist():
+def test_optimal_horizon_closed_form():
     fit = FirstPassageFit(alpha=0.5, beta=20.0, nu=1.0, tau0=0.0, sse=0.0, n_bins=0)
     assert np.isclose(optimal_horizon(fit), 400.0 / 1.5)
     monotone = FirstPassageFit(alpha=0.5, beta=0.1, nu=1.0, tau0=5.0, sse=0.0, n_bins=0)
     assert optimal_horizon(monotone) == 0.0
-
-    hist = log_bin(sample_first_passage(50_000, 0.5, 20.0, seed=2), 10)
-    tau_hist = optimal_horizon(hist)
-    assert 100.0 < tau_hist < 700.0  # around the true mode 266.7
-    with pytest.raises(TypeError):
-        optimal_horizon([1.0, 2.0])
 
 
 def test_horizon_scaling_fit_route():

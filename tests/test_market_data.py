@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_book as reference
@@ -269,7 +269,14 @@ def test_parse_book_edge_cells_are_malformed_rows(row):
 
 
 @pytest.mark.parametrize(
-    "row", ["9223372036854775808,1.00,T,1", "2,1.00,T,1\u00e9", "2,+1.00,T,1", "2,1.00,T,1e1"]
+    "row",
+    [
+        "9223372036854775808,1.00,T,1",
+        "2,1.00,T,1\u00e9",
+        "2,+1.00,T,1",
+        "2,1.00,T,1e1",
+        "2,-9223372036854775808,T,1",  # fits int64, but its tick count does not
+    ],
 )
 def test_parse_ticks_edge_cells_are_malformed_rows(row):
     with pytest.raises(MalformedRow) as err:
@@ -285,7 +292,7 @@ def test_parse_ticks_edge_cells_are_malformed_rows(row):
         (parse_regular_series, b"0,1\n# caf\xe9\n1,2\n", 2),  # a comment
         (parse_regular_series, b"0,1\n# caf\xe9\n1,2\n5,3\n", 4),  # after the rows' own faults
         (parse_regular_series, b"0,1\n1,2\n# session_boundaries=0;1\xe9\n", 3),  # the footer
-        (parse_regular_series, b"0,1\n1\xe9,2\n2,3\n", 2),  # a cell that int() reads
+        (parse_regular_series, b"0,1\n1\xe9,2\n2,3\n", 2),  # a timestamp cell
         (parse_regular_series, b"0,1\n1,2.5\xe9\n2,x\n", 2),  # and one that float() reads
         (parse_regular_series, "0,1\n# \ud800\n1,2\n", 2),  # a str's lone surrogate
         (parse_regular_series, b"0,1\r1,2\r", 1),  # a lone \r ends no line
@@ -534,7 +541,7 @@ def test_parse_regular_series_rejects_garbage():
         ("0,inf\n", 1),
         ("0,1\n10,2\n25,nan\n", 3),
         ("0,1\n10,nan\n25,3\n", 2),  # the first bad row, whatever its fault
-        (f"{2**63},1\n", 1),  # beyond int64
+        (f"{2**63},1\n", 1),  # a timestamp beyond int64 is a bad numeric field
         (f"0,1\n{2**63 - 1},2\n", None),
         (f"{-2**63},1\n0,2\n{2**63 - 1},3\n", 3),  # a spread beyond int64
         (f"{-2**63},1\n{2**63 - 1},2\n", None),  # a step beyond int64
@@ -558,12 +565,32 @@ def test_parse_regular_series_rejects_off_grid_and_non_finite_rows(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("stamp", ["+1", "1_0", " 5", "5 ", "\u0661\u0662", "1.0", "1e3", str(2**63), str(-(2**63) - 1)])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_regular_series_timestamps_are_read_by_the_kernels_grammar(stamp, row):
+    """A timestamp is ASCII -?digits within int64, as in tick and book
+    files; any other cell, even one that int() reads, is a bad numeric
+    field at its line."""
+    cells = ["0", "1", "2"]
+    cells[row] = stamp
+    text = "# c\n" + "".join(f"{t},{k}.5\n" for k, t in enumerate(cells))
+    with pytest.raises(MalformedRow, match="bad numeric field") as err:
+        parse_regular_series(text)
+    assert err.value.line == row + 2
+
+
+def test_regular_series_timestamps_reach_both_ends_of_int64():
+    for text in (f"{-(2**63)},1\n{-(2**63) + 5},2\n", f"{2**63 - 6},1\n{2**63 - 1},2\n"):
+        back = parse_regular_series(text)
+        assert back.timestamps_ns.tolist() == [int(t.split(",")[0]) for t in text.split()]
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
         ("0,nan\n10,2\n20,3\n", 1),  # row 0 is judged once row 1 gives the step
         (f"{2**63},1\n{2**63 + 10},2\n", 1),
-        (f"{2**63},1\n0,2\n", 2),  # no positive interval: row 0's stamp is not judged
+        (f"{2**63},1\n0,2\n", 1),  # a bad numeric field comes before the interval
         ("0,nan\n0,2\n", 1),  # a non-finite row 0 comes before it
         ("0,1\n10,inf\n20,3\n", 2),
         ("0,1\n10,2\n21,3\n", 3),
@@ -656,7 +683,7 @@ def test_parse_regular_series_matches_row_by_row_reference(text, block):
     assert got[0] is not MalformedRow
 
 
-# Cells that only int()/float() take, cells no one takes, and the edges of
+# Cells that only float() takes, cells no one takes, and the edges of
 # the fast path: 16 to 19 digits, int64 and 2**53.
 odd_cells = st.one_of(
     st.sampled_from([
@@ -719,6 +746,7 @@ def test_corrupt_regular_series_fails_like_reference(text, block):
 
 @settings(max_examples=300, deadline=None)
 @given(cells=st.lists(st.one_of(odd_cells, finite_values.map(repr)), min_size=1, max_size=20))
+@example(cells=[str(-(2**63)), str(2**63 - 1)])  # the kernel's int64 edges
 def test_value_cells_read_as_float_reads_them(cells):
     """Every value cell reads as float(cell) does, bit for bit, or its row
     is a MalformedRow."""

@@ -21,6 +21,7 @@ from tickphys import (
     cli,
     entry_time_distribution,
     gen_brownian,
+    hurst,
     invstat,
     local_hurst,
     log_bin,
@@ -302,3 +303,28 @@ def test_local_hurst_holds_its_table_and_one_box_sizes_buffers(window, shift, or
     bound = table + 24 * w + 8 * fft_len + steps + MIB
     assert np.isfinite(hs.h).all()
     assert peak <= bound, ((peak - table) / n, (bound - table) / n)
+
+
+@pytest.mark.parametrize("window, shift", [(1024, 212), (2048, 410)])
+def test_local_hurst_frees_a_tiled_box_sizes_buffers_before_the_next(window, shift):
+    """At these settings one box size is tiled and the next is fitted at
+    every start.  The tiled size holds its boxes, 8 bytes per box point,
+    with the projections, the two sums of squares and the RSS of each box,
+    8 (order + 4) bytes per box; the all-starts steps are bounded as in
+    the test above.  Freed before the next size, the boxes never meet that
+    size's buffers: the peak is the larger of the two steps beside the
+    table, the window arrays and the transform of the increments, not
+    their sum."""
+    path = gen_brownian(100_000, seed=3)
+    config = DfaConfig.for_length(window - 1)
+    hs, peak, _ = _traced(lambda: local_hurst(path, window, shift, config))
+    n, w, fft_len, m = path.size, len(hs), 1 << (path.size - 2).bit_length(), window - 1
+    points = [2 * w * (m // b) * b for b in config.box_sizes]  # box points per size
+    tiled = [p <= hurst._TILE_BUDGET * n for p in points]
+    assert any(a and not b for a, b in zip(tiled, tiled[1:]))
+    table = 8 * w * len(config.box_sizes)
+    tiles = [8 * p + 8 * 5 * p // b for p, b, t in zip(points, config.box_sizes, tiled) if t]
+    steps = max(16 * fft_len, 44 * n, 16 * n + 48 * w, *tiles)
+    bound = table + 24 * w + 8 * fft_len + steps + MIB
+    assert np.isfinite(hs.h).all()
+    assert peak <= bound, (peak / MIB, bound / MIB)

@@ -32,8 +32,6 @@ from tickphys import (
     gen_brownian,
     imbalance_series,
     log_bin,
-    log_stretched_density,
-    mean_relax_vs_kappa,
     mean_relaxation_from_fit,
     quadrature,
     relaxation_hist,
@@ -283,16 +281,12 @@ def test_log_stretched_density_hand_values():
     # at tau = tau_tilde the density is (alpha / tau_tilde) e^-1
     for tau_tilde, alpha in ((10.0, 0.5), (100.0, 0.9)):
         expected = math.log(alpha / tau_tilde) - 1.0
-        assert np.isclose(log_stretched_density(tau_tilde, tau_tilde, alpha), expected)
-    with pytest.raises(ValueError):
-        log_stretched_density(1.0, 10.0, 1.5)
-    with pytest.raises(ValueError):
-        log_stretched_density(-1.0, 10.0, 0.5)
+        assert np.isclose(obrelax._log_stretched_density(tau_tilde, tau_tilde, alpha), expected)
 
 
 def test_stretched_density_normalizes_to_one():
     tau_tilde, alpha = 10.0, 0.6
-    mass = lambda s: math.exp(float(log_stretched_density(math.exp(s), tau_tilde, alpha)) + s)
+    mass = lambda s: math.exp(float(obrelax._log_stretched_density(math.exp(s), tau_tilde, alpha)) + s)
     breaks = [math.log(tau_tilde) + d for d in (-25.0, -5.0, 0.0, 5.0, 20.0)]
     integral = sum(
         quadrature(mass, lo, hi, tol=1e-9) for lo, hi in zip(breaks[:-1], breaks[1:])
@@ -338,16 +332,3 @@ def test_mean_relaxation_closed_forms():
     formula = 10.0 / 0.6 * math.gamma(1.0 / 0.6)
     assert abs(draws.mean() - formula) / formula < 0.02
 
-
-def test_mean_relax_vs_kappa_scan():
-    v = np.tanh(gen_brownian(20_000, seed=19) / 4.0)
-    sig = ImbalanceSeries(values=v)
-    scan = mean_relax_vs_kappa(sig, (0.1, 0.2, 0.3, 0.4), fit_range=(0.05, 0.45))
-    assert len(scan.rows) == 4
-    for row in scan.rows:
-        assert row.mean_tau > 0 and row.n_resolved >= 10
-    assert scan.fit is not None and scan.fit.n == 4
-    # a level the series never reaches yields no rows and hence no fit
-    quiet = ImbalanceSeries(values=np.array([0.1, 0.2, 0.15, 0.05]))
-    sparse = mean_relax_vs_kappa(quiet, (0.5,), fit_range=(0.0, 1.0))
-    assert sparse.rows == () and sparse.fit is None

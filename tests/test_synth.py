@@ -48,6 +48,14 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.5, n=100, scale=0.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -2.0, float("nan"), float("inf"), -float("inf")])
+def test_generators_refuse_a_scale_that_is_not_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="finite and positive"):
+        FbmSpec(hurst=0.5, n=100, scale=scale)
+    with pytest.raises(ValueError, match="finite and positive"):
+        gen_brownian(100, scale=scale)
+
+
 def test_fbm_reproducible_and_anchored():
     spec = FbmSpec(hurst=0.7, n=4096, seed=9)
     a = gen_fbm(spec)
