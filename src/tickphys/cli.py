@@ -1,13 +1,15 @@
 """Command line front end: one subcommand per pipeline plus synthetic
 generation and the built-in acceptance suite.
 
-Every subcommand requires --out DIR, which must be absent or empty, and
-drops a manifest.json next to its artifacts.  Artifacts are collected in
-memory, written into a new directory beside --out and renamed onto it, so
-a failing run, even one whose write fails, leaves no partial output;
-reruns with identical flags and inputs into fresh directories are
-byte-identical except for the manifest's started/finished stamps.  Exit
-codes: 0 success, 1 usage, 2 data, 3 fit failure.
+Every subcommand requires --out DIR, which must be absent or empty.  A
+subcommand only validates its flags and computes its artifacts; ``run``
+writes them with a manifest.json whose parameters are every flag as
+parsed except --out.  Artifacts are collected in memory, written into a
+new directory beside --out and renamed onto it, so a failing run, even
+one whose write fails, leaves no partial output; reruns with identical
+flags and inputs into fresh directories are byte-identical except for
+the manifest's started/finished stamps.  Exit codes: 0 success, 1 usage,
+2 data, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -93,17 +95,6 @@ def _load(path: str, parse):
     return parsed, digest.hexdigest()
 
 
-def _manifest(subcommand: str, params: dict, digest: str, started: str) -> str:
-    return _json({
-        "subcommand": subcommand,
-        "parameters": params,
-        "input_digest": digest,
-        "tool_version": __version__,
-        "started": started,
-        "finished": _utcnow(),
-    })
-
-
 def _require_empty_out(out_dir: str) -> None:
     """Refuse an --out that already holds files, or that cannot be
     created because a file stands where one of its directories would go:
@@ -179,12 +170,15 @@ def _book_imbalance(data, depth: int, source: str):
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_synth(args) -> int:
-    started = _utcnow()
+def _cmd_synth(args):
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     if not 0.0 < args.scale < math.inf:  # every model, although tickwalk ignores it
         raise UsageError("--scale must be finite and positive")
+    if not 0.0 <= args.p_zero < 1.0:  # every model, although only tickwalk reads it
+        raise UsageError("--p-zero must lie in [0, 1)")
     if args.model == "fbm":
         if args.hurst is None:
             raise UsageError("--hurst is required for --model fbm")
@@ -196,26 +190,10 @@ def _cmd_synth(args) -> int:
     else:
         path = gen_tick_walk(args.n, p_zero=args.p_zero, seed=args.seed).astype(float)
     series = RegularSeries(start_ns=0, interval_ns=1, values=np.asarray(path, dtype=float))
-    params = {
-        "model": args.model,
-        "n": args.n,
-        "seed": args.seed,
-        "scale": args.scale,
-        "hurst": args.hurst,
-        "p_zero": args.p_zero,
-    }
-    _write_all(
-        args.out,
-        {
-            "series.csv": serialize_regular_series(series),
-            "manifest.json": _manifest("synth", params, _NO_INPUT, started),
-        },
-    )
-    return EXIT_OK
+    return {"series.csv": serialize_regular_series(series)}, _NO_INPUT
 
 
-def _cmd_hurst(args) -> int:
-    started = _utcnow()
+def _cmd_hurst(args):
     if args.window < 8:
         raise UsageError("--window must be at least 8")
     if args.shift < 1:
@@ -243,26 +221,10 @@ def _cmd_hurst(args) -> int:
         "sd": float(finite.std(ddof=1)) if finite.size > 1 else 0.0,
         "n_windows": int(finite.size),
     }
-    params = {
-        "input": args.input,
-        "window": args.window,
-        "shift": args.shift,
-        "boxes": args.boxes,
-        "order": args.order,
-    }
-    _write_all(
-        args.out,
-        {
-            "hurst.csv": "\n".join(rows) + "\n",
-            "summary.json": _json(summary),
-            "manifest.json": _manifest("hurst", params, digest, started),
-        },
-    )
-    return EXIT_OK
+    return {"hurst.csv": "\n".join(rows) + "\n", "summary.json": _json(summary)}, digest
 
 
-def _cmd_invstat(args) -> int:
-    started = _utcnow()
+def _cmd_invstat(args):
     targets = _parse_list(args.target, "--target", int, "integers", str)
     if any(r < 1 for r in targets.values()):
         raise UsageError("--target values must be >= 1 tick")
@@ -305,22 +267,10 @@ def _cmd_invstat(args) -> int:
         scaling_rows.append(f"{r},{_fmt(tau_star)}")
         del exits  # one threshold's exits at a time beside the index
     files["scaling.csv"] = "\n".join(scaling_rows) + "\n"
-
-    params = {
-        "input": args.input,
-        "target": args.target,
-        "direction": args.direction,
-        "clock": args.clock,
-        "bins_per_decade": args.bins_per_decade,
-        "min_samples": args.min_samples,
-    }
-    files["manifest.json"] = _manifest("invstat", params, digest, started)
-    _write_all(args.out, files)
-    return EXIT_OK
+    return files, digest
 
 
-def _cmd_relax(args) -> int:
-    started = _utcnow()
+def _cmd_relax(args):
     kappas = _parse_list(args.kappa, "--kappa", float, "numbers", "{:g}".format)
     if any(not 0.0 < k < 1.0 for k in kappas.values()):
         raise UsageError("--kappa values must lie in (0, 1)")
@@ -354,24 +304,12 @@ def _cmd_relax(args) -> int:
             f"{_fmt(kappa)},{_fmt(resolved.mean())},{resolved.size},{samples.censored_count}"
         )
     files["mean_vs_kappa.csv"] = "\n".join(mean_rows) + "\n"
-
-    params = {
-        "input": args.input,
-        "kappa": args.kappa,
-        "depth": args.depth,
-        "clock": args.clock,
-        "bins_per_decade": args.bins_per_decade,
-        "min_samples": args.min_samples,
-    }
-    files["manifest.json"] = _manifest("relax", params, digest, started)
-    _write_all(args.out, files)
-    return EXIT_OK
+    return files, digest
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from . import selftest
 
-    started = _utcnow()
     indices = [args.criterion] if args.criterion else None
     results = selftest.run_selftest(indices)
     for res in results:
@@ -390,15 +328,7 @@ def _cmd_selftest(args) -> int:
         ],
         "all_pass": all(r.passed for r in results),
     }
-    params = {"criterion": args.criterion}
-    _write_all(
-        args.out,
-        {
-            "report.json": _json(report),
-            "manifest.json": _manifest("selftest", params, _NO_INPUT, started),
-        },
-    )
-    return EXIT_OK
+    return {"report.json": _json(report)}, _NO_INPUT
 
 
 # ------------------------------------------------------------------ wiring
@@ -457,12 +387,25 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    """Dispatch argv; returns the process exit code instead of raising."""
+    """Dispatch argv, then write the subcommand's artifacts and its
+    manifest into --out; returns the process exit code instead of raising."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _require_empty_out(args.out)  # before any input is read
-        return args.func(args)
+        started = _utcnow()
+        files, digest = args.func(args)
+        params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "out")}
+        files["manifest.json"] = _json({
+            "subcommand": args.subcommand,
+            "parameters": params,
+            "input_digest": digest,
+            "tool_version": __version__,
+            "started": started,
+            "finished": _utcnow(),
+        })
+        _write_all(args.out, files)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

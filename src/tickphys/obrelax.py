@@ -164,19 +164,12 @@ def relaxation_times(series: ImbalanceSeries, kappa: float, *, clock: str = "eve
     entries = entries[keep]
     entry_day_end = entry_day_end[keep]
 
-    def first_after(sorted_idx: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(sorted_idx, queries, side="right")
-        out = np.full(queries.size, n, dtype=np.int64)
-        ok = k < sorted_idx.size
-        out[ok] = sorted_idx[k[ok]]
-        return out
-
-    nonpos = np.nonzero(v <= 0.0)[0]
-    nonneg = np.nonzero(v >= 0.0)[0]
-    positive = v[entries] > 0.0
-    exit_idx = np.empty(entries.size, dtype=np.int64)
-    exit_idx[positive] = first_after(nonpos, entries[positive])
-    exit_idx[~positive] = first_after(nonneg, entries[~positive])
+    # An entry's sign is strict (|v| > kappa) and holds until its exit, so
+    # its exit is the first j after it where v[j - 1] has a strict sign
+    # that v[j] loses; n stands for no such j.
+    flips = np.nonzero(((v[:-1] > 0.0) & (v[1:] <= 0.0)) | ((v[:-1] < 0.0) & (v[1:] >= 0.0)))[0] + 1
+    flips = np.append(flips, n)
+    exit_idx = flips[np.searchsorted(flips, entries, side="right")]
 
     censored = exit_idx > entry_day_end
     stop = np.where(censored, entry_day_end, exit_idx)

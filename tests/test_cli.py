@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +70,22 @@ def test_synth_refuses_a_scale_that_is_not_finite_and_positive(tmp_path, model, 
     argv = ["synth", "--model", model, "--n", "100", "--seed", "1", "--hurst", "0.6", f"--scale={scale}"]
     assert cli.run(argv + ["--out", str(out)]) == 1
     assert "--scale must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["fbm", "brownian", "tickwalk"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--p-zero", "1.5"], "--p-zero must lie in [0, 1)"),
+     (["--p-zero", "nan"], "--p-zero must lie in [0, 1)"),
+     (["--p-zero=-0.1"], "--p-zero must lie in [0, 1)"),
+     (["--seed=-1"], "--seed must be non-negative")],
+)
+def test_synth_refuses_a_bad_p_zero_or_seed_as_a_usage_error(tmp_path, model, flag, message, capsys):
+    out = tmp_path / "s"
+    argv = ["synth", "--model", model, "--n", "100", "--seed", "1", "--hurst", "0.6", *flag]
+    assert cli.run(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -563,3 +581,52 @@ def test_reruns_are_byte_identical(tmp_path):
     assert manifest_sans_times(src_a / "manifest.json") == manifest_sans_times(
         src_b / "manifest.json"
     )
+
+def _parsed_flags(argv):
+    args = vars(cli._build_parser().parse_args(argv))
+    return {k: v for k, v in args.items() if k not in ("subcommand", "func", "out")}
+
+
+def test_manifests_record_every_flag_but_out(tmp_path):
+    (tmp_path / "book.csv").write_text(_synthetic_book_text())
+    series = str(tmp_path / "walk" / "series.csv")
+    runs = [
+        ["synth", "--model", "tickwalk", "--n", "20000", "--seed", "11", "--p-zero", "0.25"],
+        ["hurst", "--input", series, "--window", "512", "--shift", "256", "--order", "2"],
+        ["invstat", "--input", series, "--target", "1,2", "--min-samples", "50", "--entry-bin-seconds", "600"],
+        ["relax", "--input", str(tmp_path / "book.csv"), "--kappa", "0.2", "--depth", "2",
+         "--min-samples", "20", "--clock", "trades"],
+        ["selftest", "--criterion", "10"],
+    ]
+    for argv, name in zip(runs, ("walk", "h", "inv", "rel", "self")):
+        assert cli.run(argv + ["--out", str(tmp_path / name)]) == 0, argv
+        doc = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert doc["subcommand"] == argv[0]
+        assert doc["parameters"] == _parsed_flags(argv + ["--out", "x"]), argv[0]
+        # every option but --out and -h is a parameter
+        subparser = cli._build_parser()._subparsers._group_actions[0].choices[argv[0]]
+        dests = {a.dest for a in subparser._actions} - {"help", "out"}
+        assert set(doc["parameters"]) == dests, argv[0]
+    # the entry binning changes entry_R*.csv, so the manifests must differ too
+    assert cli.run(runs[2][:-2] + ["--out", str(tmp_path / "inv1800")]) == 0
+    first, second = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("inv", "inv1800"))
+    assert (tmp_path / "inv" / "entry_R1.csv").read_bytes() != (tmp_path / "inv1800" / "entry_R1.csv").read_bytes()
+    assert first["parameters"] != second["parameters"]
+    assert second["parameters"]["entry_bin_seconds"] == 1800.0
+
+
+def test_the_readme_command_block_runs_in_order(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "tickphys synth" in b)
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("tickphys ")]
+    assert {argv[1] for argv in lines} == {"synth", "hurst", "invstat", "relax", "selftest"}
+    outs = [argv[argv.index("--out") + 1].rstrip("/") for argv in lines]
+    assert len(set(outs)) == len(outs), outs
+    monkeypatch.chdir(tmp_path)
+    Path("book.csv").write_text(_synthetic_book_text())
+    for argv in lines:
+        if argv[1] == "selftest" and "--criterion" not in argv:
+            continue  # the full suite is test_acceptance.py's
+        assert cli.run(argv[1:]) == 0, argv
+        assert Path(argv[argv.index("--out") + 1], "manifest.json").is_file()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_book as reference
+import _reference_relax
 from _chunks import chunked
 from _reference_book import book_of, book_texts
 from tickphys import cli, market_data, obrelax, parse_book
@@ -262,6 +263,21 @@ def test_relaxation_trade_and_wall_clocks():
         relaxation_times(bare, 0.5, clock="trade")
     with pytest.raises(ValueError):
         relaxation_times(bare, 0.5, clock="lunar")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sig=_reference_relax.imbalance_draws(),
+    kappa=st.one_of(st.sampled_from([0.3, 0.6]), st.floats(0.01, 0.99)),
+    clock=st.sampled_from(obrelax.CLOCKS),
+)
+def test_relaxation_times_match_a_row_by_row_scan(sig, kappa, clock):
+    samples = relaxation_times(sig, kappa, clock=clock)
+    tau, entries, censored = _reference_relax.relaxation_times(sig, kappa, clock)
+    assert samples.tau.tolist() == tau
+    assert samples.entry_index.tolist() == entries
+    assert samples.censored.tolist() == censored
+    assert samples.tau.dtype == samples.entry_index.dtype == np.int64
 
 
 def test_relaxation_hist_min_samples_and_censoring():
