@@ -28,15 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, FitError, SeriesTooShort, TickphysError, UsageError
-from .hurst import DfaConfig, local_hurst
-from .invstat import (
-    CrossingIndex,
-    entry_time_distribution,
-    first_passage_hist,
-    fit_first_passage,
-    fit_tail_power_law,
-    optimal_horizon,
-)
+from .hurst import DfaConfig, ScaleRow, local_hurst
+from .invstat import CrossingIndex, _horizon, entry_time_distribution, fit_tail_power_law
 from .market_data import (
     _CHUNK_BYTES,
     RegularSeries,
@@ -201,6 +194,8 @@ def _cmd_hurst(args):
     try:
         if args.boxes:
             lo, hi, count = (int(p) for p in args.boxes.split(":"))
+            if lo > hi:
+                raise ValueError(f"MIN {lo} exceeds MAX {hi}")
             sizes = tuple(np.unique(np.round(np.geomspace(lo, hi, count)).astype(int)))
             config = DfaConfig(box_sizes=sizes, poly_order=args.order)
         else:
@@ -215,12 +210,8 @@ def _cmd_hurst(args):
     rows = ["# columns: t,h,stderr,spans_boundary"]
     for t, h, se, spans in zip(*(c.tolist() for c in (hs.times, hs.h, hs.stderr, hs.spans_boundary))):
         rows.append(f"{t},{_fmt(h)},{_fmt(se)},{int(spans)}")
-    finite = hs.h[np.isfinite(hs.h)]
-    summary = {
-        "mean": float(finite.mean()) if finite.size else None,
-        "sd": float(finite.std(ddof=1)) if finite.size > 1 else 0.0,
-        "n_windows": int(finite.size),
-    }
+    row = ScaleRow.of(hs)
+    summary = {"mean": row.mean_h, "sd": row.sd_h, "n_windows": row.n_windows}
     return {"hurst.csv": "\n".join(rows) + "\n", "summary.json": _json(summary)}, digest
 
 
@@ -239,21 +230,18 @@ def _cmd_invstat(args):
     files = {}
     scaling_rows = ["# columns: R,tau_star"]
     for r in targets.values():
-        exits = index.exit_times(r, args.clock)
-        hist = first_passage_hist(exits, args.bins_per_decade, min_samples=args.min_samples)
-        fit = fit_first_passage(hist)
-        tau_star = optimal_horizon(fit)
+        horizon, hist, exits = _horizon(index, r, args.clock, args.bins_per_decade, args.min_samples)
         files[f"pdf_R{r}.csv"] = _pdf_csv(hist)
         files[f"fit_R{r}.json"] = _json(
             {
-                "alpha": fit.alpha,
-                "nu": fit.nu,
-                "beta": fit.beta,
-                "tau0": fit.tau0,
-                "sse": fit.sse,
-                "tau_star": tau_star,
-                "n_resolved": len(exits),
-                "n_censored": exits.censored_count,
+                "alpha": horizon.fit.alpha,
+                "nu": horizon.fit.nu,
+                "beta": horizon.fit.beta,
+                "tau0": horizon.fit.tau0,
+                "sse": horizon.fit.sse,
+                "tau_star": horizon.tau_star,
+                "n_resolved": horizon.n_resolved,
+                "n_censored": horizon.n_censored,
             }
         )
         entry_rows = ["# columns: start_s,end_s,count,rate_per_hour"]
@@ -264,7 +252,7 @@ def _cmd_invstat(args):
                     f"{row.count},{_fmt(row.rate_per_hour)}"
                 )
         files[f"entry_R{r}.csv"] = "\n".join(entry_rows) + "\n"
-        scaling_rows.append(f"{r},{_fmt(tau_star)}")
+        scaling_rows.append(f"{r},{_fmt(horizon.tau_star)}")
         del exits  # one threshold's exits at a time beside the index
     files["scaling.csv"] = "\n".join(scaling_rows) + "\n"
     return files, digest

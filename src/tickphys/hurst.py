@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# box sizes of a default ``DfaConfig``
+_N_SIZES = 20
+
+
 @dataclass(frozen=True)
 class DfaConfig:
     """Box sizes and detrending order for DFA.
@@ -54,7 +58,7 @@ class DfaConfig:
 
     box_sizes: tuple
     poly_order: int = 1
-    min_boxes: int = 4
+    min_boxes = 4  # a constant, not a field
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.box_sizes)
@@ -66,28 +70,17 @@ class DfaConfig:
             raise ValueError("poly_order must be >= 1")
         if sizes[0] < self.poly_order + 2:
             raise ValueError(f"smallest box must be >= poly_order + 2 = {self.poly_order + 2}")
-        if self.min_boxes < 1:
-            raise ValueError("min_boxes must be >= 1")
         object.__setattr__(self, "box_sizes", sizes)
 
     @classmethod
-    def for_length(
-        cls,
-        n: int,
-        n_sizes: int = 20,
-        smallest: int = 8,
-        poly_order: int = 1,
-        min_boxes: int = 4,
-    ) -> "DfaConfig":
-        """Roughly n_sizes geometrically spaced box sizes from ``smallest``
-        up to n // min_boxes."""
-        largest = n // min_boxes
-        if largest < smallest:
+    def for_length(cls, n: int, poly_order: int = 1) -> "DfaConfig":
+        """Roughly ``_N_SIZES`` geometrically spaced box sizes from 8 up
+        to n // min_boxes."""
+        largest = n // cls.min_boxes
+        if largest < 8:
             raise SeriesTooShort(f"series of length {n} is too short for DFA")
-        sizes = np.unique(
-            np.round(np.geomspace(smallest, largest, n_sizes)).astype(int)
-        )
-        return cls(box_sizes=tuple(sizes), poly_order=poly_order, min_boxes=min_boxes)
+        sizes = np.unique(np.round(np.geomspace(8, largest, _N_SIZES)).astype(int))
+        return cls(box_sizes=tuple(sizes), poly_order=poly_order)
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ class HurstSeries:
 # ---------------------------------------------------------------------- cores
 
 
-@lru_cache(maxsize=20)
+@lru_cache(maxsize=_N_SIZES)
 def _poly_basis(n: int, order: int) -> np.ndarray:
     """Orthonormal basis of degree<=order polynomials sampled on n points,
     read-only.  Cached per (n, order), sized so that the box sizes of one
@@ -377,17 +370,11 @@ class HurstHistogram:
 
 
 def hurst_pdf(estimates, bins: int = 20) -> HurstHistogram:
-    """Distribution of Hurst estimates over [0, 1], normalized to unit area.
-
-    Accepts a HurstSeries, HurstEstimate list, or plain floats; NaN and
-    out-of-range values are excluded from the normalization.
+    """Distribution of an array of Hurst estimates over [0, 1], normalized
+    to unit area; NaN and out-of-range values are excluded from the
+    normalization.
     """
-    if hasattr(estimates, "h"):
-        values = np.asarray(estimates.h, dtype=float)
-    else:
-        values = np.array(
-            [e.h if isinstance(e, HurstEstimate) else float(e) for e in estimates]
-        )
+    values = np.asarray(estimates, dtype=float)
     values = values[np.isfinite(values)]
     values = values[(values >= 0.0) & (values <= 1.0)]
     if bins < 1:
@@ -402,19 +389,25 @@ def hurst_pdf(estimates, bins: int = 20) -> HurstHistogram:
 @dataclass(frozen=True)
 class ScaleRow:
     window: int
-    mean_h: float
+    mean_h: float | None
     sd_h: float
     n_windows: int
+
+    @classmethod
+    def of(cls, hs: HurstSeries) -> "ScaleRow":
+        """Mean and sd of the finite h of ``hs``: mean None where none is
+        finite, sd 0 where fewer than two are."""
+        vals = hs.h[np.isfinite(hs.h)]
+        mean = float(vals.mean()) if vals.size else None
+        sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        return cls(hs.window, mean, sd, int(vals.size))
 
 
 def avg_hurst_vs_scale(series, windows, shift: int, config: DfaConfig | None = None) -> list:
     """Mean and spread of the local Hurst exponent per window length."""
     rows = []
     for length in windows:
-        hs = local_hurst(series, int(length), shift, config)
-        vals = hs.h[np.isfinite(hs.h)]
-        if vals.size == 0:
+        rows.append(ScaleRow.of(local_hurst(series, int(length), shift, config)))
+        if not rows[-1].n_windows:
             raise DegenerateSeries(f"no usable windows at L={length}")
-        sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        rows.append(ScaleRow(int(length), float(vals.mean()), sd, int(vals.size)))
     return rows

@@ -15,9 +15,11 @@ level * n + time and sorted once, plus the entries' keys p[t] * n + t,
 also sorted once.  A threshold query lifts the entry keys by R levels,
 which keeps them ascending, and vectorized binary searches over the
 ladder, a fixed slice of entries at a time, find every entry's exit, so
-a query holds one day's exits beside its outputs.  ``horizon_scaling``
-and the ``invstat`` subcommand build one index and query it threshold
-by threshold; ``exit_times`` is a one-threshold query of a fresh index.
+a query holds one day's exits beside its outputs.  Thresholds are whole
+ticks.  ``horizon_scaling`` and the ``invstat`` subcommand build one
+index and take one step per threshold, ``_horizon``: query, density, fit
+and optimal horizon; ``exit_times`` is a one-threshold query of a fresh
+index.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ class ExitTimeConfig:
     clock: str = "tick"
 
     def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1 tick")
+        if not (float(self.threshold).is_integer() and self.threshold >= 1):
+            raise ValueError(f"threshold must be a whole number of ticks >= 1, got {self.threshold!r}")
+        object.__setattr__(self, "threshold", int(self.threshold))
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if self.clock not in CLOCKS:
@@ -287,7 +290,7 @@ class CrossingIndex:
 
     def exit_times(self, threshold: int, clock: str = "tick") -> ExitTimes:
         """Waiting times to the first crossing of ``threshold`` ticks."""
-        config = ExitTimeConfig(threshold=int(threshold), direction=self.direction, clock=clock)
+        config = ExitTimeConfig(threshold=threshold, direction=self.direction, clock=clock)
         if clock == "wall" and any(stamps is None for _, stamps, _, _ in self._days):
             raise ValueError("wall clock needs timestamped input")
         # each day's exits written in place into arrays sized for every
@@ -507,6 +510,22 @@ class HorizonRow:
     fit: FirstPassageFit
 
 
+def _horizon(index: CrossingIndex, threshold, clock: str, bins_per_decade: int, min_samples: int) -> tuple:
+    """One threshold's query of ``index``, its waiting-time density and
+    fit: ``(HorizonRow, hist, exits)``."""
+    exits = index.exit_times(threshold, clock)
+    hist = first_passage_hist(exits, bins_per_decade, min_samples=min_samples)
+    fit = fit_first_passage(hist)
+    row = HorizonRow(
+        threshold=exits.config.threshold,
+        tau_star=optimal_horizon(fit),
+        n_resolved=len(exits),
+        n_censored=exits.censored_count,
+        fit=fit,
+    )
+    return row, hist, exits
+
+
 def horizon_scaling(
     data,
     thresholds,
@@ -516,24 +535,10 @@ def horizon_scaling(
     bins_per_decade: int = 10,
     min_samples: int = 100,
 ) -> list:
-    """Optimal horizon per threshold, for the tau* ~ R^gamma diagnostic."""
+    """Optimal horizon per threshold, for the tau* ~ R^gamma diagnostic.
+    Each threshold's exits go before the next query."""
     index = CrossingIndex(data, direction)
-    rows = []
-    for r in thresholds:
-        exits = index.exit_times(int(r), clock)
-        hist = first_passage_hist(exits, bins_per_decade, min_samples=min_samples)
-        fit = fit_first_passage(hist)
-        rows.append(
-            HorizonRow(
-                threshold=int(r),
-                tau_star=optimal_horizon(fit),
-                n_resolved=len(exits),
-                n_censored=exits.censored_count,
-                fit=fit,
-            )
-        )
-        del exits  # one threshold's exits at a time beside the index
-    return rows
+    return [_horizon(index, r, clock, bins_per_decade, min_samples)[0] for r in thresholds]
 
 
 def fit_horizon_power_law(rows) -> PowerLawFit:
@@ -568,8 +573,8 @@ class EntryTimeRow:
 
 def entry_time_distribution(exits: ExitTimes, bin_seconds: float = 1800.0) -> list:
     """When, within the day, resolved entries occur."""
-    if bin_seconds <= 0:
-        raise ValueError("bin_seconds must be positive")
+    if not 0 < bin_seconds < math.inf:  # NaN fails too
+        raise ValueError("bin_seconds must be a positive finite number")
     sec = exits.entry_second
     if not np.isfinite(sec).all():  # no copy when every entry is timed
         sec = sec[np.isfinite(sec)]

@@ -3,6 +3,8 @@ is a reviewed change to this file, and each held to a consumer outside
 the tests."""
 
 import ast
+import dataclasses
+import inspect
 import types
 from pathlib import Path
 
@@ -140,3 +142,13 @@ def test_every_public_name_has_a_consumer_outside_the_tests():
     used = set().union(*map(_loads, sources + sorted((ROOT / "bench").glob("*.py"))))
     names = {n for n in tickphys.__all__ if not isinstance(getattr(tickphys, n), types.ModuleType)}
     assert sorted(names - used) == sorted(AWAITING_A_CONSUMER)
+
+
+def test_dfa_config_sets_only_its_box_sizes_and_order():
+    """Every other DFA setting is a constant: ``min_boxes`` reads 4 but is
+    no field, and ``for_length`` takes no size count, smallest box or
+    ``min_boxes``."""
+    assert [f.name for f in dataclasses.fields(tickphys.DfaConfig)] == ["box_sizes", "poly_order"]
+    assert tickphys.DfaConfig((8, 16, 32)).min_boxes == 4
+    params = inspect.signature(tickphys.DfaConfig.for_length).parameters
+    assert [(p.name, p.default) for p in params.values()] == [("n", inspect.Parameter.empty), ("poly_order", 1)]

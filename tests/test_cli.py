@@ -18,7 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tickphys import FitDiverged, cli, market_data, parse_regular_series, serialize_regular_series
+from tickphys import (
+    DfaConfig,
+    FitDiverged,
+    RegularSeries,
+    avg_hurst_vs_scale,
+    cli,
+    horizon_scaling,
+    invstat,
+    market_data,
+    parse_regular_series,
+    serialize_regular_series,
+)
 from tickphys.selftest import _synthetic_book_text
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -122,12 +133,51 @@ def test_hurst_artifacts(tmp_path):
     # problem, found before the input is read
     for bad in (["--boxes", "nope"], ["--boxes", "8:8:5"], ["--boxes", "0:100:10"],
                 ["--boxes", "8:100:-3"], ["--boxes", "2:200:10", "--order", "2"],
-                ["--order", "0"], ["--window", "20"], ["--boxes", "8:300:10"]):
+                ["--order", "0"], ["--window", "20"], ["--boxes", "8:300:10"],
+                ["--boxes", "64:8:5"]):  # MIN above MAX, not run as 8:64:5
         for series in (src / "series.csv", tmp_path / "absent.csv"):
             assert cli.run(
                 ["hurst", "--input", str(series), "--window", "512",
                  *bad, "--out", str(tmp_path / "c")]
             ) == 1, bad
+
+
+def test_hurst_summary_is_the_avg_hurst_vs_scale_row(tmp_path):
+    src = tmp_path / "src"
+    cli.run(["synth", "--model", "fbm", "--n", "4096", "--seed", "4", "--hurst", "0.6", "--out", str(src)])
+    series = parse_regular_series((src / "series.csv").read_text())
+    for flags, config in ((["--order", "2"], DfaConfig.for_length(511, poly_order=2)),
+                          (["--boxes", "8:64:6"], DfaConfig(box_sizes=(8, 12, 18, 28, 42, 64)))):
+        out = tmp_path / "_".join(flags).strip("-")
+        assert cli.run(["hurst", "--input", str(src / "series.csv"), "--window", "512",
+                        "--shift", "96", *flags, "--out", str(out)]) == 0
+        (row,) = avg_hurst_vs_scale(series, (512,), 96, config)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"mean": row.mean_h, "sd": row.sd_h, "n_windows": row.n_windows}
+
+
+@pytest.mark.parametrize("clock", ["tick", "wall"])
+def test_invstat_fits_are_the_horizon_scaling_rows(tmp_path, clock):
+    """``fit_R*.json`` and ``scaling.csv`` are ``horizon_scaling``'s rows on
+    the same series and flags; on the wall clock the walk moves every
+    0.3 s over two days."""
+    walk = np.cumsum(np.random.default_rng(8).integers(-3, 4, 40_000)).astype(float)
+    series = RegularSeries(start_ns=0, interval_ns=300_000_000, values=walk, session_boundaries=(0, 25_000))
+    (tmp_path / "walk.csv").write_text(serialize_regular_series(series))
+    out = tmp_path / "art"
+    assert cli.run(
+        ["invstat", "--input", str(tmp_path / "walk.csv"), "--target", "4,8,16",
+         "--clock", clock, "--bins-per-decade", "8", "--min-samples", "50", "--out", str(out)]
+    ) == 0
+    rows = horizon_scaling(series, (4, 8, 16), clock=clock, bins_per_decade=8, min_samples=50)
+    for row in rows:
+        fit = row.fit
+        assert json.loads((out / f"fit_R{row.threshold}.json").read_text()) == {
+            "alpha": fit.alpha, "nu": fit.nu, "beta": fit.beta, "tau0": fit.tau0, "sse": fit.sse,
+            "tau_star": row.tau_star, "n_resolved": row.n_resolved, "n_censored": row.n_censored,
+        }
+    scaling = (out / "scaling.csv").read_text().splitlines()[1:]
+    assert scaling == [f"{row.threshold},{row.tau_star!r}" for row in rows]
 
 
 def test_invstat_artifacts(tmp_path):
@@ -543,7 +593,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     def boom(hist, restarts=8):
         raise FitDiverged("synthetic failure")
 
-    monkeypatch.setattr(cli, "fit_first_passage", boom)
+    monkeypatch.setattr(invstat, "fit_first_passage", boom)
     assert cli.run(
         ["invstat", "--input", str(src / "series.csv"), "--target", "1",
          "--min-samples", "10", "--out", str(tmp_path / "o")]

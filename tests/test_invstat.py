@@ -72,6 +72,26 @@ def test_config_validation():
         ExitTimeConfig(threshold=1, clock="lunar")
 
 
+def test_thresholds_must_be_whole_ticks():
+    """A threshold of 1.9 ticks is refused rather than read as 1, by the
+    config, an index query and ``horizon_scaling`` alike; integer-valued
+    floats and NumPy integers are whole ticks."""
+    walk = np.array([0, 1, 2, 1, 3, 2, 4])
+    for bad in (1.9, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="whole number of ticks"):
+            ExitTimeConfig(threshold=bad)
+        with pytest.raises(ValueError, match="whole number of ticks"):
+            CrossingIndex(walk).exit_times(bad)
+        with pytest.raises(ValueError, match="whole number of ticks"):
+            horizon_scaling(walk, (bad,))
+    one = CrossingIndex(walk).exit_times(1)
+    for good in (np.int64(1), np.int32(1), 1.0, np.float64(1.0)):
+        exits = CrossingIndex(walk).exit_times(good)
+        assert type(exits.config.threshold) is int and exits.config == one.config
+        assert np.array_equal(exits.tau, one.tau)
+    assert ExitTimeConfig(threshold=8.0).threshold == 8
+
+
 def test_exit_times_staircase():
     exits = exit_times([0, 1, 2, 3], ExitTimeConfig(threshold=2))
     assert exits.tau.tolist() == [2, 2]
@@ -512,8 +532,9 @@ def test_entry_time_distribution():
     assert [r.count for r in rows] == [1, 2]
     assert rows[0].rate_per_hour == 2.0
     assert rows[1].end_second == 3600.0
-    with pytest.raises(ValueError):
-        entry_time_distribution(exits, bin_seconds=0.0)
+    for bad in (0.0, -1800.0, math.inf, math.nan):  # as --entry-bin-seconds refuses them
+        with pytest.raises(ValueError, match="positive finite"):
+            entry_time_distribution(exits, bin_seconds=bad)
     no_clock = exit_times(np.array([0, 1, 2]), UP1)
     with pytest.raises(EmptyInput):
         entry_time_distribution(no_clock)
