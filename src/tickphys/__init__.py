@@ -25,6 +25,7 @@ from .errors import (
     WindowTooLarge,
     TooFewSamples,
     TooFewBins,
+    TooManyBins,
     PriceRangeTooWide,
     EmptySide,
     FitError,
@@ -65,7 +66,6 @@ from .invstat import (
     ExitTimeConfig,
     ExitTimes,
     FirstPassageFit,
-    PowerLawFit,
     exit_times,
     first_passage_hist,
     passage_density,

@@ -282,7 +282,7 @@ def _cmd_relax(args):
                 "tau_tilde": fit.tau_tilde,
                 "alpha": fit.alpha,
                 "sse_stretched": fit.sse,
-                "gamma": -power.exponent,
+                "gamma": -power.slope,
                 "sse_power": power.sse,
                 "mean_tau": mean_relaxation_from_fit(fit),
             }

@@ -79,6 +79,10 @@ class TooFewBins(DataError):
     pass
 
 
+class TooManyBins(DataError):
+    """A histogram would need more than ``numerics.MAX_BINS`` bins."""
+
+
 class PriceRangeTooWide(DataError):
     """Price range times ladder length overflows the crossing index's keys."""
 

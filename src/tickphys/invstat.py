@@ -38,9 +38,11 @@ from .errors import (
     TickSizeViolation,
     TooFewBins,
     TooFewSamples,
+    TooManyBins,
 )
 from .market_data import NS_PER_S, RegularSeries, Ticks, wall_seconds
 from .numerics import (
+    MAX_BINS,
     LinFit,
     LogBinnedPdf,
     _by_row,
@@ -56,7 +58,6 @@ __all__ = [
     "ExitTimeConfig",
     "ExitTimes",
     "FirstPassageFit",
-    "PowerLawFit",
     "HorizonRow",
     "exit_times",
     "first_passage_hist",
@@ -486,22 +487,6 @@ def optimal_horizon(fit: FirstPassageFit) -> float:
 
 
 @dataclass(frozen=True)
-class PowerLawFit:
-    """Signed log-log slope: density ~ x^exponent or tau* ~ R^exponent,
-    with ``sse`` the residual sum of squares of the log-log line."""
-
-    exponent: float
-    stderr: float
-    r2: float
-    sse: float
-    n_points: int
-
-
-def _power_law(fit: LinFit) -> PowerLawFit:
-    return PowerLawFit(exponent=fit.slope, stderr=fit.stderr, r2=fit.r2, sse=fit.sse, n_points=fit.n)
-
-
-@dataclass(frozen=True)
 class HorizonRow:
     threshold: int
     tau_star: float
@@ -541,18 +526,19 @@ def horizon_scaling(
     return [_horizon(index, r, clock, bins_per_decade, min_samples)[0] for r in thresholds]
 
 
-def fit_horizon_power_law(rows) -> PowerLawFit:
-    """Slope of log tau* against log threshold."""
+def fit_horizon_power_law(rows) -> LinFit:
+    """Line of log tau* against log threshold: tau* ~ R^slope."""
     pts = [(row.threshold, row.tau_star) for row in rows if row.tau_star > 0.0]
     if len(pts) < 3:
         raise TooFewBins("need >= 3 positive-horizon thresholds")
     r = np.array([p[0] for p in pts], dtype=float)
     t = np.array([p[1] for p in pts], dtype=float)
-    return _power_law(linfit(np.log(r), np.log(t)))
+    return linfit(np.log(r), np.log(t))
 
 
-def fit_tail_power_law(hist: LogBinnedPdf, fit_range: tuple) -> PowerLawFit:
-    """Log-log slope of the density over occupied bins inside fit_range."""
+def fit_tail_power_law(hist: LogBinnedPdf, fit_range: tuple) -> LinFit:
+    """Log-log line of the density over occupied bins inside fit_range:
+    density ~ x^slope."""
     lo, hi = fit_range
     if not (0 < lo < hi):
         raise ValueError("fit_range must satisfy 0 < lo < hi")
@@ -560,7 +546,7 @@ def fit_tail_power_law(hist: LogBinnedPdf, fit_range: tuple) -> PowerLawFit:
     sel = occ & (hist.centers >= lo) & (hist.centers <= hi)
     if np.count_nonzero(sel) < 5:
         raise TooFewBins(f"{np.count_nonzero(sel)} occupied bins in range; need >= 5")
-    return _power_law(linfit(np.log(hist.centers[sel]), np.log(hist.densities[sel])))
+    return linfit(np.log(hist.centers[sel]), np.log(hist.densities[sel]))
 
 
 @dataclass(frozen=True)
@@ -580,7 +566,10 @@ def entry_time_distribution(exits: ExitTimes, bin_seconds: float = 1800.0) -> li
         sec = sec[np.isfinite(sec)]
     if sec.size == 0:
         raise EmptyInput("entries carry no wall-clock times")
-    n_bins = int(sec.max() // bin_seconds) + 1
+    top = sec.max()
+    if top >= MAX_BINS * bin_seconds:  # before any array, and before the quotient can overflow
+        raise TooManyBins(f"{bin_seconds} s bins up to second {top:g} exceed {MAX_BINS} bins")
+    n_bins = int(top // bin_seconds) + 1
     edges = np.arange(n_bins + 1) * bin_seconds
     counts, _ = np.histogram(sec, bins=edges)
     return [

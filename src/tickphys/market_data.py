@@ -684,12 +684,13 @@ def _regular_rows(data, notes: list):
         yield lineno, ts, val
 
 
-def _first_fault(row: int, lineno, ts, values, t0: int, step: int):
+def _first_fault(row: int, lineno, ts, values, t0: int, step: int | None):
     """``(line, why)`` of the first of a block's rows, rows ``row`` on, off
     the grid t0 + i * step or not finite, or None.  With step <= 0 only
-    row 1 is off the grid."""
+    row 1 is off the grid; with no step yet, the block holds row 0 alone,
+    which is on every grid."""
     i = np.arange(row, row + ts.size, dtype=np.uint64)
-    if step <= 0:
+    if step is None or step <= 0:
         grid = i == 1
     else:
         # Row i is on the grid if u_i - u_0 == i * step in uint64, i up to
@@ -724,22 +725,20 @@ def parse_regular_series(data) -> RegularSeries:
     footer: each a ``MalformedRow`` at its line.
     Only the value column is kept; the grid is checked block by block.
     """
-    notes, values, stamps, waiting, fault, rows = [], [], [], [], None, 0
+    notes, values, step, fault, rows = [], [], None, None, 0
     for lineno, ts, val in _regular_rows(data, notes):
         values.append(val)
-        stamps += ts[: 2 - len(stamps)].tolist()
+        if rows == 0:
+            t0 = int(ts[0])
+        if step is None and rows + ts.size > 1:  # row 1 gives the step
+            step = int(ts[1 - rows]) - t0
         if fault is None:
-            waiting.append((rows, lineno, ts, val))  # until rows 0 and 1 give the step
-            if len(stamps) == 2:
-                t0, step = stamps[0], stamps[1] - stamps[0]
-                fault = next(filter(None, (_first_fault(*block, t0, step) for block in waiting)), None)
-                waiting = []
+            fault = _first_fault(rows, lineno, ts, val, t0, step)
         rows += ts.size
     if not values:
         raise MalformedRow(1, "no data rows")
-    if waiting:  # one row
-        t0, step = stamps[0], 1
-        fault = _first_fault(*waiting[0], t0, step)
+    if step is None:  # one row
+        step = 1
     if fault:
         raise MalformedRow(*fault)
 

@@ -22,7 +22,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DegenerateX, EmptyInput, FitDiverged, MaxDepthExceeded, NonFiniteObjective
+from .errors import DegenerateX, EmptyInput, FitDiverged, MaxDepthExceeded, NonFiniteObjective, TooManyBins
 
 __all__ = [
     "LogBinnedPdf",
@@ -32,6 +32,8 @@ __all__ = [
     "minimize",
     "quadrature",
 ]
+
+MAX_BINS = 2**20  # the most bins a histogram may hold; more raise TooManyBins
 
 
 # ------------------------------------------------------------------ histograms
@@ -73,7 +75,8 @@ def log_bin(samples, bins_per_decade: int, censored_count: int = 0) -> LogBinned
     the last one.  Empty interior bins are kept (density 0).  Integer
     samples are binned as they are: ``np.histogram`` casts them to float a
     block at a time, and the cast is monotone, so edges and counts are
-    those of the float copy that is never made.
+    those of the float copy that is never made.  Over ``MAX_BINS`` bins,
+    or bins per decade, raise ``TooManyBins`` before any array is made.
     """
     s = np.asarray(samples).ravel()
     if not np.issubdtype(s.dtype, np.integer):
@@ -85,7 +88,10 @@ def log_bin(samples, bins_per_decade: int, censored_count: int = 0) -> LogBinned
         raise ValueError("log_bin requires strictly positive samples")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
-    n_bins = int(math.floor(bins_per_decade * math.log10(hi / lo))) + 1
+    decades = math.log10(hi / lo)
+    if bins_per_decade > MAX_BINS or bins_per_decade * decades >= MAX_BINS:  # no product overflows
+        raise TooManyBins(f"over {MAX_BINS} bins: {bins_per_decade} per decade over {decades:.3g} decades")
+    n_bins = int(math.floor(bins_per_decade * decades)) + 1
     edges = lo * 10.0 ** (np.arange(n_bins + 1) / bins_per_decade)
     while hi >= edges[-1]:  # guard against round-off at the top edge
         edges = np.append(edges, lo * 10.0 ** (len(edges) / bins_per_decade))

@@ -98,7 +98,7 @@ def _imbalance(blocks, depth: int) -> ImbalanceSeries:
 
 
 def entry_times(series, kappa: float) -> np.ndarray:
-    """Indices where |imbalance| crosses kappa from below.
+    """Indices t where |imbalance| v crosses kappa from below: |v[t-1]| < kappa < |v[t]|.
 
     The crossing test compares t-1 and t, so day starts never qualify.
     """
@@ -107,9 +107,7 @@ def entry_times(series, kappa: float) -> np.ndarray:
     v = np.abs(np.asarray(getattr(series, "values", series), dtype=float))
     if v.size < 2:
         return np.empty(0, dtype=np.int64)
-    cross = (v[1:] - kappa) * (v[:-1] - kappa) < 0.0
-    rising = v[1:] > v[:-1]
-    idx = np.nonzero(cross & rising)[0] + 1
+    idx = np.nonzero((v[:-1] < kappa) & (v[1:] > kappa))[0] + 1
     bounds = np.asarray(getattr(series, "session_boundaries", (0,)), dtype=np.int64)
     if bounds.size > 1:
         idx = idx[~np.isin(idx, bounds)]

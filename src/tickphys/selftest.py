@@ -4,14 +4,16 @@ Eleven criteria, each pinned to a generator with known ground truth: fBm
 recovery for the Hurst pipeline, the exact +-1-walk first-passage law and
 Brownian scaling for exit times, inverse-transform samples for the
 relaxation fits, and byte-level determinism of the CLI artifacts.  Every
-criterion runs on fixed seeds so the suite is reproducible bit for bit;
-runtime budgets are checked where stated but never written into
-artifacts.
+criterion runs on fixed seeds so the suite is reproducible bit for bit.
+``_criterion`` registers each body, which returns ``(measured, passed)``,
+in ``CRITERIA``; it times the body and fails it past its budget (30 s for
+criterion 1, 60 s for criterion 3), checked but never written into artifacts.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -50,9 +52,32 @@ def format_line(r: CriterionResult) -> str:
     )
 
 
-def criterion_1() -> CriterionResult:
+CRITERIA = {}  # index -> callable returning its CriterionResult, filled by _criterion
+
+
+def _criterion(index: int, name: str, expected: str, tolerance: str, budget_s: float = math.inf):
+    """Register a body returning ``(measured, passed)`` as criterion
+    ``index``: the registered callable times the body and reports it as a
+    ``CriterionResult``, failed if it took ``budget_s`` seconds or more."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            measured, passed = body()
+            elapsed = time.perf_counter() - t0
+            passed = passed and elapsed < budget_s
+            return CriterionResult(index, name, measured, expected, tolerance, passed, elapsed)
+
+        CRITERIA[index] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "Hurst recovery", "mean|dH| <= 0.05 per H", "0.05; < 30 s", budget_s=30.0)
+def criterion_1():
     """fBm Hurst recovery across H = 0.3, 0.5, 0.7."""
-    t0 = time.perf_counter()
     errs = {}
     for h_true in (0.3, 0.5, 0.7):
         diffs = []
@@ -61,15 +86,13 @@ def criterion_1() -> CriterionResult:
             est = hurst.hurst_exponent(path)
             diffs.append(abs(est.h - h_true))
         errs[h_true] = float(np.mean(diffs))
-    elapsed = time.perf_counter() - t0
-    passed = max(errs.values()) <= 0.05 and elapsed < 30.0
     measured = ", ".join(f"H={h}: mean|dH|={e:.4f}" for h, e in errs.items())
-    return CriterionResult(1, "Hurst recovery", measured, "mean|dH| <= 0.05 per H", "0.05; < 30 s", passed, elapsed)
+    return measured, max(errs.values()) <= 0.05
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "local-Hurst stationarity", "mean in [0.43,0.57], all in [0.3,0.7]", ">= 95% of seeds")
+def criterion_2():
     """Local-Hurst stationarity on fBm H=0.5."""
-    t0 = time.perf_counter()
     n_seeds = 20
     ok = 0
     means = []
@@ -81,40 +104,30 @@ def criterion_2() -> CriterionResult:
         means.append(mean)
         if 0.43 <= mean <= 0.57 and vals.min() >= 0.3 and vals.max() <= 0.7:
             ok += 1
-    elapsed = time.perf_counter() - t0
-    passed = ok >= math.ceil(0.95 * n_seeds)
     measured = f"{ok}/{n_seeds} seeds in band, grand mean={np.mean(means):.4f}"
-    return CriterionResult(
-        2, "local-Hurst stationarity", measured,
-        "mean in [0.43,0.57], all in [0.3,0.7]", ">= 95% of seeds", passed, elapsed,
-    )
+    return measured, ok >= math.ceil(0.95 * n_seeds)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "Brownian first-passage tail", "-1.5", "0.15; < 60 s", budget_s=60.0)
+def criterion_3():
     """First-passage tail of the symmetric tick walk."""
-    t0 = time.perf_counter()
     walk = synth.gen_tick_walk(10**7, p_zero=0.0, seed=3)
     exits = invstat.exit_times(walk, ExitTimeConfig(threshold=1, direction="up", clock="tick"))
     hist = invstat.first_passage_hist(exits, 10)
     tail = invstat.fit_tail_power_law(hist, (1e2, 1e4))
-    elapsed = time.perf_counter() - t0
-    passed = abs(tail.exponent + 1.5) <= 0.15 and elapsed < 60.0
-    measured = f"slope={tail.exponent:.4f} over tau in [1e2,1e4]"
-    return CriterionResult(3, "Brownian first-passage tail", measured, "-1.5", "0.15; < 60 s", passed, elapsed)
+    return f"slope={tail.slope:.4f} over tau in [1e2,1e4]", abs(tail.slope + 1.5) <= 0.15
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "horizon scaling", "2.0", "0.2")
+def criterion_4():
     """tau* ~ R^2 across thresholds of 2..16 step deviations."""
-    t0 = time.perf_counter()
     sigma = 8.0
     walk = np.rint(synth.gen_brownian(2**21, scale=sigma, seed=4)).astype(np.int64)
     thresholds = tuple(int(k * sigma) for k in (2, 4, 8, 16))
     rows = invstat.horizon_scaling(walk, thresholds, bins_per_decade=10)
     fit = invstat.fit_horizon_power_law(rows)
-    elapsed = time.perf_counter() - t0
-    passed = abs(fit.exponent - 2.0) <= 0.2
     stars = ", ".join(f"R={r.threshold}: tau*={r.tau_star:.3f}" for r in rows)
-    return CriterionResult(4, "horizon scaling", f"gamma={fit.exponent:.4f} ({stars})", "2.0", "0.2", passed, elapsed)
+    return f"gamma={fit.slope:.4f} ({stars})", abs(fit.slope - 2.0) <= 0.2
 
 
 def _plus_minus_one_law(tau: int) -> float:
@@ -125,9 +138,9 @@ def _plus_minus_one_law(tau: int) -> float:
     return math.comb(tau, k) / (tau * 2**tau)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "exact small-tau law", "binomial agreement", "3 sigma at 1e6 entries")
+def criterion_5():
     """Small-tau frequencies against the exact +-1-walk law."""
-    t0 = time.perf_counter()
     walk = synth.gen_tick_walk(10**6, p_zero=0.0, seed=5)
     exits = invstat.exit_times(walk, ExitTimeConfig(threshold=1, direction="up", clock="tick"))
     n = exits.n_entries
@@ -137,12 +150,7 @@ def criterion_5() -> CriterionResult:
         freq = float(np.count_nonzero(exits.tau == tau)) / n
         z = abs(freq - p) / math.sqrt(p * (1.0 - p) / n)
         worst = max(worst, z)
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 3.0
-    return CriterionResult(
-        5, "exact small-tau law", f"max|z|={worst:.3f} over tau=1..21 odd",
-        "binomial agreement", "3 sigma at 1e6 entries", passed, elapsed,
-    )
+    return f"max|z|={worst:.3f} over tau=1..21 odd", worst <= 3.0
 
 
 def _pooled_relaxation(paths, kappa: float):
@@ -156,9 +164,9 @@ def _pooled_relaxation(paths, kappa: float):
     return np.concatenate(taus), censored
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "first-return exponents", "-1.5 and -1.3", "0.15 / 0.2")
+def criterion_6():
     """First-return exponents: 1.5 for Brownian, 2 - H for fBm H=0.7."""
-    t0 = time.perf_counter()
     brown = [synth.gen_brownian(2**20, scale=1.0, seed=600 + s) for s in range(48)]
     tau_b, cens_b = _pooled_relaxation(brown, kappa=0.25)
     hist_b = numerics.log_bin(tau_b, 10, censored_count=cens_b)
@@ -172,19 +180,14 @@ def criterion_6() -> CriterionResult:
     hist_f = numerics.log_bin(tau_f, 8, censored_count=cens_f)
     fit_f = invstat.fit_tail_power_law(hist_f, (50.0, 5000.0))
 
-    elapsed = time.perf_counter() - t0
-    ok_b = abs(fit_b.exponent + 1.5) <= 0.15
-    ok_f = abs(fit_f.exponent + 1.3) <= 0.2
-    measured = f"brownian slope={fit_b.exponent:.4f}, fbm(H=0.7) slope={fit_f.exponent:.4f}"
-    return CriterionResult(
-        6, "first-return exponents", measured, "-1.5 and -1.3", "0.15 / 0.2",
-        ok_b and ok_f, elapsed,
-    )
+    ok_b = abs(fit_b.slope + 1.5) <= 0.15
+    ok_f = abs(fit_f.slope + 1.3) <= 0.2
+    return f"brownian slope={fit_b.slope:.4f}, fbm(H=0.7) slope={fit_f.slope:.4f}", ok_b and ok_f
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "stretched-exp recovery", "tau_tilde and alpha within 5%", "0.05")
+def criterion_7():
     """Stretched-exponential parameter recovery from 1e5 draws."""
-    t0 = time.perf_counter()
     worst = 0.0
     details = []
     for i, tau_tilde in enumerate((10.0, 100.0)):
@@ -196,17 +199,12 @@ def criterion_7() -> CriterionResult:
             rel_a = abs(fit.alpha - alpha) / alpha
             worst = max(worst, rel_t, rel_a)
             details.append(f"({tau_tilde:g},{alpha:g}): {max(rel_t, rel_a):.4f}")
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 0.05
-    return CriterionResult(
-        7, "stretched-exp recovery", f"max rel err={worst:.4f} [{'; '.join(details)}]",
-        "tau_tilde and alpha within 5%", "0.05", passed, elapsed,
-    )
+    return f"max rel err={worst:.4f} [{'; '.join(details)}]", worst <= 0.05
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "mean-relaxation formula", "(tau_tilde/alpha) Gamma(1/alpha) = quadrature", "1e-6 relative")
+def criterion_8():
     """Mean-relaxation formula against direct quadrature."""
-    t0 = time.perf_counter()
     worst = 0.0
     for tau_tilde in (10.0, 100.0):
         for alpha in (0.3, 0.6, 0.9):
@@ -222,17 +220,15 @@ def criterion_8() -> CriterionResult:
 
             integral = numerics.quadrature(integrand, 0.0, math.inf, tol=formula * 1e-10)
             worst = max(worst, abs(formula - integral) / formula)
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-6
-    return CriterionResult(
-        8, "mean-relaxation formula", f"max rel diff={worst:.3e}",
-        "(tau_tilde/alpha) Gamma(1/alpha) = quadrature", "1e-6 relative", passed, elapsed,
-    )
+    return f"max rel diff={worst:.3e}", worst <= 1e-6
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(
+    9, "waiting-time law self-consistency",
+    "params within 10% (|tau0| <= 10% of mode scale), integral 1", "0.10; 1e-3",
+)
+def criterion_9():
     """Waiting-time law self-consistency at (alpha, nu, beta, tau0) = (0.5, 1, 20, 0)."""
-    t0 = time.perf_counter()
     alpha, nu, beta, tau0 = 0.5, 1.0, 20.0, 0.0
     draws = invstat.sample_first_passage(100_000, alpha, beta, nu, tau0, seed=9)
     hist = numerics.log_bin(draws, 10)
@@ -262,16 +258,11 @@ def criterion_9() -> CriterionResult:
     )
     norm_ok = abs(integral - 1.0) <= 1e-3
 
-    elapsed = time.perf_counter() - t0
-    passed = max(rel.values()) <= 0.10 and tau0_ok and norm_ok
     measured = (
         f"rel err alpha={rel['alpha']:.4f}, beta={rel['beta']:.4f}, nu={rel['nu']:.4f}, "
         f"tau0={fit.tau0:.3f}, integral={integral:.6f}"
     )
-    return CriterionResult(
-        9, "waiting-time law self-consistency", measured,
-        "params within 10% (|tau0| <= 10% of mode scale), integral 1", "0.10; 1e-3", passed, elapsed,
-    )
+    return measured, max(rel.values()) <= 0.10 and tau0_ok and norm_ok
 
 
 def _random_book(rng) -> tuple:
@@ -292,9 +283,9 @@ def _random_book(rng) -> tuple:
     return bid_px, bid_v, ask_px, ask_v
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "imbalance algebra", "0 failures", "exact")
+def criterion_10():
     """Imbalance algebra on 1e4 randomized books."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(10)
     # odd-mantissa levels: no rational with denominator < 2^52 can hit them
     kappa1, kappa2 = 0.28915, 0.61073
@@ -314,11 +305,7 @@ def criterion_10() -> CriterionResult:
             below = np.nonzero(np.abs(chunk[:t]) < kappa1)[0]
             if below.size and (int(below[-1]) + 1) not in e1:
                 failures += 1
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        10, "imbalance algebra", f"{failures} failures over 10000 books",
-        "0 failures", "exact", failures == 0, elapsed,
-    )
+    return f"{failures} failures over 10000 books", failures == 0
 
 
 def _strip_manifest(text: str) -> str:
@@ -354,11 +341,11 @@ def _synthetic_book_text() -> str:
     return serialize_book(snaps, Decimal("0.01"), 3)
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "determinism", "byte-identical reruns", "manifest timestamps excluded")
+def criterion_11():
     """Byte-identical reruns of every artifact-writing subcommand."""
     from . import cli
 
-    t0 = time.perf_counter()
     scratch = Path(tempfile.mkdtemp(prefix="tickphys-selftest-"))
     diffs = []
     n_files = 0
@@ -408,29 +395,10 @@ def criterion_11() -> CriterionResult:
                     diffs.append(f"{job[0]}/{name}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    elapsed = time.perf_counter() - t0
     measured = f"{n_files} artifacts compared, {len(diffs)} diffs" + (
         f" ({'; '.join(diffs[:4])})" if diffs else ""
     )
-    return CriterionResult(
-        11, "determinism", measured, "byte-identical reruns", "manifest timestamps excluded",
-        not diffs, elapsed,
-    )
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-}
+    return measured, not diffs
 
 
 def run_selftest(indices=None) -> list:

@@ -42,7 +42,6 @@ PUBLIC = {
     "NonFiniteObjective",
     "NonMonotonicTime",
     "ParseError",
-    "PowerLawFit",
     "PriceRangeTooWide",
     "RegularSeries",
     "RelaxationSamples",
@@ -53,6 +52,7 @@ PUBLIC = {
     "TickSizeViolation",
     "TickphysError",
     "TooFewBins",
+    "TooManyBins",
     "TooFewSamples",
     "UsageError",
     "WindowTooLarge",

@@ -5,6 +5,7 @@ parsed back; exit codes are pinned per failure class.  Reruns must be
 byte-identical apart from the manifest timestamps.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -28,6 +29,7 @@ from tickphys import (
     invstat,
     market_data,
     parse_regular_series,
+    selftest,
     serialize_regular_series,
 )
 from tickphys.selftest import _synthetic_book_text
@@ -560,6 +562,48 @@ def test_selftest_single_criterion_report(tmp_path, capsys):
     assert set(row) == {"criterion", "name", "measured", "expected", "tolerance", "pass"}
     assert report["all_pass"] is True
     assert "criterion 10" in capsys.readouterr().out
+
+
+def test_criteria_are_registered_once_each_as_the_cli_offers_them():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flag = next(a for a in sub.choices["selftest"]._actions if a.dest == "criterion")
+    assert sorted(selftest.CRITERIA) == list(range(1, 12)) == list(flag.choices)
+
+
+def test_a_criterion_that_passes_over_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(selftest, "CRITERIA", dict(selftest.CRITERIA))  # restored afterwards
+    over = selftest._criterion(12, "over budget", "ran", "no time", budget_s=0)(lambda: ("ran", True))
+    within = selftest._criterion(13, "no budget", "ran", "any time")(lambda: ("ran", True))
+    assert selftest.CRITERIA[12] is over and selftest.CRITERIA[13] is within
+    result = over()
+    assert (result.index, result.name, result.measured, result.passed) == (12, "over budget", "ran", False)
+    assert within().passed is True
+    assert selftest.run_selftest([12])[0].passed is False
+
+
+def test_bin_counts_over_the_bound_are_data_errors(tmp_path, capsys):
+    """A histogram of more than numerics.MAX_BINS bins is refused before
+    any array is made: exit 2, one "data error:" line and no --out."""
+    walk = np.cumsum(np.random.default_rng(0).choice([-1.0, 1.0], 3000))
+    series = tmp_path / "series.csv"
+    series.write_text(serialize_regular_series(RegularSeries(start_ns=0, interval_ns=10**9, values=walk)))
+    book = tmp_path / "book.csv"
+    book.write_text(_synthetic_book_text())
+    invstat_argv = ["invstat", "--input", str(series), "--target", "2", "--min-samples", "10"]
+    relax_argv = ["relax", "--input", str(book), "--kappa", "0.2", "--depth", "3", "--min-samples", "20"]
+    for argv in (
+        [*invstat_argv, "--entry-bin-seconds", "1e-9"],
+        [*invstat_argv, "--entry-bin-seconds", "1e-320"],
+        [*invstat_argv, "--bins-per-decade", "1000000000000"],
+        [*relax_argv, "--bins-per-decade", str(10**400)],
+    ):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, argv
+        assert not out.exists()
 
 
 def test_exit_codes(tmp_path, monkeypatch, capsys):

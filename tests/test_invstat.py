@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import _reference_crossing as reference
 from _power_law import sample_power_law
 from _tick_file import serialize_ticks
-from tickphys import invstat
+from tickphys import invstat, numerics
 from tickphys import (
     CrossingIndex,
     DataError,
@@ -36,6 +36,7 @@ from tickphys import (
     Ticks,
     TickSizeViolation,
     TooFewBins,
+    TooManyBins,
     TooFewSamples,
     entry_time_distribution,
     exit_times,
@@ -509,7 +510,7 @@ def test_horizon_scaling_fit_route():
     assert all(r.tau_star > 0 and r.tau_star == optimal_horizon(r.fit) for r in rows)
     assert all(r.n_resolved + r.n_censored == 2**17 for r in rows)
     fit = fit_horizon_power_law(rows)
-    assert abs(fit.exponent - 2.0) < 0.6  # diffusive scaling, loose at this size
+    assert abs(fit.slope - 2.0) < 0.6  # diffusive scaling, loose at this size
     with pytest.raises(TooFewBins):
         fit_horizon_power_law(rows[:2])
 
@@ -517,7 +518,7 @@ def test_horizon_scaling_fit_route():
 def test_fit_tail_power_law_on_exact_power_law():
     draws = sample_power_law(2.5, 1.0, 1e4, 200_000, np.random.default_rng(3))
     fit = fit_tail_power_law(log_bin(draws, 10), (2.0, 2e3))
-    assert abs(fit.exponent + 2.5) < 0.1
+    assert abs(fit.slope + 2.5) < 0.1
     with pytest.raises(TooFewBins):
         fit_tail_power_law(log_bin(draws, 10), (1e5, 1e6))
     with pytest.raises(ValueError):
@@ -538,6 +539,10 @@ def test_entry_time_distribution():
     no_clock = exit_times(np.array([0, 1, 2]), UP1)
     with pytest.raises(EmptyInput):
         entry_time_distribution(no_clock)
+    # more than MAX_BINS bins, even where the quotient overflows, before any array
+    for bad in (1900.0 / numerics.MAX_BINS, 1e-9, 1e-320):
+        with pytest.raises(TooManyBins):
+            entry_time_distribution(exits, bin_seconds=bad)
 
 
 def test_entry_time_distribution_skips_untimed_entries():

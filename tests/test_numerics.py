@@ -20,6 +20,7 @@ from tickphys import (
     EmptyInput,
     MaxDepthExceeded,
     NonFiniteObjective,
+    TooManyBins,
     linfit,
     log_bin,
     minimize,
@@ -75,6 +76,14 @@ def test_log_bin_rejects_bad_input():
     for bad in ([np.nan], [1.0, np.nan, 2.0], np.array([3, 0]), np.array([-1, 5], dtype=np.int64)):
         with pytest.raises(ValueError):
             log_bin(bad, 10)
+    # over MAX_BINS bins, or bins per decade, before any array, also where
+    # bins_per_decade times the decades would overflow a float
+    top = numerics.MAX_BINS
+    for samples, bpd in (([1, 10], 10**400), ([1, 10], 10**12), ([1.0, 1.0], top + 1), ([1, 100], top // 2)):
+        with pytest.raises(TooManyBins):
+            log_bin(samples, bpd)
+    assert len(log_bin([1.0, 1.0], top)) == 1
+    assert len(log_bin([1, 10], top // 4)) >= top // 4
 
 
 @settings(max_examples=100, deadline=None)

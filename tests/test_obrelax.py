@@ -172,6 +172,9 @@ def test_entry_times_hand_case():
     assert entry_times(v, 0.5).tolist() == [1, 3]
     assert entry_times(v, 0.1).tolist() == [1]
     assert entry_times(np.array([-0.2, -0.8]), 0.5).tolist() == [1]  # sign-blind
+    # (1e-15 - kappa) * (0 - kappa) underflows to -0.0: a test on the product of
+    # the two differences would miss the entry at 1
+    assert entry_times(np.array([0.0, 1e-15, 0.0, 0.5]), 1e-310).tolist() == [1, 3]
     with pytest.raises(ValueError):
         entry_times(v, 1.0)
 
