@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, FitError, SeriesTooShort, TickphysError, UsageError
 from .hurst import DfaConfig, ScaleRow, local_hurst
-from .invstat import CrossingIndex, _horizon, entry_time_distribution, fit_tail_power_law
+from .invstat import CrossingIndex, _horizon, fit_tail_power_law
 from .market_data import (
     _CHUNK_BYTES,
     RegularSeries,
@@ -230,7 +230,9 @@ def _cmd_invstat(args):
     files = {}
     scaling_rows = ["# columns: R,tau_star"]
     for r in targets.values():
-        horizon, hist, exits = _horizon(index, r, args.clock, args.bins_per_decade, args.min_samples)
+        horizon, hist, entries = _horizon(
+            index, r, args.clock, args.bins_per_decade, args.min_samples, args.entry_bin_seconds
+        )
         files[f"pdf_R{r}.csv"] = _pdf_csv(hist)
         files[f"fit_R{r}.json"] = _json(
             {
@@ -245,15 +247,14 @@ def _cmd_invstat(args):
             }
         )
         entry_rows = ["# columns: start_s,end_s,count,rate_per_hour"]
-        if np.any(np.isfinite(exits.entry_second)):
-            for row in entry_time_distribution(exits, bin_seconds=args.entry_bin_seconds):
-                entry_rows.append(
-                    f"{_fmt(row.start_second)},{_fmt(row.end_second)},"
-                    f"{row.count},{_fmt(row.rate_per_hour)}"
-                )
+        if entries is not None:  # None: no resolved entry carries a wall-clock time
+            edges, counts = (column.tolist() for column in entries)
+            entry_rows += [
+                f"{_fmt(lo)},{_fmt(hi)},{c},{_fmt(c * 3600.0 / args.entry_bin_seconds)}"
+                for lo, hi, c in zip(edges, edges[1:], counts)
+            ]
         files[f"entry_R{r}.csv"] = "\n".join(entry_rows) + "\n"
         scaling_rows.append(f"{r},{_fmt(horizon.tau_star)}")
-        del exits  # one threshold's exits at a time beside the index
     files["scaling.csv"] = "\n".join(scaling_rows) + "\n"
     return files, digest
 

@@ -15,11 +15,13 @@ level * n + time and sorted once, plus the entries' keys p[t] * n + t,
 also sorted once.  A threshold query lifts the entry keys by R levels,
 which keeps them ascending, and vectorized binary searches over the
 ladder, a fixed slice of entries at a time, find every entry's exit, so
-a query holds one day's exits beside its outputs.  Thresholds are whole
-ticks.  ``horizon_scaling`` and the ``invstat`` subcommand build one
-index and take one step per threshold, ``_horizon``: query, density, fit
-and optimal horizon; ``exit_times`` is a one-threshold query of a fresh
-index.
+a query holds one day's exits beside what it keeps: ``exit_times``,
+every resolved entry's waiting time, index and second, 24 bytes per
+entry.  Thresholds are whole ticks.  ``horizon_scaling`` and the
+``invstat`` subcommand build one index and take one step per threshold,
+``_horizon``: query, density, fit and optimal horizon.  It keeps the
+waiting times, 8 bytes per entry, and counts each slice's entry seconds
+into bins as the slice comes.
 """
 
 from __future__ import annotations
@@ -288,19 +290,16 @@ class CrossingIndex:
             self._days.append((prices.size, stamps, open_ns, ladders))
         if not self._days:
             raise EmptyInput("no prices to scan")
+        self.n_entries = sum(n for n, _, _, _ in self._days)
 
-    def exit_times(self, threshold: int, clock: str = "tick") -> ExitTimes:
-        """Waiting times to the first crossing of ``threshold`` ticks."""
-        config = ExitTimeConfig(threshold=threshold, direction=self.direction, clock=clock)
-        if clock == "wall" and any(stamps is None for _, stamps, _, _ in self._days):
+    def _resolved(self, config: ExitTimeConfig):
+        """The one query loop: per day and slice of at most ``_SLICE``
+        entries in time order, ``(t, tau, sec)`` of its resolved entries,
+        their concatenated indices, waiting times and seconds since the
+        day's open (None without a clock).  Within a day t rises and stamps
+        never fall, so each slice's seconds ascend."""
+        if config.clock == "wall" and any(stamps is None for _, stamps, _, _ in self._days):
             raise ValueError("wall clock needs timestamped input")
-        # each day's exits written in place into arrays sized for every
-        # entry, so no per-day chunks are held beside a concatenated copy
-        n_entries = sum(n for n, _, _, _ in self._days)
-        tau = np.empty(n_entries, dtype=np.int64)
-        entry_index = np.empty(n_entries, dtype=np.int64)
-        entry_second = np.empty(n_entries)
-        k = 0
         offset = 0
         for n, stamps, open_ns, ladders in self._days:
             exits = np.full(n, -1, dtype=np.int64)  # the day's exits in time order
@@ -315,27 +314,39 @@ class CrossingIndex:
                 t = np.flatnonzero(j >= 0)
                 j = j[t]
                 t += s
-                end = k + t.size
-                if clock == "tick":
-                    np.subtract(j, t, out=tau[k:end])
+                if config.clock == "tick":
+                    j -= t
                 else:
                     j = stamps(j)
                     j -= stamps(t)
-                    tau[k:end] = wall_seconds(j)
-                np.add(t, offset, out=entry_index[k:end])
-                if stamps is None:
-                    entry_second[k:end] = np.nan
-                else:
-                    entry_second[k:end] = (stamps(t) - open_ns) / NS_PER_S
-                k = end
+                    j = wall_seconds(j)
+                sec = None if stamps is None else (stamps(t) - open_ns) / NS_PER_S
+                t += offset
+                yield t, j, sec
             del exits  # before the next day's map is made
             offset += n
+
+    def exit_times(self, threshold: int, clock: str = "tick") -> ExitTimes:
+        """Waiting times to the first crossing of ``threshold`` ticks."""
+        config = ExitTimeConfig(threshold=threshold, direction=self.direction, clock=clock)
+        # each slice written in place into arrays sized for every entry, so
+        # no per-day chunks are held beside a concatenated copy
+        tau = np.empty(self.n_entries, dtype=np.int64)
+        entry_index = np.empty(self.n_entries, dtype=np.int64)
+        entry_second = np.empty(self.n_entries)
+        k = 0
+        for t, w, sec in self._resolved(config):
+            end = k + t.size
+            tau[k:end] = w
+            entry_index[k:end] = t
+            entry_second[k:end] = np.nan if sec is None else sec
+            k = end
         return ExitTimes(
             tau=tau[:k],
             entry_index=entry_index[:k],
             entry_second=entry_second[:k],
-            censored_count=n_entries - k,
-            n_entries=n_entries,
+            censored_count=self.n_entries - k,
+            n_entries=self.n_entries,
             config=config,
         )
 
@@ -354,9 +365,13 @@ def first_passage_hist(
     resolved fraction), so deep thresholds are not flattered by dropping
     their unresolved entries.
     """
-    if exits.tau.size < min_samples:
-        raise TooFewSamples(f"{exits.tau.size} resolved exits < min_samples={min_samples}")
-    return log_bin(exits.tau, bins_per_decade, censored_count=exits.censored_count)
+    return _passage_hist(exits.tau, exits.censored_count, bins_per_decade, min_samples)
+
+
+def _passage_hist(tau, censored_count: int, bins_per_decade: int, min_samples: int) -> LogBinnedPdf:
+    if tau.size < min_samples:
+        raise TooFewSamples(f"{tau.size} resolved exits < min_samples={min_samples}")
+    return log_bin(tau, bins_per_decade, censored_count=censored_count)
 
 
 # ----------------------------------------------------------------- the model
@@ -495,20 +510,30 @@ class HorizonRow:
     fit: FirstPassageFit
 
 
-def _horizon(index: CrossingIndex, threshold, clock: str, bins_per_decade: int, min_samples: int) -> tuple:
+def _horizon(index: CrossingIndex, threshold, clock: str, bins_per_decade: int, min_samples: int, bin_seconds=None):
     """One threshold's query of ``index``, its waiting-time density and
-    fit: ``(HorizonRow, hist, exits)``."""
-    exits = index.exit_times(threshold, clock)
-    hist = first_passage_hist(exits, bins_per_decade, min_samples=min_samples)
+    fit: ``(HorizonRow, hist, entry bins)``, the bins those of
+    ``_EntryBins`` given ``bin_seconds``, else None.  The query keeps one
+    int64 column of waiting times and the bin counts."""
+    config = ExitTimeConfig(threshold=threshold, direction=index.direction, clock=clock)
+    tau = np.empty(index.n_entries, dtype=np.int64)
+    entries = None if bin_seconds is None else _EntryBins(bin_seconds)
+    k = 0
+    for _, w, sec in index._resolved(config):
+        tau[k : k + w.size] = w
+        k += w.size
+        if entries is not None and sec is not None:
+            entries.add(sec)
+    hist = _passage_hist(tau[:k], index.n_entries - k, bins_per_decade, min_samples)
     fit = fit_first_passage(hist)
     row = HorizonRow(
-        threshold=exits.config.threshold,
+        threshold=config.threshold,
         tau_star=optimal_horizon(fit),
-        n_resolved=len(exits),
-        n_censored=exits.censored_count,
+        n_resolved=k,
+        n_censored=index.n_entries - k,
         fit=fit,
     )
-    return row, hist, exits
+    return row, hist, None if entries is None else entries.result()
 
 
 def horizon_scaling(
@@ -521,7 +546,7 @@ def horizon_scaling(
     min_samples: int = 100,
 ) -> list:
     """Optimal horizon per threshold, for the tau* ~ R^gamma diagnostic.
-    Each threshold's exits go before the next query."""
+    Each threshold's waiting times go before the next query."""
     index = CrossingIndex(data, direction)
     return [_horizon(index, r, clock, bins_per_decade, min_samples)[0] for r in thresholds]
 
@@ -557,27 +582,54 @@ class EntryTimeRow:
     rate_per_hour: float
 
 
+class _EntryBins:
+    """Entry seconds fed one ascending slice at a time, counted as
+    ``np.histogram`` counts them over the edges ``np.arange(n + 1) *
+    bin_seconds``, n = top // bin_seconds + 1: each slice's half-open bins
+    by one ``searchsorted`` of their edges, and at the end bin n, which
+    holds only seconds equal to edge n, into the closed last bin n - 1."""
+
+    def __init__(self, bin_seconds: float):
+        if not 0 < bin_seconds < math.inf:  # NaN fails too
+            raise ValueError("bin_seconds must be a positive finite number")
+        self.bin_seconds = bin_seconds
+        self.counts = np.zeros(0, dtype=np.int64)  # bin i: edge i <= second < edge i + 1
+
+    def add(self, sec: np.ndarray) -> None:
+        """Count a slice of finite seconds in ascending order."""
+        sec = sec[np.searchsorted(sec, 0.0) :]  # before the open: in no bin, as in np.histogram
+        if not sec.size:
+            return
+        b, lo, hi = self.bin_seconds, float(sec[0]), float(sec[-1])
+        if hi >= MAX_BINS * b:  # before any array, and before the quotient can overflow
+            raise TooManyBins(f"{b} s bins up to second {hi:g} exceed {MAX_BINS} bins")
+        a, c = int(lo // b), int(hi // b) + 2  # edge a is at or below the slice, edge c above it
+        if c > self.counts.size:
+            self.counts = np.pad(self.counts, (0, c - self.counts.size))
+        self.counts[a:c] += np.diff(np.searchsorted(sec, np.arange(a, c + 1) * b))
+
+    def result(self):
+        """``(edges, counts)``, or None when no second was counted."""
+        if not self.counts.size:
+            return None
+        counts = self.counts[:-1].copy()  # n bins, where n + 1 = top // bin_seconds + 2
+        counts[-1] += self.counts[-1]
+        return np.arange(counts.size + 1) * self.bin_seconds, counts
+
+
 def entry_time_distribution(exits: ExitTimes, bin_seconds: float = 1800.0) -> list:
     """When, within the day, resolved entries occur."""
-    if not 0 < bin_seconds < math.inf:  # NaN fails too
-        raise ValueError("bin_seconds must be a positive finite number")
+    entries = _EntryBins(bin_seconds)
     sec = exits.entry_second
     if not np.isfinite(sec).all():  # no copy when every entry is timed
         sec = sec[np.isfinite(sec)]
-    if sec.size == 0:
+    for s in range(0, sec.size, _SLICE):
+        entries.add(np.sort(sec[s : s + _SLICE]))
+    binned = entries.result()
+    if binned is None:
         raise EmptyInput("entries carry no wall-clock times")
-    top = sec.max()
-    if top >= MAX_BINS * bin_seconds:  # before any array, and before the quotient can overflow
-        raise TooManyBins(f"{bin_seconds} s bins up to second {top:g} exceed {MAX_BINS} bins")
-    n_bins = int(top // bin_seconds) + 1
-    edges = np.arange(n_bins + 1) * bin_seconds
-    counts, _ = np.histogram(sec, bins=edges)
+    edges, counts = (column.tolist() for column in binned)
     return [
-        EntryTimeRow(
-            start_second=float(edges[i]),
-            end_second=float(edges[i + 1]),
-            count=int(counts[i]),
-            rate_per_hour=float(counts[i] * 3600.0 / bin_seconds),
-        )
-        for i in range(n_bins)
+        EntryTimeRow(start_second=lo, end_second=hi, count=c, rate_per_hour=c * 3600.0 / bin_seconds)
+        for lo, hi, c in zip(edges, edges[1:], counts)
     ]

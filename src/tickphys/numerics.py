@@ -86,6 +86,8 @@ def log_bin(samples, bins_per_decade: int, censored_count: int = 0) -> LogBinned
     lo, hi = float(s.min()), float(s.max())
     if not lo > 0:  # a NaN fails this too
         raise ValueError("log_bin requires strictly positive samples")
+    if hi == math.inf:
+        raise ValueError("log_bin requires finite samples")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
     decades = math.log10(hi / lo)

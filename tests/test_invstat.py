@@ -287,6 +287,77 @@ def test_query_slices_match_the_per_threshold_search(data, regular, slice_, dire
             assert_same_exits(index.exit_times(r, clock), want)
 
 
+def _histogram_bins(seconds, bin_seconds):
+    """``(edges, counts)`` of the finite seconds as ``entry_time_distribution``
+    binned them with ``np.histogram``, or None when none is finite."""
+    sec = seconds[np.isfinite(seconds)]
+    if not sec.size:
+        return None
+    edges = np.arange(int(sec.max() // bin_seconds) + 2) * bin_seconds
+    return edges, np.histogram(sec, edges)[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    slice_=st.sampled_from([1, 2, 3, invstat._SLICE]),
+    direction=st.sampled_from(("up", "down", "both")),
+    bin_seconds=st.sampled_from([0.1, 7 / 3, 1800.0]),
+    threshold=st.integers(min_value=1, max_value=40),
+)
+def test_horizon_reduces_the_query_to_the_exits_bins(data, slice_, direction, bin_seconds, threshold):
+    """``_horizon`` keeps the waiting times and the entry seconds' bin
+    counts, not the exits.  Its density must be ``first_passage_hist`` of
+    the exits and its entry bins ``np.histogram`` of their seconds, as
+    ``entry_time_distribution`` also gives them, bit for bit: over
+    several days, some with no resolved entry, slices of 1, 2 and 3
+    entries, both clocks and input with no clock.  Stamps step by 0.1 s,
+    7/3 s or 1800 s, so seconds fall on edges of 0.1 s and 1800 s bins,
+    among them edges that the quotient second // bin_seconds puts one bin
+    lower (0.5 // 0.1 is 4.0), where ``np.histogram``'s last bin is
+    closed.  The fit is stubbed: the property is about what the query
+    keeps."""
+    lengths = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3))
+    n = sum(lengths)
+    prices = np.cumsum(data.draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=n, max_size=n)))
+    bounds = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+    step = data.draw(st.sampled_from([10**8, 7 * NS // 3, 1800 * NS]))
+    kind = data.draw(st.sampled_from(("regular", "ticks", "bare")))
+    if kind == "regular":
+        days = RegularSeries(0, step, prices.astype(float), bounds)
+    elif kind == "ticks":
+        gaps = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+        days = Ticks(step * np.cumsum(gaps), prices, session_boundaries=bounds)
+    else:
+        days = prices[: lengths[0]]
+    clock = "tick" if kind == "bare" else data.draw(st.sampled_from(("tick", "wall")))
+    fake = FirstPassageFit(alpha=1.0, beta=1.0, nu=1.0, tau0=0.0, sse=0.0, n_bins=8)
+    stub = mock.patch.object(invstat, "fit_first_passage", lambda hist: fake)
+    with mock.patch.object(invstat, "_SLICE", slice_), stub:
+        index = CrossingIndex(days, direction)
+        exits = index.exit_times(threshold, clock)
+        if not len(exits):
+            with pytest.raises(EmptyInput):
+                invstat._horizon(index, threshold, clock, 10, 0, bin_seconds)
+            return
+        row, hist, entries = invstat._horizon(index, threshold, clock, 10, 0, bin_seconds)
+        want = first_passage_hist(exits, 10, min_samples=0)
+    assert (row.n_resolved, row.n_censored) == (len(exits), exits.censored_count)
+    for name in ("edges", "densities", "counts"):
+        assert getattr(hist, name).tobytes() == getattr(want, name).tobytes()
+    assert (hist.total_count, hist.censored_count) == (want.total_count, want.censored_count)
+    want = _histogram_bins(exits.entry_second, bin_seconds)
+    if want is None:
+        assert entries is None and kind == "bare"
+        return
+    assert entries[0].tobytes() == want[0].tobytes()
+    assert entries[1].tolist() == want[1].tolist()
+    rows = entry_time_distribution(exits, bin_seconds)
+    assert [(r.start_second, r.end_second, r.count) for r in rows] == list(
+        zip(want[0][:-1].tolist(), want[0][1:].tolist(), want[1].tolist())
+    )
+
+
 SESSION = Session(open=dt.time(10, 0), close=dt.time(11, 0))
 
 

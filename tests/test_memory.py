@@ -146,11 +146,32 @@ def test_exit_times_holds_one_day_of_exits_beside_its_outputs():
         assert peak <= bound, (direction, (peak - 24 * rows) / (rows // 2))
 
 
+def test_horizon_keeps_one_column_of_waiting_times():
+    """``_horizon``, the per-threshold step of ``invstat`` and
+    ``horizon_scaling``, reduces its query as the slices come: it keeps
+    the resolved waiting times, one int64 column of 8 bytes per entry,
+    and the entry seconds' bin counts, a few hundred 1800 s bins.  Beside
+    them it holds one day's exits in time order, 8 bytes per row of the
+    longest day, the query's slices (6 MiB, as above) and the binning's
+    blocks, the density and the fit, within 1 MiB.  A step that kept the
+    exits, 24 bytes per entry, would hold 15 MiB more."""
+    rows = 1_000_000
+    values = _walk(rows, seed=4)
+    series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
+    for direction in ("up", "both"):
+        index = CrossingIndex(series, direction)
+        (row, _, entries), peak, _ = _traced(lambda: invstat._horizon(index, 32, "wall", 10, 100, 1800.0))
+        assert row.n_resolved + row.n_censored == rows and entries[1].sum() == row.n_resolved
+        bound = 8 * rows + 8 * (rows // 2) + 12 * 8 * invstat._SLICE + MIB
+        assert peak <= bound, (direction, (peak - 8 * rows) / (rows // 2))
+
+
 def test_binning_makes_no_copy_of_its_samples():
     """``log_bin`` bins int64 waiting times as they are, and
     ``entry_time_distribution`` bins entry seconds that are all finite
-    as they are; ``np.histogram`` sorts and casts them a block of 65536
-    at a time.  Only a finiteness mask of one byte per sample is made
+    as they are; ``np.histogram`` sorts and casts the first a block of
+    65536 at a time, and the second sorts a slice of 65536 at a time
+    itself.  Only a finiteness mask of one byte per sample is made
     whole.  So each peak is bounded by 2 bytes per sample plus 2 MiB; a
     float copy of the samples would add 8 bytes per sample.
     """
@@ -172,10 +193,13 @@ def test_invstat_holds_the_index_and_one_thresholds_exits(tmp_path):
     the series (8 bytes per row), the index and one day's 24 bytes per
     row.  The series is let go once the index is built, so the queries
     hold the index, 8 * (rows + ladder keys) bytes, one threshold's
-    exits, 24 bytes per row, and one day's exit map, 8 bytes per row of
-    that day: 49 bytes per row on this walk, plus a query's slices, the
-    binning's blocks and the artifacts, within 6 MiB.  A series held
-    through the queries would add 8 bytes per row (7.6 MiB here).
+    waiting times, 8 bytes per row, and one day's exit map, 8 bytes per
+    row of that day, plus a query's slices, the binning's blocks and the
+    artifacts, within 6 MiB.  The bound allows the waiting times 24 bytes
+    per row, as when a threshold's whole exits were kept;
+    ``test_horizon_keeps_one_column_of_waiting_times`` holds the query to
+    8.  A series held through the queries would add 8 bytes per row (7.6
+    MiB here).
     """
     rows = 1_000_000
     values = _walk(rows, seed=2)
@@ -233,10 +257,11 @@ def test_relax_keeps_the_imbalance_not_the_book(tmp_path):
 
 def test_horizon_scaling_holds_one_thresholds_exits():
     """``horizon_scaling`` builds one index and queries it threshold by
-    threshold, letting each threshold's exits go before the next query,
-    so its peak is the ``invstat`` subcommand's above: the index, one
-    threshold's exits and one day's exit map, plus 6 MiB.  Exits kept
-    across the next query would add 24 bytes per row (23 MiB here)."""
+    threshold, letting each threshold's waiting times go before the next
+    query, so its peak is bounded as the ``invstat`` subcommand's above:
+    the index, one threshold's waiting times and one day's exit map, plus
+    6 MiB.  Exits kept across the next query would add 24 bytes per row
+    (23 MiB here)."""
     rows = 1_000_000
     values = _walk(rows, seed=6)
     series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))

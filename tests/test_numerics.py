@@ -76,6 +76,10 @@ def test_log_bin_rejects_bad_input():
     for bad in ([np.nan], [1.0, np.nan, 2.0], np.array([3, 0]), np.array([-1, 5], dtype=np.int64)):
         with pytest.raises(ValueError):
             log_bin(bad, 10)
+    # an infinite sample is a bad sample, not a histogram of infinitely many bins
+    for bad in ([1.0, math.inf], np.array([2.0, math.inf, 3.0])):
+        with pytest.raises(ValueError, match="requires finite"):
+            log_bin(bad, 10)
     # over MAX_BINS bins, or bins per decade, before any array, also where
     # bins_per_decade times the decades would overflow a float
     top = numerics.MAX_BINS
