@@ -144,6 +144,16 @@ _TILE_BUDGET = 8
 _FLOOR = 64.0 * np.finfo(float).eps
 
 
+def _rss(s2, quad, out=None) -> np.ndarray:
+    """The fits' residual sums of squares ``s2 - quad``, 0 where they are
+    rounding residue of an exactly fitting box; spends s2 and quad."""
+    rss = np.subtract(s2, quad, out=out)
+    np.add(s2, quad, out=s2)
+    flat = np.less_equal(rss, np.multiply(_FLOOR, s2, out=s2), out=quad.view(np.bool_)[: quad.size])
+    np.copyto(rss, 0.0, where=flat)
+    return rss
+
+
 def _tiling_rss(x, m: int, shift: int, config: DfaConfig) -> np.ndarray:
     """Box RSS totals of the forward and backward tilings of each window
     ``x[s : s + m + 1]``, s = 0, shift, ..., one column per box size:
@@ -152,34 +162,27 @@ def _tiling_rss(x, m: int, shift: int, config: DfaConfig) -> np.ndarray:
     wins = sliding_window_view(x, m + 1)[::shift]
     starts = shift * np.arange(len(wins))
     total = np.empty((starts.size, len(config.box_sizes)))
-    inc_fft = None
+    work = inc_fft = None
     for j, n in enumerate(config.box_sizes):
         k = m // n
         q = _poly_basis(n, config.poly_order)
-        if tiled := 2 * starts.size * k * n <= _TILE_BUDGET * x.size:
+        if 2 * starts.size * k * n <= _TILE_BUDGET * x.size:
+            work = None  # not held beside the boxes
             seg = np.empty((starts.size, 2, k, n))
             for half, first in enumerate((1, m + 1 - k * n)):
                 tiles = wins[:, first : first + k * n].reshape(starts.size, k, n)
                 np.subtract(tiles, tiles[:, :, :1], out=seg[:, half])  # conditioning only; absorbed by the fit
-            s2, quad = _box_rss(seg.reshape(-1, n), q)
+            total[:, j] = _rss(*_box_rss(seg.reshape(-1, n), q)).reshape(starts.size, 2 * k).sum(axis=1)
             del seg  # not held through the next box size
         else:
-            if inc_fft is None:
-                # the correlations read no wrapped lag once the transform
-                # holds all x.size - 1 increments
+            if work is None:
+                # one workspace until the next tiled size; no correlation
+                # reads a wrapped lag once the transform holds all increments
                 fft_len = 1 << (x.size - 2).bit_length()
-                inc_fft = np.fft.rfft(np.diff(x), fft_len)
-            s2, quad = _segment_rss(x, q, inc_fft, fft_len)
-        rss = s2 - quad
-        np.add(s2, quad, out=s2)
-        rss[rss <= np.multiply(_FLOOR, s2, out=s2)] = 0.0
-        del s2, quad  # rss is all that the totals read
-        if tiled:
-            total[:, j] = rss.reshape(starts.size, 2 * k).sum(axis=1)
-        else:
-            firsts = starts + 1 + np.array([[0], [m - k * n]])
-            total[:, j] = _strided_sums(rss, firsts, n, k).sum(axis=0)
-        del rss  # not held through the next box size
+                if inc_fft is None:
+                    inc_fft = np.fft.rfft(np.diff(x), fft_len)
+                work = np.empty(max(_work_len(x.size, fft_len, b, config.poly_order) for b in config.box_sizes[j:]))
+            _window_sums(_segment_rss(x, q, inc_fft, fft_len, work), starts, m, n, work, total[:, j])
     return total
 
 
@@ -224,45 +227,58 @@ def hurst_exponent(series, config: DfaConfig | None = None) -> HurstEstimate:
     return HurstEstimate(h=fit.slope, stderr=fit.stderr, n_points=f.size)
 
 
-def _segment_rss(x, q, inc_fft, fft_len) -> tuple:
-    """``_box_rss`` of the fit with basis q to every segment
-    ``x[b : b + n]``, b = 0 .. x.size - n.
+def _work_len(size: int, fft_len: int, n: int, order: int) -> int:
+    """float64 cells of ``_segment_rss`` at box size n; ``_window_sums``,
+    under 4 cells per point (one window per point at most), fits too."""
+    n_seg, n_blk = size - n + 1, -(-size // n)
+    transforms = order * (fft_len + 2) + order * fft_len
+    moments = n_seg + 2 * n_blk * n + 2 * (n_blk + 1) * (n + 1)
+    return max(transforms, moments)
+
+
+def _segment_rss(x, q, inc_fft, fft_len, work) -> np.ndarray:
+    """``_rss`` of the fit with basis q to every segment ``x[b : b + n]``,
+    b = 0 .. x.size - n, a view into ``work`` (see ``_work_len``).
 
     A box fit of a window's profile equals, in exact arithmetic, the same
     polynomial fit applied to the raw price segment covering the box
     (window-mean and profile-offset terms are affine and absorbed for
     poly_order >= 1).  ``inc_fft`` is ``rfft(diff(x), fft_len)``.
     """
-    n = q.shape[0]
+    n, c = q.shape[0], q.shape[1] - 1
     n_seg = x.size - n + 1
     # Projections on the non-constant basis columns, by summation by parts:
     # each column q sums to zero, so sum_i q[i] x[b+i] = -sum_j Q[j] dx[b+j]
     # with Q the column's running sum, one cross-correlation per column.
-    # They come first, so their transforms are gone before the moment sums.
-    f = np.fft.rfft(np.cumsum(q[:, 1:], axis=0)[:-1].T, fft_len)
+    # The projections are Fortran-ordered: einsum adds the columns in
+    # memory order, and C order rounds some sums of three differently.
+    f = work[: c * (fft_len + 2)].view(complex).reshape(c, -1)
+    np.fft.rfft(np.cumsum(q[:, 1:], axis=0)[:-1].T, fft_len, out=f)
     np.multiply(inc_fft, np.conjugate(f, out=f), out=f)
-    proj = np.fft.irfft(f, fft_len)[:, :n_seg]
-    del f
-    quad = np.einsum("ij,ij->j", proj, proj)
-    del proj
+    proj = work[f.size * 2 : f.size * 2 + c * fft_len].reshape(fft_len, c).T
+    np.fft.irfft(f, fft_len, out=proj)
+    quad = np.einsum("ij,ij->j", proj[:, :n_seg], proj[:, :n_seg], out=work[:n_seg])  # over the spent f
     # Squared deviations from the segment mean, from moment sums taken
     # within aligned blocks of n points relative to each block's first
     # value: a segment spans at most two blocks, joined through their
     # level step, so rounding follows the segment's own variation rather
     # than the price level of the whole series.  The sums are built in
-    # place, term by term in the order of their plain expressions.
+    # place, term by term in the order of their plain expressions, after
+    # quad: the blocks, the running sums (zero first column, last row), s1.
     n_blk = -(-x.size // n)
-    y = np.pad(x, (0, n_blk * n - x.size), mode="edge").reshape(n_blk, n)
+    at = n_seg + n_blk * n
+    work[n_seg : n_seg + x.size], work[n_seg + x.size : at] = x, x[-1]
+    y = work[n_seg:at].reshape(n_blk, n)
+    p1, p2 = p = work[at : at + 2 * (n_blk + 1) * (n + 1)].reshape(2, n_blk + 1, n + 1)
+    p[:, :, 0] = p[:, -1] = 0.0
     lead = y[:, 0].copy()
     y -= lead[:, None]
-    p1 = np.zeros((n_blk + 1, n + 1))
-    p2 = np.zeros((n_blk + 1, n + 1))
     np.cumsum(y, axis=1, out=p1[:-1, 1:])
     np.cumsum(np.multiply(y, y, out=y), axis=1, out=p2[:-1, 1:])
     step = np.append(np.diff(lead), 0.0)[:, None]
     rs = np.multiply(np.arange(n), step, out=y)
     t1 = p1[1:, :n]
-    s1 = np.subtract(p1[:-1, n:], p1[:-1, :n])
+    s1 = np.subtract(p1[:-1, n:], p1[:-1, :n], out=work[at + p.size : at + p.size + n_blk * n].reshape(n_blk, n))
     s1 += t1
     s1 += rs
     t1 *= 2.0  # s1 has read t1
@@ -275,19 +291,27 @@ def _segment_rss(x, q, inc_fft, fft_len) -> tuple:
     s1 *= s1
     s1 /= n
     s1 += quad
-    return s2.ravel()[:n_seg], s1
+    return _rss(s2.ravel()[:n_seg], s1, out=work[at : at + n_seg])  # the running sums are spent
 
 
-def _strided_sums(v, firsts, n, k):
-    """``sum(v[a + j * n] for j in range(k))`` for every a in ``firsts``,
-    as two lookups into running sums within each residue class mod n."""
-    rows = -(-v.size // n) + 1
-    c = np.zeros((rows, n), dtype=v.dtype)
-    c.ravel()[n : n + v.size] = v
-    c = np.cumsum(c, axis=0, out=c).ravel()
-    sums = c[firsts + k * n]
-    sums -= c[firsts]
-    return sums
+def _window_sums(v, starts, m, n, work, out):
+    """``out[i]``: the sum of v over the starts of the boxes that tile
+    window i (see ``_tiling_rss``), as lookups into running sums within
+    each residue class mod n.  The sums and the lookups' buffers take the
+    head of ``work``, so v must lie past ``(v.size // n + 2) * n`` cells."""
+    k, rows = m // n, -(-v.size // n) + 1
+    c = work[: rows * n]
+    c[:n], c[n : n + v.size], c[n + v.size :] = 0.0, v, 0.0
+    np.cumsum(c.reshape(rows, n), axis=0, out=c.reshape(rows, n))
+    idx, lo, hi = work[c.size : c.size + 3 * starts.size].reshape(3, -1)
+    idx = idx.view(np.int64)
+    for first, dest in zip((1, 1 + m - k * n), (out, hi)):
+        np.add(starts, first, out=idx)
+        np.take(c, idx, out=lo, mode="clip")  # mode "raise" would buffer out
+        idx += k * n
+        np.take(c, idx, out=hi, mode="clip")
+        np.subtract(hi, lo, out=dest)
+    out += hi
 
 
 def local_hurst(series, window: int, shift: int, config: DfaConfig | None = None) -> HurstSeries:

@@ -220,8 +220,8 @@ class Ticks:
     Days are indexed as in RegularSeries: ``session_boundaries[i]`` is the
     row of day i's first tick, and within a day no timestamp decreases.
     ``session_open_ns[i]`` is day i's open, from which time of day is
-    measured; it defaults to the day's first timestamp (None for an empty
-    last day).  ``dropped`` counts the ticks that sessionize left out.
+    measured, no later than the day's first timestamp (its default; None
+    for an empty last day).  ``dropped`` counts ticks sessionize left out.
     """
 
     timestamps_ns: np.ndarray = field(repr=False)
@@ -245,6 +245,9 @@ class Ticks:
             opens = tuple(int(ts[i]) if i < ts.size else None for i in b)
         elif len(opens) != len(b):
             raise ValueError("session_open_ns must hold one open per day")
+        for day, (i, open_ns) in enumerate(zip(b, opens)):  # entry seconds are counted from the open
+            if i < ts.size and open_ns > ts[i]:
+                raise ValueError(f"day {day}: session open {open_ns} is later than its first stamp {ts[i]}")
         object.__setattr__(self, "timestamps_ns", ts)
         object.__setattr__(self, "prices", px)
         object.__setattr__(self, "session_boundaries", b)
@@ -558,13 +561,14 @@ def _book_block(lineno, blk, s, e, tick_frac, d, prev):
 def serialize_book(snaps, tick_size: Decimal, depth: int) -> str:
     """Inverse of parse_book for canonical-form files."""
     out = [f"# tick_size={format(tick_size.normalize(), 'f')} depth={depth}"]
+    prices = {}  # tick count -> text, each distinct price formatted once
     for s in snaps:
         fields = [str(s.timestamp_ns), str(s.trade_count_delta)]
         for side in (s.bids, s.asks):
             for lvl in range(depth):
                 if lvl < len(side):
                     px, vol = side[lvl]
-                    fields += [_format_price(px, tick_size), str(vol)]
+                    fields += [prices.get(px) or prices.setdefault(px, _format_price(px, tick_size)), str(vol)]
                 else:
                     fields += ["", ""]
         out.append(",".join(fields))

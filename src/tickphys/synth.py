@@ -101,7 +101,8 @@ def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray:
     m is the next power of two >= n, so the FFT length 2m is a power of
     two.  The embedding's amplitudes come from ``_fgn_amplitudes``, shared
     by every draw at one (m, H); each draw weights 2m standard normals by
-    them, fills the Hermitian half and takes one FFT.
+    them, fills the Hermitian half and takes one FFT in place; the sample
+    is a view of its real part.
     """
     m = 1
     while m < n:
@@ -115,7 +116,7 @@ def _fgn_circulant(n: int, hurst: float, rng) -> np.ndarray:
     w[m] = am * g[m]
     w[1:m] = half * (g[1:m] + 1j * g[m + 1 :])
     w[m + 1 :] = np.conj(w[1:m][::-1])
-    return np.fft.fft(w).real[:n]
+    return np.fft.fft(w, out=w).real[:n]
 
 
 def gen_fbm(spec: FbmSpec) -> np.ndarray:
@@ -130,7 +131,7 @@ def gen_fbm(spec: FbmSpec) -> np.ndarray:
     fgn = _fgn_circulant(spec.n - 1, spec.hurst, rng)
     out = np.empty(spec.n)
     out[0] = 0.0
-    np.cumsum(fgn * spec.scale, out=out[1:])
+    np.cumsum(np.multiply(fgn, spec.scale, out=out[1:]), out=out[1:])
     return out
 
 

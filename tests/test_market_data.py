@@ -410,6 +410,18 @@ def test_ticks_that_go_back_in_time_are_refused():
         sessionize(Ticks(stamps, [3, 1, 2], session_boundaries=(0, 1)), session)
 
 
+def test_ticks_refuse_an_open_after_the_days_first_stamp():
+    # entry seconds count from the open: these ticks would enter at -2, -1,
+    # 0 and 1 s, and the entry-time bins dropped the first two unreported
+    with pytest.raises(ValueError, match="day 0: session open 2000000000.0 is later"):
+        Ticks([0, 1e9, 2e9, 3e9, 4000e9], [0, 1, 2, 3, 4], session_open_ns=(2e9,))
+    with pytest.raises(ValueError, match="day 1: session open 11 is later than its first stamp 10"):
+        Ticks([0, 5, 10, 15], [0, 1, 2, 3], session_boundaries=(0, 2), session_open_ns=(0, 11))
+    # an open at the first stamp, and an empty last day's None, are kept
+    ticks = Ticks([0, 5, 10], [0, 1, 2], session_boundaries=(0, 2, 3), session_open_ns=(0, 10, None))
+    assert ticks.session_open_ns == (0, 10, None)
+
+
 def test_resample_previous_tick_and_backfill():
     ticks = Ticks(
         timestamps_ns=[int(0.5 * NS), int(1.2 * NS), int(2.8 * NS)],

@@ -1,6 +1,7 @@
 """Memory that the regular-series reader, the crossing index, its queries,
 the binning of their results, the ``relax`` subcommand and the sliding
-Hurst estimator take per row, and the chunks the readers let go of.
+Hurst estimator take per row, the chunks the readers let go of, and the
+pages and workspace cells that the sliding Hurst estimator touches.
 
 ``tracemalloc`` sees numpy's buffers as well as Python's objects, so its
 peak is the whole working set of a call.  The input is built before
@@ -8,19 +9,23 @@ tracing starts and handed over as a stream of chunk-sized views, so only
 what the reader allocates is counted.
 """
 
+import resource
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import _reference_hurst
 from tickphys import (
     CrossingIndex,
     DfaConfig,
+    FbmSpec,
     RegularSeries,
     cli,
     entry_time_distribution,
     gen_brownian,
+    gen_fbm,
     hurst,
     invstat,
     local_hurst,
@@ -304,20 +309,22 @@ def test_local_hurst_holds_its_table_and_one_box_sizes_buffers(window, shift, or
     and turns it into 1/2 log2 F(n) and fits each window in place.  Beside
     the table it holds, throughout, 24 bytes per window (the times and
     the window starts, twice) and the transform of the increments, L/2 + 1
-    complex values, 8 L bytes, at the transform length L.  Each box size
-    fitted at every start then takes the largest of three steps, one after
-    the other: the projections, a transform of each of the c = order basis
+    complex values, 8 L bytes, at the transform length L.  The box sizes
+    fitted at every start share one workspace, held through them all and
+    as large as the largest of three steps that follow one another at each
+    size: the projections, a transform of each of the c = order basis
     columns, complex and then real (16 c L bytes); the moment sums, five
     arrays of 8 bytes per point (the projections' sum of squares, the
     block copy, two running sums, one moment sum) plus one column per
-    block in the running sums and two block-level arrays, 44 bytes per
-    point at boxes of 8; or the window totals, the box RSS and their
-    running sums (16 bytes per point) and two first-box indices and two
-    sums per window with one gather in flight (48 bytes per window).
-    Masks and small arrays fit in 1 MiB.  At shift 1 that is about 1.65
-    times the table; a second table-sized array (the fluctuation function
-    beside its log, or the centred copy of the fit) would exceed it, and
-    so would a box size's buffers held through the next one at shift 64.
+    block in the running sums, beside two block-level arrays outside the
+    workspace, 44 bytes per point at boxes of 8; or the window totals, the
+    box RSS and their running sums (16 bytes per point) and one first-box
+    index and two gathered sums per window (24 bytes per window; the
+    bound allows 48).  Small arrays fit in 1 MiB.  At shift 1 that is
+    about 1.65 times the table; a second table-sized array (the
+    fluctuation function beside its log, or the centred copy of the fit)
+    would exceed it, and so would a workspace sized for two box sizes at
+    once at shift 64.
     """
     path = gen_brownian(100_000, seed=3)
     config = DfaConfig.for_length(window - 1, poly_order=order)
@@ -335,11 +342,11 @@ def test_local_hurst_frees_a_tiled_box_sizes_buffers_before_the_next(window, shi
     """At these settings one box size is tiled and the next is fitted at
     every start.  The tiled size holds its boxes, 8 bytes per box point,
     with the projections, the two sums of squares and the RSS of each box,
-    8 (order + 4) bytes per box; the all-starts steps are bounded as in
-    the test above.  Freed before the next size, the boxes never meet that
-    size's buffers: the peak is the larger of the two steps beside the
-    table, the window arrays and the transform of the increments, not
-    their sum."""
+    8 (order + 4) bytes per box; the all-starts workspace is bounded as in
+    the test above.  The workspace is let go before a tiled size and the
+    boxes before the next size, so the two never meet: the peak is the
+    larger of the two beside the table, the window arrays and the
+    transform of the increments, not their sum."""
     path = gen_brownian(100_000, seed=3)
     config = DfaConfig.for_length(window - 1)
     hs, peak, _ = _traced(lambda: local_hurst(path, window, shift, config))
@@ -353,3 +360,51 @@ def test_local_hurst_frees_a_tiled_box_sizes_buffers_before_the_next(window, shi
     bound = table + 24 * w + 8 * fft_len + steps + MIB
     assert np.isfinite(hs.h).all()
     assert peak <= bound, (peak / MIB, bound / MIB)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.parametrize("window, shift, order", [(8192, 10, 1), (4096, 64, 2)])
+def test_local_hurst_touches_each_page_once(window, shift, order):
+    """A call allocates its table, one workspace for every box size fitted
+    at every start, the increments and their transform, and touches each
+    of their pages at most once: every size's buffers are cells of the
+    workspace.  The workspace is no larger than the largest all-starts
+    step bounded above, so the call's minor faults are bounded by the
+    pages of the table, that step, the increments and their transform,
+    plus 1024 pages (4 MiB) for the transform library's scratch rows,
+    the block-level arrays and the fit.  Fresh arrays for every box size,
+    as glibc maps them once they pass its mmap threshold, fault tens of
+    thousands of times per call at these shapes.
+    """
+    path = gen_brownian(100_000, seed=3)
+    config = DfaConfig.for_length(window - 1, poly_order=order)
+    local_hurst(path, window, shift, config)  # warm: the basis cache, the transform plans
+    before = _minor_faults()
+    hs = local_hurst(path, window, shift, config)
+    faults = _minor_faults() - before
+    n, w, fft_len = path.size, len(hs), 1 << (path.size - 2).bit_length()
+    table = 8 * w * len(config.box_sizes)
+    touched = table + max(16 * order * fft_len, 44 * n) + 8 * n + 8 * fft_len
+    assert faults <= touched // resource.getpagesize() + 1024, faults
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_local_hurst_reads_no_workspace_cell_before_writing_it(order):
+    """The workspace is taken with ``np.empty``, so a cell read before it
+    is written reads whatever the allocator last kept there.  Before each
+    call a large array is filled with NaN and freed, twice (the first
+    raises glibc's mmap threshold, so the second stays on the heap for the
+    call to reuse); a stale read then turns into NaN or moved bits, and
+    the estimates must still match the reference bit for bit."""
+    path = gen_fbm(FbmSpec(hurst=0.5, n=20_000, seed=23))
+    for window, shift in ((2048, 50), (1024, 7)):
+        config = DfaConfig.for_length(window - 1, poly_order=order)
+        ref = _reference_hurst.local_hurst(path, window, shift, config)
+        for _ in range(2):
+            np.full(1 << 21, np.nan)
+        got = local_hurst(path, window, shift, config)
+        for name in ("times", "h", "stderr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), (window, name)
