@@ -221,7 +221,7 @@ class Ticks:
     row of day i's first tick, and within a day no timestamp decreases.
     ``session_open_ns[i]`` is day i's open, from which time of day is
     measured, no later than the day's first timestamp (its default; None
-    for an empty last day).  ``dropped`` counts ticks sessionize left out.
+    only for an empty last day).  ``dropped`` counts ticks sessionize left out.
     """
 
     timestamps_ns: np.ndarray = field(repr=False)
@@ -246,6 +246,8 @@ class Ticks:
         elif len(opens) != len(b):
             raise ValueError("session_open_ns must hold one open per day")
         for day, (i, open_ns) in enumerate(zip(b, opens)):  # entry seconds are counted from the open
+            if i < ts.size and open_ns is None:
+                raise ValueError(f"day {day}: session open None, but the day has ticks from {ts[i]}")
             if i < ts.size and open_ns > ts[i]:
                 raise ValueError(f"day {day}: session open {open_ns} is later than its first stamp {ts[i]}")
         object.__setattr__(self, "timestamps_ns", ts)
@@ -642,11 +644,66 @@ def resample(ticks: Ticks, interval_ns: int) -> RegularSeries:
 # -------------------------------------------------------- regular series I/O
 
 
+def _digits(mag, neg):
+    """The writer's counterpart to ``_number``: rows of bytes whose column
+    i holds the ASCII digits of ``mag[i]`` (uint64) right-aligned, a "-"
+    before them where ``neg[i]``, and zero bytes above."""
+    width = len(str(int(mag.max()))) + bool(neg.any())
+    cells = np.empty((width, mag.size), np.uint8)
+    size = 1 + neg  # the last digit and the sign
+    for row in cells[::-1]:
+        rest = mag // 10
+        row[:] = mag - rest * 10 + 48
+        size += rest > 0
+        mag = rest
+    cells[np.arange(width)[:, None] < width - size] = 0
+    at = np.flatnonzero(neg)
+    cells[width - size[at], at] = 45
+    return cells
+
+
+def _whole_rows(t, v) -> bytes:
+    """The rows ``t,v`` of stamps ``t`` and whole values ``v`` below 1e16 in
+    magnitude, each value as ``repr`` writes it: its digits and ".0"."""
+    n = t.size
+    text = np.concatenate((
+        _digits(np.abs(t).view(np.uint64), t < 0),  # |-2**63| wraps to 2**63 in uint64
+        np.full((1, n), 44, np.uint8),
+        _digits(np.abs(v).astype(np.uint64), np.signbit(v)),  # -0.0 is "-0.0"
+        np.repeat(np.frombuffer(b".0\n", np.uint8)[:, None], n, axis=1),
+    )).T.ravel()  # row by row
+    return text[text != 0].tobytes()
+
+
 def serialize_regular_series(series: RegularSeries) -> str:
-    ts = series.timestamps_ns
-    rows = [f"{int(t)},{repr(float(v))}" for t, v in zip(ts, series.values)]
-    rows.append("# session_boundaries=" + ";".join(str(i) for i in series.session_boundaries))
-    return "\n".join(rows) + "\n"
+    """The text that ``parse_regular_series`` reads back as ``series``:
+    rows ``timestamp_ns,repr(value)``, then the footer
+    ``# session_boundaries=i1;i2;...``, each line ended by "\n".
+
+    A series with a value that is not finite is refused with a ValueError
+    that names the first such row, before anything is written, as the
+    reader refuses such a value.  Rows are written a block of
+    ``_BLOCK_LINES`` at a time: a block of whole values below 1e16 in
+    magnitude by a numpy digit kernel, any other block row by row with
+    ``repr``, and the bytes are the same whatever the block size.
+    """
+    values, start, step = series.values, int(series.start_ns) % 2**64, int(series.interval_ns) % 2**64
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: value {float(values[bad[0]])!r} is not finite")
+    parts = []
+    for a in range(0, values.size, _BLOCK_LINES):
+        v = values[a : a + _BLOCK_LINES]
+        # the grid in uint64, which wraps to each stamp's int64 bits
+        t = (np.arange(a, a + v.size, dtype=np.uint64) * np.uint64(step) + np.uint64(start)).view(np.int64)
+        if ((np.abs(v) < 1e16) & (v == np.trunc(v))).all():
+            parts.append(_whole_rows(t, v))
+        else:  # repr is the only exact shortest formatter of other floats
+            parts.append("".join([f"{s},{x!r}\n" for s, x in zip(t.tolist(), v.tolist())]).encode())
+    parts.append(f"# session_boundaries={';'.join(map(str, series.session_boundaries))}\n".encode())
+    text = b"".join(parts)
+    del parts
+    return text.decode("ascii")
 
 
 def _read_cells(blk, s, e) -> list:

@@ -1,12 +1,15 @@
-"""The row-by-row regular-series reader that the columnar one replaced,
-kept as the reference the tests hold ``tickphys.parse_regular_series`` to.
+"""The row-by-row regular-series reader and writer that the columnar ones
+replaced, kept as the references the tests hold
+``tickphys.parse_regular_series`` and ``tickphys.serialize_regular_series``
+to.
 
 Each line of ``str.splitlines`` is split with ``str.split``, a timestamp
 cell must be ASCII ``-?digits`` of at most 19 digits within int64 (the
 byte kernel's grammar) and a value cell goes through ``float``, the grid
 is checked afterwards (exactly, row by row, where the timestamps spread
 beyond int64), and the line number of a failing row is found by a second
-scan of the text.
+scan of the text.  The writer formats each row with one f-string, the
+value by ``repr``, and joins the rows and the footer with "\n".
 """
 
 from __future__ import annotations
@@ -98,3 +101,10 @@ def parse_regular_series(text: str) -> RegularSeries:
         values=values,
         session_boundaries=boundaries,
     )
+
+
+def serialize_regular_series(series: RegularSeries) -> str:
+    ts = series.timestamps_ns
+    rows = [f"{int(t)},{repr(float(v))}" for t, v in zip(ts, series.values)]
+    rows.append("# session_boundaries=" + ";".join(str(i) for i in series.session_boundaries))
+    return "\n".join(rows) + "\n"

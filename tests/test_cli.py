@@ -325,6 +325,20 @@ def test_invstat_fits_are_unchanged(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of series.csv from the README's two synth commands: the walk's
+# whole values are written by the digit kernel, the fBm's by repr.
+SYNTH_SHA256 = {
+    "tickwalk --n 20000 --seed 11": "141335bc99196d9b21762048f542b23b678053dba468fcdd9979a438ff09b1c4",
+    "fbm --n 65536 --seed 7 --hurst 0.7": "22fc418158ec6156a6450e018de9268b5d07698a6cc7c3cedf5693364a356d22",
+}
+
+
+@pytest.mark.parametrize("model", SYNTH_SHA256)
+def test_synth_series_bytes_are_unchanged(tmp_path, model):
+    assert cli.run(["synth", "--model", *model.split(), "--out", str(tmp_path / "out")]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "series.csv").read_bytes()).hexdigest() == SYNTH_SHA256[model]
+
+
 def test_inputs_are_read_once_as_text_files(tmp_path, capsys):
     """The manifest's digest is the sha256 of the input's bytes, which the
     parser reads as they are: \r\n line ends read as \n, while a lone \r

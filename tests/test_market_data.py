@@ -422,6 +422,13 @@ def test_ticks_refuse_an_open_after_the_days_first_stamp():
     assert ticks.session_open_ns == (0, 10, None)
 
 
+def test_ticks_refuse_no_open_for_a_day_with_ticks():
+    with pytest.raises(ValueError, match="day 0: session open None, but the day has ticks from 0"):
+        Ticks([0, 5], [1, 2], session_open_ns=(None,))
+    with pytest.raises(ValueError, match="day 1: session open None, but the day has ticks from 10"):
+        Ticks([0, 5, 10], [0, 1, 2], session_boundaries=(0, 2), session_open_ns=(0, None))
+
+
 def test_resample_previous_tick_and_backfill():
     ticks = Ticks(
         timestamps_ns=[int(0.5 * NS), int(1.2 * NS), int(2.8 * NS)],
@@ -514,6 +521,10 @@ def test_regular_series_grid_stays_in_int64():
         assert back.start_ns == start and back.interval_ns == step
         assert back.timestamps_ns.tolist() == [start, start + step, start + 2 * step]
         assert np.array_equal(back.values, series.values)
+    # an interval beyond int64, which the grid of two rows allows
+    series = RegularSeries(start_ns=-(2**63), interval_ns=2**64 - 1, values=[0.0, 1.0])
+    back = parse_regular_series(serialize_regular_series(series))
+    assert (back.start_ns, back.interval_ns) == (-(2**63), 2**64 - 1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -693,6 +704,49 @@ def test_parse_regular_series_matches_row_by_row_reference(text, block):
         assert _regular_outcome(parse_regular_series, text.encode()) == got
     assert got == _reference_outcome(text)
     assert got[0] is not MalformedRow
+
+
+# ---------------------------------------------- regular series writer
+
+# Whole values below 1e16 in magnitude are written by the digit kernel, all
+# others by repr: these lie on both sides of that edge.
+whole_values = st.one_of(
+    st.integers(-(10**6), 10**6).map(float),
+    st.integers(-(2**53), 2**53).map(float),
+    st.sampled_from([-0.0, 0.0, 9999999999999998.0, -9999999999999998.0, 1e16, -1e16, 2.0**53, -(2.0**53)]),
+)
+
+
+@st.composite
+def written_series(draw):
+    """Series of runs of whole values and of any finite values, so that one
+    series holds blocks of both kinds; grids anywhere in int64, up to its
+    edges; and day boundaries."""
+    run = st.lists(whole_values, min_size=1, max_size=6) | st.lists(finite_values, min_size=1, max_size=6)
+    runs = draw(st.lists(run, min_size=1, max_size=6))
+    values = [v for run in runs for v in run]
+    step = draw(st.sampled_from([1, 7, 10**9]) | st.integers(1, min(2**63 - 1, (2**64 - 1) // max(len(values) - 1, 1))))
+    reach = (len(values) - 1) * step
+    start = draw(st.sampled_from([-(2**63), 2**63 - 1 - reach]) | st.integers(-(2**63), 2**63 - 1 - reach))
+    days = draw(st.lists(st.integers(1, len(values) - 1), max_size=3)) if len(values) > 1 else []
+    return RegularSeries(start, step, values, (0, *sorted(set(days))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=written_series(), block=st.sampled_from([1, 2, 3, 5, market_data._BLOCK_LINES]))
+@example(RegularSeries(-5, 3, [-0.0, 1.0, 0.5, 9999999999999998.0, -1e16, -(2.0**53), 7.0], (0, 3)), 2)
+@example(RegularSeries(2**63 - 1 - 2 * 2**61, 2**61, [0.0, -1.0, 2.0]), 1)
+@example(RegularSeries(-(2**63), 2**62, [0.0, 1.0, 2.5]), 2)
+def test_serialize_regular_series_matches_the_frozen_writer(series, block):
+    with mock.patch.object(market_data, "_BLOCK_LINES", block):
+        assert serialize_regular_series(series) == _reference_regular.serialize_regular_series(series)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_serialize_regular_series_refuses_a_value_that_is_not_finite(bad):
+    # the reader refuses such a value, so the writer does not write it
+    with pytest.raises(ValueError, match=f"row 2: value {bad!r} is not finite"):
+        serialize_regular_series(RegularSeries(0, 1, [1.0, 2.5, bad, np.nan]))
 
 
 # Cells that only float() takes, cells no one takes, and the edges of
