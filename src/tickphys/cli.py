@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, FitError, SeriesTooShort, TickphysError, UsageError
 from .hurst import DfaConfig, ScaleRow, local_hurst
-from .invstat import CrossingIndex, _horizon, fit_tail_power_law
+from .invstat import CLOCKS, DIRECTIONS, CrossingIndex, _horizon, fit_tail_power_law
 from .market_data import (
     _CHUNK_BYTES,
     RegularSeries,
@@ -51,6 +51,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_FIT = 3
 _NO_INPUT = hashlib.sha256().hexdigest()
+_RELAX_CLOCKS = {"ticks": "event", "trades": "trade"}  # --clock -> relaxation_times' clock
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,6 +147,12 @@ def _parse_list(text: str, flag: str, read, what: str, name) -> dict:
     return named
 
 
+def _at_least_1(args, *flags) -> None:
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) < 1:
+            raise UsageError(f"{flag} must be at least 1")
+
+
 def _book_imbalance(data, depth: int, source: str):
     """The imbalance of a book file, block by block; a ``depth`` beyond the file's fails after any bad row."""
     _, file_depth, blocks = _book_blocks(data)
@@ -177,11 +184,15 @@ def _cmd_synth(args):
             raise UsageError("--hurst is required for --model fbm")
         if not 0.0 < args.hurst < 1.0:
             raise UsageError("--hurst must lie in (0, 1)")
-        path = gen_fbm(FbmSpec(hurst=args.hurst, n=args.n, scale=args.scale, seed=args.seed))
-    elif args.model == "brownian":
-        path = gen_brownian(args.n, scale=args.scale, seed=args.seed)
-    else:
-        path = gen_tick_walk(args.n, p_zero=args.p_zero, seed=args.seed).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing path is refused below
+        if args.model == "fbm":
+            path = gen_fbm(FbmSpec(hurst=args.hurst, n=args.n, scale=args.scale, seed=args.seed))
+        elif args.model == "brownian":
+            path = gen_brownian(args.n, scale=args.scale, seed=args.seed)
+        else:
+            path = gen_tick_walk(args.n, p_zero=args.p_zero, seed=args.seed).astype(float)
+    if not np.isfinite(path).all():  # never for tickwalk, which ignores --scale
+        raise UsageError(f"--scale {args.scale!r} overflows the generated path")
     series = RegularSeries(start_ns=0, interval_ns=1, values=np.asarray(path, dtype=float))
     return {"series.csv": serialize_regular_series(series)}, _NO_INPUT
 
@@ -189,8 +200,7 @@ def _cmd_synth(args):
 def _cmd_hurst(args):
     if args.window < 8:
         raise UsageError("--window must be at least 8")
-    if args.shift < 1:
-        raise UsageError("--shift must be at least 1")
+    _at_least_1(args, "--shift")
     try:
         if args.boxes:
             lo, hi, count = (int(p) for p in args.boxes.split(":"))
@@ -219,8 +229,7 @@ def _cmd_invstat(args):
     targets = _parse_list(args.target, "--target", int, "integers", str)
     if any(r < 1 for r in targets.values()):
         raise UsageError("--target values must be >= 1 tick")
-    if args.bins_per_decade < 1:
-        raise UsageError("--bins-per-decade must be at least 1")
+    _at_least_1(args, "--bins-per-decade", "--min-samples")
     if not 0.0 < args.entry_bin_seconds < math.inf:  # NaN fails too
         raise UsageError("--entry-bin-seconds must be a positive finite number")
     series, digest = _load(args.input, parse_regular_series)
@@ -263,12 +272,9 @@ def _cmd_relax(args):
     kappas = _parse_list(args.kappa, "--kappa", float, "numbers", "{:g}".format)
     if any(not 0.0 < k < 1.0 for k in kappas.values()):
         raise UsageError("--kappa values must lie in (0, 1)")
-    if args.depth < 1:
-        raise UsageError("--depth must be at least 1")
-    if args.bins_per_decade < 1:
-        raise UsageError("--bins-per-decade must be at least 1")
+    _at_least_1(args, "--depth", "--bins-per-decade", "--min-samples")
     sig, digest = _load(args.input, lambda data: _book_imbalance(data, args.depth, args.input))
-    clock = {"ticks": "event", "trades": "trade"}[args.clock]
+    clock = _RELAX_CLOCKS[args.clock]
 
     files = {}
     mean_rows = ["# columns: kappa,mean_tau,n_resolved,n_censored"]
@@ -349,8 +355,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("invstat", help="first-passage statistics of a series")
     p.add_argument("--input", required=True)
     p.add_argument("--target", required=True, metavar="R[,R2,...]")
-    p.add_argument("--direction", default="up", choices=("up", "down", "both"))
-    p.add_argument("--clock", default="tick", choices=("tick", "wall"))
+    p.add_argument("--direction", default="up", choices=DIRECTIONS)
+    p.add_argument("--clock", default="tick", choices=CLOCKS)
     p.add_argument("--bins-per-decade", type=int, default=10)
     p.add_argument("--min-samples", type=int, default=100)
     p.add_argument("--entry-bin-seconds", type=float, default=1800.0)
@@ -361,7 +367,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--kappa", required=True, metavar="K[,K2,...]")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--clock", default="ticks", choices=("ticks", "trades"))
+    p.add_argument("--clock", default="ticks", choices=_RELAX_CLOCKS)
     p.add_argument("--bins-per-decade", type=int, default=10)
     p.add_argument("--min-samples", type=int, default=100)
     p.add_argument("--out", required=True)
@@ -401,7 +407,7 @@ def run(argv) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (DataError, TickphysError, ValueError) as exc:
+    except (TickphysError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

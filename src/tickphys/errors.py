@@ -4,8 +4,6 @@ Parse errors carry the 1-based line number of the offending row so CLI
 messages can point at the file location.
 """
 
-from __future__ import annotations
-
 
 class TickphysError(Exception):
     """Base class for all toolkit errors."""

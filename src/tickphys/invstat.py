@@ -60,7 +60,6 @@ __all__ = [
     "ExitTimeConfig",
     "ExitTimes",
     "FirstPassageFit",
-    "HorizonRow",
     "exit_times",
     "first_passage_hist",
     "passage_density",

@@ -106,6 +106,23 @@ def test_public_names_are_pinned():
     assert set(tickphys.__all__) == PUBLIC
 
 
+MODULES = ("errors", "market_data", "synth", "hurst", "invstat", "obrelax", "numerics")
+
+
+def test_each_public_name_is_declared_by_one_module_and_re_exported_as_is():
+    """The package star-imports its modules in turn, so a name that two of
+    them export would silently resolve to the later module's object."""
+    owner = {}
+    for mod_name in MODULES:
+        module = getattr(tickphys, mod_name)
+        exported = getattr(module, "__all__", [n for n in dir(module) if not n.startswith("_")])
+        for name in exported:
+            assert name not in owner, f"{name} is exported by both {owner[name]} and {mod_name}"
+            owner[name] = mod_name
+            assert getattr(tickphys, name) is getattr(module, name), name
+    assert set(tickphys.__all__) == set(owner) | set(MODULES)
+
+
 # Public names whose consumer is still to come, each with the ROADMAP item
 # that brings it: the CLI outputs of item 5 and the ingest of item 2.
 AWAITING_A_CONSUMER = {

@@ -14,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +64,9 @@ def test_synth_writes_series_and_manifest(tmp_path):
 
 
 def test_synth_tickwalk_and_validation(tmp_path):
-    assert cli.run(
+    assert cli.run(  # tickwalk ignores --scale, even one that would overflow another model
         ["synth", "--model", "tickwalk", "--n", "100", "--seed", "1",
-         "--p-zero", "0.5", "--out", str(tmp_path / "a")]
+         "--p-zero", "0.5", "--scale", "1e308", "--out", str(tmp_path / "a")]
     ) == 0
     vals = parse_regular_series((tmp_path / "a" / "series.csv").read_text()).values
     assert np.all(vals == np.round(vals))
@@ -83,6 +84,19 @@ def test_synth_refuses_a_scale_that_is_not_finite_and_positive(tmp_path, model, 
     argv = ["synth", "--model", model, "--n", "100", "--seed", "1", "--hurst", "0.6", f"--scale={scale}"]
     assert cli.run(argv + ["--out", str(out)]) == 1
     assert "--scale must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["fbm", "brownian"])
+def test_synth_refuses_a_scale_that_overflows_the_path(tmp_path, model, capsys):
+    """No input is read, so a path that is not finite is a usage error:
+    one stderr line naming --scale, no output and no numpy warning."""
+    out = tmp_path / "s"
+    argv = ["synth", "--model", model, "--n", "100", "--seed", "1", "--hurst", "0.5", "--scale", "1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: --scale 1e+308 overflows the generated path\n"
     assert not out.exists()
 
 
@@ -209,7 +223,7 @@ def test_invstat_artifacts(tmp_path):
     # input is read
     for bad in (["--bins-per-decade", "0"], ["--bins-per-decade", "-3"], ["--entry-bin-seconds", "0"],
                 ["--entry-bin-seconds", "-5"], ["--entry-bin-seconds", "nan"],
-                ["--entry-bin-seconds", "inf"]):
+                ["--entry-bin-seconds", "inf"], ["--min-samples", "0"], ["--min-samples", "-5"]):
         for series in (src / "series.csv", tmp_path / "absent.csv"):
             assert cli.run(
                 ["invstat", "--input", str(series), "--target", "1", *bad, "--out", str(tmp_path / "c")]
@@ -629,6 +643,11 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.run(
         ["relax", "--input", "x", "--kappa", "0.3", "--depth", "0", "--out", str(tmp_path)]
     ) == 1
+    for min_samples in ("0", "-5"):  # refused before the (absent) input is read
+        capsys.readouterr()
+        assert cli.run(["relax", "--input", str(tmp_path / "absent.csv"), "--kappa", "0.3", "--depth", "1",
+                        "--min-samples", min_samples, "--out", str(tmp_path / "o")]) == 1
+        assert "--min-samples must be at least 1" in capsys.readouterr().err
     assert cli.run(
         ["hurst", "--input", str(tmp_path / "absent.csv"), "--window", "64",
          "--out", str(tmp_path / "o")]
