@@ -234,7 +234,7 @@ def _cmd_invstat(args):
         raise UsageError("--entry-bin-seconds must be a positive finite number")
     series, digest = _load(args.input, parse_regular_series)
     index = CrossingIndex(series, args.direction)
-    del series  # the index keeps its own int64 ladders
+    del series  # the index keeps its own keys, 4 or 8 bytes each
 
     files = {}
     scaling_rows = ["# columns: R,tau_star"]

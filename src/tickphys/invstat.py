@@ -123,7 +123,7 @@ class ExitTimes:
 
 
 # Price range times ladder size must stay below this: it bounds the ladder
-# and keeps keys, lifted by any threshold below the range, within int64.
+# and keeps int64 keys, lifted by any threshold below the range, in int64.
 _KEY_LIMIT = 2**62
 
 
@@ -187,12 +187,13 @@ def _check_key_range(span: int, size: int) -> None:
 _SLICE = 1 << 16
 
 
-def _passed_keys(levels: np.ndarray, span: int) -> np.ndarray:
+def _passed_keys(levels: np.ndarray, span: int, dtype) -> np.ndarray:
     """The key level * n + t of every level that a move up passes, in time
-    order, as running sums: within a move the level rises by one (+n);
-    from one move's top to the next move's first level, level and time
-    both jump.  Its per-move arrays are gone when it returns, before the
-    keys are sorted and the entry keys made."""
+    order, as running sums in ``dtype``, which holds span * n: within a
+    move the level rises by one (+n); from one move's top to the next
+    move's first level, level and time both jump, modulo 2**32 in uint32.
+    Its per-move arrays are gone when it returns, before the keys are
+    sorted and the entry keys made."""
     n = levels.size
     d = np.diff(levels)
     move = np.flatnonzero(d > 0)
@@ -204,7 +205,7 @@ def _passed_keys(levels: np.ndarray, span: int) -> np.ndarray:
     # levels each move up jumps past
     _check_key_range(span, n + total - lens.size)
     nn = np.int64(n)
-    key = np.full(total, nn)
+    key = np.full(total, nn, dtype=dtype)
     if move.size:
         key[0] = (levels[move[0] - 1] + 1) * nn + move[0]
         jump = levels[move[1:] - 1]  # from the top of the move before
@@ -213,7 +214,7 @@ def _passed_keys(levels: np.ndarray, span: int) -> np.ndarray:
         jump *= nn
         jump += np.diff(move)
         key[np.cumsum(lens[:-1])] = jump
-    return np.cumsum(key, out=key)
+    return np.cumsum(key, out=key, dtype=dtype)  # without dtype=, numpy sums uint32 in uint64
 
 
 class _Ladder:
@@ -225,14 +226,19 @@ class _Ladder:
     sort orders them by level and, within a level, by time.  The first
     j > t with p[j] >= p[t] + R follows p[j-1] < p[t] + R, so j is a move
     up that passes level p[t] + R: the first key above (p[t] + R) * n + t,
-    if that key is still on the level.
+    if that key is still on the level.  Every key, of the ladder and of
+    the entries, is below span * n: both are uint32 when that is at most
+    2**32, 4 bytes per key, and int64 otherwise.
     """
 
     def __init__(self, levels: np.ndarray, span: int):
-        self.key = _passed_keys(levels, span)
+        n = levels.size
+        dtype = np.uint32 if span * n <= 2**32 else np.int64
+        self.key = _passed_keys(levels, span, dtype)
         self.key.sort()  # the keys are unique, so any sort gives the one order
-        entry_key = levels * np.int64(levels.size)
-        entry_key += np.arange(levels.size, dtype=np.int64)
+        entry_key = np.empty(n, dtype)  # the int64 product is cast into it a buffer at a time
+        np.multiply(levels, np.int64(n), out=entry_key, casting="unsafe")
+        entry_key += np.arange(n, dtype=dtype)
         entry_key.sort()
         self.entry_key = entry_key  # sorted needles
         self.span = span
@@ -244,13 +250,16 @@ class _Ladder:
         that far up."""
         if threshold >= self.span or not self.key.size:  # no level to reach
             return
-        n = np.int64(self.entry_key.size)
-        lift = np.int64(threshold) * n
-        for s in range(0, self.entry_key.size, _SLICE):
-            entry = self.entry_key[s : s + _SLICE]
+        n, as_key = np.int64(self.entry_key.size), self.key.dtype.type
+        lift = as_key(threshold * n)
+        # entries that cannot reach the span stay -1, a suffix in key order; the
+        # others' needles are below span * n, so no search promotes the keys
+        entry_key = self.entry_key[: np.searchsorted(self.entry_key, as_key((self.span - threshold) * n))]
+        for s in range(0, entry_key.size, _SLICE):
+            entry = entry_key[s : s + _SLICE]
             needle = entry + lift
             # the first key above each needle, or the last key where none is
-            j = self.key.take(np.searchsorted(self.key, needle, side="right"), mode="clip")
+            j = self.key.take(np.searchsorted(self.key, needle, side="right"), mode="clip").astype(np.int64)
             # its time if it sits on the target level; a key at or below the
             # query gives j <= t
             j -= needle
@@ -269,7 +278,8 @@ class CrossingIndex:
     The sorted ladder does not depend on the threshold, so every
     ``exit_times(threshold, clock)`` query reuses it: one binary search
     per entry, with needles already in ascending order.  ``direction``
-    "both" builds both sides.
+    "both" builds both sides.  Each keeps 4 bytes per ladder key and per
+    entry on a day whose price range times rows is at most 2**32, else 8.
     """
 
     def __init__(self, data, direction: str = "up"):

@@ -287,6 +287,48 @@ def test_query_slices_match_the_per_threshold_search(data, regular, slice_, dire
             assert_same_exits(index.exit_times(r, clock), want)
 
 
+def _boundary_day(rng, n: int, span: int, rise: bool) -> np.ndarray:
+    """n points: a walk of steps -3..3, then one move to a new high when
+    ``rise``, else to a new low, that makes the day's price range ``span``
+    ticks.  The walk's entries reach the last point only at thresholds
+    within the walk's range below span - 1."""
+    walk = np.cumsum(rng.integers(-3, 4, n - 1))
+    return np.append(walk, walk.min() + span - 1 if rise else walk.max() - span + 1)
+
+
+@pytest.mark.parametrize("direction", ["up", "down", "both"])
+def test_key_dtype_boundary_matches_per_threshold_search(direction):
+    """A day's ladder and entry keys are below span * n: uint32 when that
+    is at most 2**32, int64 beyond.  Days just under (65535 * 65537), at
+    (65536 * 65536) and just over (65537**2) take the two widths in one
+    index, and up and down add one exactly one over (641 * 6700417), its
+    long move on the side not searched, so that its ladder, and the
+    reference's, stay short; there only the key width shows a uint32
+    choice.  A uint32 needle past 2**32 would wrap, so entries whose
+    level plus the threshold reaches the span are cut off before the
+    search; slices of 1000 entries put the cut inside a slice.
+    Thresholds from 1 to span - 1, at the spans and above them must give
+    the reference's exits bit for bit."""
+    rng = np.random.default_rng(11)
+    rises = {"up": (True,) * 3, "down": (False,) * 3, "both": (True, False, True)}[direction]
+    shapes = [(65537, 65535), (65536, 65536), (65537, 65537)]
+    days = [_boundary_day(rng, n, span, rise) for (n, span), rise in zip(shapes, rises)]
+    if direction != "both":
+        days.append(_boundary_day(rng, 641, 6700417, direction == "down"))
+    bounds = tuple(np.cumsum([0] + [day.size for day in days[:-1]]).tolist())
+    series = RegularSeries(0, NS, np.concatenate(days).astype(float), bounds)
+    index = CrossingIndex(series, direction)
+    for day, (_, _, _, ladders) in zip(days, index._days):
+        width = np.uint32 if (int(day.max() - day.min()) + 1) * day.size <= 2**32 else np.int64
+        assert all(ladder.key.dtype == ladder.entry_key.dtype == width for ladder in ladders)
+    assert [ladders[0].key.dtype for *_, ladders in index._days][:3] == [np.uint32, np.uint32, np.int64]
+    spans = (65535, 65536, 65537, 6700417)
+    thresholds = sorted({1, 2, 40, 30_000, *(s + d for s in spans for d in (-2, -1, 0, 1))})
+    with mock.patch.object(invstat, "_SLICE", 1000):
+        for r, want in zip(thresholds, reference.scan(series, thresholds, direction)):
+            assert_same_exits(index.exit_times(r), want)
+
+
 def _histogram_bins(seconds, bin_seconds):
     """``(edges, counts)`` of the finite seconds as ``entry_time_distribution``
     binned them with ``np.histogram``, or None when none is finite."""

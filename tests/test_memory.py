@@ -12,6 +12,7 @@ what the reader allocates is counted.
 import resource
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,10 +49,22 @@ def _walk(rows: int, seed: int = 0) -> np.ndarray:
     return np.rint(np.cumsum(np.random.default_rng(seed).normal(0.0, 4.0, rows)))
 
 
-def _ladder_keys(values, bounds) -> list:
-    """Per day, the levels that its upward moves pass: its ladder length."""
+def _index_keys(values, bounds) -> list:
+    """Per day, ``(bytes per key, keys)`` of its "up" index: an entry key
+    per row and a ladder key per level that its upward moves pass, 4
+    bytes each when the day's price range times its rows is at most
+    2**32, else 8."""
     bounds = (*bounds, values.size)
-    return [int(np.maximum(np.diff(values[a:b]), 0).sum()) for a, b in zip(bounds, bounds[1:])]
+    days = []
+    for a, b in zip(bounds, bounds[1:]):
+        day = values[a:b]
+        width = 4 if (day.max() - day.min() + 1) * day.size <= 2**32 else 8
+        days.append((width, day.size + int(np.maximum(np.diff(day), 0).sum())))
+    return days
+
+
+def _index_bytes(values, bounds) -> int:
+    return sum(width * keys for width, keys in _index_keys(values, bounds))
 
 
 def _traced(call):
@@ -102,42 +115,51 @@ def test_serialize_regular_series_peak_is_below_three_times_its_text():
 
 
 def test_crossing_index_keeps_only_its_keys():
-    """Per day and side the index keeps the sorted ladder keys, one int64
-    per level an upward move passes, and the sorted entry keys, one int64
-    per row: 8 * (rows + ladder keys) bytes.  On this walk that is 21
-    bytes per row.  An entry-time column kept beside the entry keys, or a
-    wall-clock stamp per row, would add 8 bytes per row each."""
+    """Per day and side the index keeps the sorted ladder keys, one per
+    level an upward move passes, and the sorted entry keys, one per row.
+    Every key is below the day's price range times its rows, which is at
+    most 2**32 on both days of this walk (0.60 and 0.54 of it), so each
+    key is a uint32: 4 * (rows + ladder keys) bytes, 10.4 bytes per row.
+    int64 keys on a day that fits would double it, and an entry-time
+    column kept beside the entry keys, or a wall-clock stamp per row,
+    would add 8 bytes per row each."""
     rows = 1_000_000
     values = _walk(rows, seed=1)
     series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
-    ladder = sum(_ladder_keys(values, series.session_boundaries))
+    days = _index_keys(values, series.session_boundaries)
+    assert [width for width, _ in days] == [4, 4]
     index, _, held = _traced(lambda: CrossingIndex(series, "up"))
-    assert held <= 8 * (rows + ladder) + 64 * 1024, held / rows
+    assert held <= 4 * sum(keys for _, keys in days) + 64 * 1024, held / rows
     assert index.exit_times(8, "wall").n_entries == rows
 
 
 def test_crossing_index_build_holds_one_day_beside_what_it_keeps():
     """A series is turned into int64 ticks one day at a time, as its
     ladders are built, so beside the keys of the days before, the build
-    holds only the day at hand: its int64 prices and levels, and then
-    either the ladder's running sums (the index of each move up, its
-    length, its jump to the next move, a slice of the keys: about 2
-    int64 per move, one move per two rows on a walk) or, as the entry
-    keys are formed, the row times.  Each is 24 bytes per row of the day
-    beyond the keys it keeps.  So the peak is bounded by
-    8 * (rows + ladder keys) + 24 bytes per row of the longest day plus
-    2 MiB.  Converting the whole series first would add 8 bytes per row
-    of the other days, and a full-size difference of the levels kept
-    through the ladder, another 8 bytes per row of the day.
+    holds only the day at hand: its int64 prices and levels, 16 bytes
+    per row, and then either the ladder's running sums beside its keys
+    (the index of each move up, its length, its jump to the next move
+    and that jump's place in the keys: 4 int64 per move, one move per
+    two rows on a walk, 16 bytes per row) or, as the entry keys are
+    formed, the row times (4 bytes per row of a uint32 day).  The entry
+    keys, which the index keeps, come only after the running sums are
+    gone, so the build holds at most 16 + 16 - 4 = 28 bytes per row of
+    the day beyond the keys it keeps (24 on a day of int64 keys).  Every
+    day here fits uint32 keys, the single day of 1e6 rows too (0.85 of
+    2**32), so the peak is bounded by 4 * (rows + ladder keys) + 28
+    bytes per row of the longest day plus 2 MiB.  Converting the whole
+    series first would add 8 bytes per row of the other days, and a
+    full-size difference of the levels kept through the ladder, another
+    8 bytes per row of the day.
     """
     rows = 1_000_000
     values = _walk(rows, seed=3)
     for days in (1, 2, 4):
         bounds = tuple(range(0, rows, rows // days))
         series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=bounds)
-        ladder = sum(_ladder_keys(values, bounds))
+        index = _index_bytes(values, bounds)
         _, peak, _ = _traced(lambda: CrossingIndex(series, "up"))
-        assert peak <= 8 * (rows + ladder) + 24 * (rows // days) + 2 * MIB, (days, peak / rows)
+        assert peak <= index + 28 * (rows // days) + 2 * MIB, (days, (peak - index) / (rows // days))
 
 
 def test_exit_times_holds_one_day_of_exits_beside_its_outputs():
@@ -162,6 +184,24 @@ def test_exit_times_holds_one_day_of_exits_beside_its_outputs():
         assert exits.n_entries == rows
         bound = 24 * rows + 8 * (rows // 2) + 12 * 8 * invstat._SLICE
         assert peak <= bound, (direction, (peak - 24 * rows) / (rows // 2))
+
+
+def test_a_query_promotes_no_key_array():
+    """As above with slices of 4096 entries, so that an array of a whole
+    day's keys shows beside the slices' 384 KiB: the needles, the scalar
+    that cuts off the entries that cannot cross and the ladder keys share
+    one dtype, so no search promotes the uint32 keys to an int64 copy, 8
+    bytes per key, as numpy does when the needles are int64."""
+    rows = 1_000_000
+    values = _walk(rows, seed=4)
+    series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
+    for direction in ("up", "both"):
+        index = CrossingIndex(series, direction)
+        with mock.patch.object(invstat, "_SLICE", 4096):
+            exits, peak, _ = _traced(lambda: index.exit_times(8, "wall"))
+        assert exits.n_entries == rows
+        bound = 24 * rows + 8 * (rows // 2) + 12 * 8 * 4096 + 64 * 1024
+        assert peak <= bound, (direction, (peak - 24 * rows - 8 * (rows // 2)) / 1024)
 
 
 def test_horizon_keeps_one_column_of_waiting_times():
@@ -208,28 +248,30 @@ def test_binning_makes_no_copy_of_its_samples():
 def test_invstat_holds_the_index_and_one_thresholds_exits(tmp_path):
     """The whole ``invstat`` subcommand on a two-day file: the reader's
     peak is 17 bytes per row plus 8 MiB (see above) and the index build's
-    the series (8 bytes per row), the index and one day's 24 bytes per
-    row.  The series is let go once the index is built, so the queries
-    hold the index, 8 * (rows + ladder keys) bytes, one threshold's
-    waiting times, 8 bytes per row, and one day's exit map, 8 bytes per
-    row of that day, plus a query's slices, the binning's blocks and the
-    artifacts, within 6 MiB.  The bound allows the waiting times 24 bytes
-    per row, as when a threshold's whole exits were kept;
+    the series (8 bytes per row), the index and 28 bytes per row of one
+    day (see above).  The series is let go once the index is built, so
+    the queries hold the index, 4 * (rows + ladder keys) bytes on these
+    days, one threshold's waiting times, 8 bytes per row, and one day's
+    exit map, 8 bytes per row of that day, plus a query's slices, the
+    binning's blocks and the artifacts, within 6 MiB.  So the build sets
+    the peak, bounded by the index, 8 bytes per row and 28 per row of
+    the longer day, plus 6 MiB.  A threshold's whole exits kept, 24
+    bytes per row, would exceed it;
     ``test_horizon_keeps_one_column_of_waiting_times`` holds the query to
-    8.  A series held through the queries would add 8 bytes per row (7.6
-    MiB here).
+    8.  A series held through the queries would add 8 bytes per row to
+    them (7.6 MiB here), which the build's peak hides.
     """
     rows = 1_000_000
     values = _walk(rows, seed=2)
     bounds = (0, rows // 2)
     path = tmp_path / "walk.csv"
     path.write_text(serialize_regular_series(RegularSeries(0, NS, values, bounds)))
-    ladder = sum(_ladder_keys(values, bounds))
+    index = _index_bytes(values, bounds)
     del values
     argv = ["invstat", "--input", str(path), "--target", "8", "--clock", "wall", "--out", str(tmp_path / "out")]
     code, peak, _ = _traced(lambda: cli.run(argv))
     assert code == 0
-    bound = 8 * (rows + ladder) + 24 * rows + 8 * (rows // 2) + 6 * MIB
+    bound = index + 8 * rows + 28 * (rows // 2) + 6 * MIB
     assert peak <= bound, (peak - bound) / MIB
 
 
@@ -276,17 +318,18 @@ def test_relax_keeps_the_imbalance_not_the_book(tmp_path):
 def test_horizon_scaling_holds_one_thresholds_exits():
     """``horizon_scaling`` builds one index and queries it threshold by
     threshold, letting each threshold's waiting times go before the next
-    query, so its peak is bounded as the ``invstat`` subcommand's above:
-    the index, one threshold's waiting times and one day's exit map, plus
-    6 MiB.  Exits kept across the next query would add 24 bytes per row
-    (23 MiB here)."""
+    query, so its peak is bounded as the ``invstat`` subcommand's above,
+    less the series, which the caller holds: the index and the larger of
+    the build's 28 bytes per row of one day and the queries' waiting
+    times and one day's exit map, plus 6 MiB.  Exits kept across the next
+    query would add 24 bytes per row (23 MiB here)."""
     rows = 1_000_000
     values = _walk(rows, seed=6)
     series = RegularSeries(start_ns=0, interval_ns=NS, values=values, session_boundaries=(0, rows // 2))
-    ladder = sum(_ladder_keys(values, series.session_boundaries))
+    index = _index_bytes(values, series.session_boundaries)
     scan, peak, _ = _traced(lambda: invstat.horizon_scaling(series, (8, 16), clock="wall"))
     assert [row.threshold for row in scan] == [8, 16]
-    bound = 8 * (rows + ladder) + 24 * rows + 8 * (rows // 2) + 6 * MIB
+    bound = index + max(28 * (rows // 2), 8 * rows + 8 * (rows // 2)) + 6 * MIB
     assert peak <= bound, (peak - bound) / MIB
 
 
