@@ -38,8 +38,8 @@ from .market_data import (
     serialize_regular_series,
 )
 from .obrelax import (
-    _imbalance,
     fit_stretched_exp,
+    imbalance_series,
     mean_relaxation_from_fit,
     relaxation_hist,
     relaxation_times,
@@ -157,14 +157,12 @@ def _book_imbalance(data, depth: int, source: str):
     """The imbalance of a book file, block by block; a ``depth`` beyond the file's fails after any bad row."""
     _, file_depth, blocks = _book_blocks(data)
 
-    def levels():
-        for ts, tcd, _, vol in blocks:
-            yield ts, tcd, vol[:, :file_depth], vol[:, file_depth:]
-            del _, vol  # the next block is read without this one's levels
+    def checked():
+        yield from blocks
         if depth > file_depth:
             raise UsageError(f"--depth {depth} exceeds the depth {file_depth} of {source}")
 
-    return _imbalance(levels(), min(depth, file_depth))
+    return imbalance_series(checked(), min(depth, file_depth))
 
 
 # ------------------------------------------------------------- subcommands

@@ -108,10 +108,6 @@ class DegenerateX(TickphysError):
     """Regression abscissae are all equal."""
 
 
-class NonFiniteObjective(TickphysError):
-    pass
-
-
 class EmbeddingNotDefinite(TickphysError):
     """A circulant embedding has an eigenvalue more negative than rounding
     explains, so it is not a covariance."""

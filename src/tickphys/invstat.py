@@ -365,21 +365,16 @@ def exit_times(data, config: ExitTimeConfig) -> ExitTimes:
     return CrossingIndex(data, config.direction).exit_times(config.threshold, config.clock)
 
 
-def first_passage_hist(
-    exits: ExitTimes, bins_per_decade: int = 10, *, min_samples: int = 100
-) -> LogBinnedPdf:
-    """Log-binned density of waiting times.
+def first_passage_hist(tau, censored_count: int, bins_per_decade: int = 10, *, min_samples: int = 100) -> LogBinnedPdf:
+    """Log-binned density of the resolved waiting times ``tau``.
 
-    Censored entries enter the normalization (the density integrates to the
-    resolved fraction), so deep thresholds are not flattered by dropping
-    their unresolved entries.
+    The ``censored_count`` unresolved entries enter the normalization (the
+    density integrates to the resolved fraction), so deep thresholds are
+    not flattered by dropping their unresolved entries.  Fewer than
+    ``min_samples`` waiting times raise TooFewSamples.
     """
-    return _passage_hist(exits.tau, exits.censored_count, bins_per_decade, min_samples)
-
-
-def _passage_hist(tau, censored_count: int, bins_per_decade: int, min_samples: int) -> LogBinnedPdf:
-    if tau.size < min_samples:
-        raise TooFewSamples(f"{tau.size} resolved exits < min_samples={min_samples}")
+    if len(tau) < min_samples:
+        raise TooFewSamples(f"{len(tau)} resolved exits < min_samples={min_samples}")
     return log_bin(tau, bins_per_decade, censored_count=censored_count)
 
 
@@ -533,7 +528,7 @@ def _horizon(index: CrossingIndex, threshold, clock: str, bins_per_decade: int, 
         k += w.size
         if entries is not None and sec is not None:
             entries.add(sec)
-    hist = _passage_hist(tau[:k], index.n_entries - k, bins_per_decade, min_samples)
+    hist = first_passage_hist(tau[:k], index.n_entries - k, bins_per_decade, min_samples=min_samples)
     fit = fit_first_passage(hist)
     row = HorizonRow(
         threshold=config.threshold,

@@ -498,13 +498,13 @@ def parse_book(data) -> tuple[Book, Decimal, int]:
     going row by row would raise.
     """
     tick_dec, d, blocks = _book_blocks(data)
-    rows = [(np.zeros(0, np.int64),) * 2 + (np.zeros((0, 2 * d), np.int64),) * 2, *blocks]
-    ts, tcd, px, vol = (np.concatenate(c) for c in zip(*rows))
-    return Book(ts, tcd, px[:, :d], vol[:, :d], px[:, d:], vol[:, d:]), tick_dec, d
+    empty = np.zeros((0, d), np.int64)
+    parts = [(empty[:, 0],) * 2 + (empty,) * 4, *(vars(book).values() for book in blocks)]  # columns in field order
+    return Book(*(np.concatenate(c) for c in zip(*parts))), tick_dec, d
 
 
 def _book_blocks(data):
-    """A book CSV's tick size and depth, its header read now, and a generator of its checked blocks."""
+    """A book CSV's tick size and depth, its header read now, and a generator of its checked blocks, each a Book."""
     head, data = _head(data)
     m = _BOOK_HEADER.match(_text(head, 1))
     if not m:
@@ -516,7 +516,7 @@ def _book_blocks(data):
 
     def blocks(prev=-1):
         for lineno, blk, s, e in _blocks(data, 2 + 4 * d):
-            prev = (block := _book_block(lineno, blk, s, e, tick_frac, d, prev))[0][-1]
+            prev = (block := _book_block(lineno, blk, s, e, tick_frac, d, prev)).timestamps_ns[-1]
             yield block
             del block  # the next block is read without this one
 
@@ -557,7 +557,7 @@ def _book_block(lineno, blk, s, e, tick_frac, d, prev):
          "ask prices must be strictly increasing"),
         (held[:, 0] & held[:, d] & (px[:, 0] >= px[:, d]), CrossedBook, "best bid is at or above best ask"),
     ])
-    return ts, tcd, px, vol
+    return Book(ts, tcd, px[:, :d], vol[:, :d], px[:, d:], vol[:, d:])
 
 
 def serialize_book(snaps, tick_size: Decimal, depth: int) -> str:

@@ -4,10 +4,10 @@ through, and adaptive quadrature.
 
 The minimizer is one simplex search on Python floats, written as a
 generator that yields trial points and is sent their values.  ``minimize``
-drives one search.  The log-density fit draws all its restart points first
-and drives their searches in lockstep: each round, the pending trial points
-of every live search go to the density model in one batched call, with the
-parameters as columns.
+drives one search per start in lockstep.  The log-density fit draws all
+its restart points first and hands them to ``minimize``: each round, the
+pending trial points of every live search go to the density model in one
+batched call, with the parameters as columns.
 
 Everything here is deterministic: no global RNG state is consulted, and the
 minimizer's trajectory depends only on its inputs.
@@ -22,7 +22,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DegenerateX, EmptyInput, FitDiverged, MaxDepthExceeded, NonFiniteObjective, TooManyBins
+from .errors import DegenerateX, EmptyInput, FitDiverged, MaxDepthExceeded, TooManyBins
 
 __all__ = [
     "LogBinnedPdf",
@@ -250,14 +250,18 @@ def _simplex(x0: list, lo: list, hi: list, xtol: float, max_evals: int):
     return verts[k], fvals[k]
 
 
-def _minimize_all(evaluate, starts, lo, hi, *, xtol=1e-8, max_evals=10_000) -> list:
-    """One ``_simplex`` search from each start, all advanced in lockstep.
+def minimize(evaluate, starts, lo, hi, *, xtol: float = 1e-8, max_evals: int = 10_000) -> list:
+    """Clamped Nelder-Mead searches, one per point of the list ``starts``, in lockstep.
 
     Each round ``evaluate`` gets the pending trial point of every live
-    search, as lists of floats, and returns their values in that order.
-    Returns one ``(x, f)`` per start, None where the objective is not
-    finite at that start.
+    search, as lists of floats clipped into [lo, hi], and returns their
+    values in that order (inf where not finite).  A search stops when its
+    relative simplex diameter drops below ``xtol`` or after ``max_evals``
+    of its points.  Returns one ``(x_best, f_best)`` per start, never worse
+    than the start, or None where the objective is not finite there.
     """
+    if len(lo) != len(hi) or any(len(x0) != len(lo) for x0 in starts) or any(a > b for a, b in zip(lo, hi)):
+        raise ValueError("each start needs one (lo, hi) bound per coordinate, with lo <= hi")
     searches = [_simplex(x0, lo, hi, xtol, max_evals) for x0 in starts]
     results = [None] * len(searches)
     pending = {k: next(search) for k, search in enumerate(searches)}
@@ -271,37 +275,6 @@ def _minimize_all(evaluate, starts, lo, hi, *, xtol=1e-8, max_evals=10_000) -> l
                 del pending[k]
                 results[k] = done.value
     return results
-
-
-def minimize(objective, x0, bounds=None, *, xtol: float = 1e-8, max_evals: int = 10_000):
-    """Nelder-Mead simplex minimization with box constraints by clamping.
-
-    ``bounds`` is an optional sequence of per-coordinate (lo, hi) pairs;
-    every trial point is clipped into the box before evaluation.
-    Terminates when the relative simplex diameter drops below ``xtol`` or
-    after ``max_evals`` objective evaluations.  Fully deterministic given
-    ``x0``.
-
-    Returns ``(x_best, f_best)``; never a point worse than the start.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    ndim = x0.size
-    lo, hi = [-math.inf] * ndim, [math.inf] * ndim  # clipping to these changes no bit
-    if bounds is not None:
-        box = np.asarray(bounds, dtype=float)
-        if box.shape != (ndim, 2):
-            raise ValueError(f"bounds must be {ndim} (lo, hi) pairs")
-        if np.any(box[:, 0] > box[:, 1]):
-            raise ValueError("bounds must satisfy lo <= hi")
-        lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
-
-    def evaluate(points):
-        return [objective(np.array(p)) for p in points]
-
-    (result,) = _minimize_all(evaluate, [x0.tolist()], lo, hi, xtol=xtol, max_evals=max_evals)
-    if result is None:
-        raise NonFiniteObjective("objective is not finite at the starting point")
-    return np.array(result[0]), result[1]
 
 
 def _columns(rows):
@@ -364,7 +337,7 @@ def _fit_log_density(hist, log_model, theta0, lo, hi, jitter, seed, restarts):
         for trial in range(max(restarts, 1))
     ]
     with np.errstate(over="ignore", invalid="ignore"):
-        fits = _minimize_all(sse, starts, lo.tolist(), hi.tolist())
+        fits = minimize(sse, starts, lo.tolist(), hi.tolist())
     best = None
     for fit in fits:
         if fit is not None and (best is None or fit[1] < best[1]):

@@ -59,7 +59,6 @@ class ImbalanceSeries:
     timestamps_ns: np.ndarray | None = field(default=None, repr=False)
     trades: np.ndarray | None = field(default=None, repr=False)
     session_boundaries: tuple = (0,)
-    depth: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "session_boundaries", _day_index(self.session_boundaries, len(self.values)))
@@ -68,33 +67,31 @@ class ImbalanceSeries:
         return self.values.size
 
 
-def imbalance_series(book, depth: int) -> ImbalanceSeries:
-    """Depth imbalance of one day of a market_data.Book.
+def imbalance_series(books, depth: int) -> ImbalanceSeries:
+    """Depth imbalance of one day of market_data.Book blocks, each reduced
+    as it comes; a whole Book is ``[book]``.
 
     Volumes are summed as exact integers before one float division, so each
     level volume within ``depth`` must stay below 2**53 / (2 depth); a snapshot
     with no volume on either side within ``depth`` has no imbalance: EmptySide.
+    Both are raised after the last block.
     """
-    return _imbalance([(book.timestamps_ns, book.trade_count_delta, book.bid_vol, book.ask_vol)], depth)
-
-
-def _imbalance(blocks, depth: int) -> ImbalanceSeries:
-    """``imbalance_series`` of blocks ``(ts, tcd, bid_vol, ask_vol)``, reduced as read; raises after the last."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     parts, top = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0),)], 0
-    for ts, tcd, bid, ask in blocks:
-        bid, ask = bid[:, :depth], ask[:, :depth]
+    for book in books:
+        bid, ask = book.bid_vol[:, :depth], book.ask_vol[:, :depth]
         top = max(top, np.abs(bid).max(initial=0), np.abs(ask).max(initial=0))
         bid, ask = bid.sum(axis=1), ask.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # only x / 0 is not finite: EmptySide
-            parts.append((ts, tcd, (bid - ask) / (bid + ask)))
+            parts.append((book.timestamps_ns, book.trade_count_delta, (bid - ask) / (bid + ask)))
+        del book  # the next block is read without this one's levels
     if top >= 2**53 // (2 * depth):
         raise ValueError(f"level volumes must stay below 2**53 / {2 * depth} to sum exactly")
     ts, tcd, values = (np.concatenate(c) for c in zip(*parts))
     if not (finite := np.isfinite(values)).all():
         raise EmptySide(f"snapshot {finite.argmin()}: no volume within depth {depth}")
-    return ImbalanceSeries(values=values, timestamps_ns=ts, trades=np.cumsum(tcd, out=tcd), depth=depth)
+    return ImbalanceSeries(values=values, timestamps_ns=ts, trades=np.cumsum(tcd, out=tcd))
 
 
 def entry_times(series, kappa: float) -> np.ndarray:

@@ -113,7 +113,7 @@ def criterion_3():
     """First-passage tail of the symmetric tick walk."""
     walk = synth.gen_tick_walk(10**7, p_zero=0.0, seed=3)
     exits = invstat.exit_times(walk, ExitTimeConfig(threshold=1, direction="up", clock="tick"))
-    hist = invstat.first_passage_hist(exits, 10)
+    hist = invstat.first_passage_hist(exits.tau, exits.censored_count, 10)
     tail = invstat.fit_tail_power_law(hist, (1e2, 1e4))
     return f"slope={tail.slope:.4f} over tau in [1e2,1e4]", abs(tail.slope + 1.5) <= 0.15
 
@@ -291,13 +291,13 @@ def criterion_10():
     kappa1, kappa2 = 0.28915, 0.61073
     ladders = [np.array(c) for c in zip(*(_random_book(rng) for _ in range(10_000)))]
     book = Book(np.ones(10_000, np.int64), np.zeros(10_000, np.int64), *ladders)
-    vals = obrelax.imbalance_series(book, 5).values
+    vals = obrelax.imbalance_series([book], 5).values
     mirrored = Book(book.timestamps_ns, book.trade_count_delta, *ladders[2:], *ladders[:2])
     failures = int(np.sum(~((vals >= -1.0) & (vals <= 1.0))))
-    failures += int(np.sum(obrelax.imbalance_series(mirrored, 5).values != -vals))
+    failures += int(np.sum(obrelax.imbalance_series([mirrored], 5).values != -vals))
     for m in (2, 7, 1000):
         scaled = replace(book, bid_vol=book.bid_vol * m, ask_vol=book.ask_vol * m)
-        failures += int(np.sum(obrelax.imbalance_series(scaled, 5).values != vals))
+        failures += int(np.sum(obrelax.imbalance_series([scaled], 5).values != vals))
     # entry-set nesting, checked on 100 sequences of 100 books each
     for chunk in vals.reshape(100, 100):
         e1 = set(obrelax.entry_times(chunk, kappa1).tolist())

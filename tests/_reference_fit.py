@@ -16,10 +16,14 @@ import math
 
 import numpy as np
 
-from tickphys.errors import FitDiverged, NonFiniteObjective, TooFewBins
+from tickphys.errors import FitDiverged, TooFewBins
 from tickphys.invstat import FirstPassageFit
 from tickphys.numerics import LogBinnedPdf, linfit
 from tickphys.obrelax import StretchedExpFit
+
+
+class NonFiniteObjective(Exception):
+    """The objective is not finite at the starting point."""
 
 
 def _log_passage_density(t, alpha, beta, nu):

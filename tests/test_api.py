@@ -5,10 +5,13 @@ the tests."""
 import ast
 import dataclasses
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import tickphys
+from tickphys import cli
+from tickphys.selftest import _synthetic_book_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,7 +42,6 @@ PUBLIC = {
     "LogBinnedPdf",
     "MalformedRow",
     "MaxDepthExceeded",
-    "NonFiniteObjective",
     "NonMonotonicTime",
     "ParseError",
     "PriceRangeTooWide",
@@ -169,3 +171,54 @@ def test_dfa_config_sets_only_its_box_sizes_and_order():
     assert tickphys.DfaConfig((8, 16, 32)).min_boxes == 4
     params = inspect.signature(tickphys.DfaConfig.for_length).parameters
     assert [(p.name, p.default) for p in params.values()] == [("n", inspect.Parameter.empty), ("poly_order", 1)]
+
+
+def test_imbalance_series_sets_only_its_columns_and_days():
+    """The depth is an argument of ``imbalance_series``, not a field of
+    what it returns."""
+    names = [f.name for f in dataclasses.fields(tickphys.ImbalanceSeries)]
+    assert names == ["values", "timestamps_ns", "trades", "session_boundaries"]
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` in every loaded ``tickphys`` module that
+    binds it, as the bench tracer does, with a wrapper that logs each call
+    into the returned list."""
+    orig, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "tickphys" or mod_name.startswith("tickphys."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_the_fitters_run_the_public_minimizer(monkeypatch):
+    """No private twin of ``minimize`` does the fitters' searches, so a
+    tracer that patches the public name sees them."""
+    calls = _count_calls(monkeypatch, tickphys.numerics, "minimize")
+    tickphys.fit_first_passage(tickphys.log_bin(tickphys.sample_first_passage(5000, 0.5, 20.0, seed=9), 10))
+    assert calls == ["minimize"]
+    tickphys.fit_stretched_exp(tickphys.log_bin(tickphys.sample_stretched_exp(5000, 100.0, 0.6, seed=77), 10))
+    assert calls == ["minimize"] * 2
+
+
+def test_invstat_bins_through_the_public_first_passage_hist(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, tickphys.invstat, "first_passage_hist")
+    assert cli.run(["synth", "--model", "tickwalk", "--n", "4000", "--seed", "2", "--out", str(tmp_path / "s")]) == 0
+    argv = ["invstat", "--input", str(tmp_path / "s" / "series.csv"), "--target", "1,4", "--min-samples", "50"]
+    assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["first_passage_hist"] * 2
+
+
+def test_relax_reduces_the_book_through_the_public_imbalance_series(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, tickphys.obrelax, "imbalance_series")
+    (tmp_path / "book.csv").write_text(_synthetic_book_text())
+    argv = ["relax", "--input", str(tmp_path / "book.csv"), "--kappa", "0.2", "--depth", "3", "--min-samples", "20"]
+    assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["imbalance_series"]

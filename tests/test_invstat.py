@@ -383,7 +383,7 @@ def test_horizon_reduces_the_query_to_the_exits_bins(data, slice_, direction, bi
                 invstat._horizon(index, threshold, clock, 10, 0, bin_seconds)
             return
         row, hist, entries = invstat._horizon(index, threshold, clock, 10, 0, bin_seconds)
-        want = first_passage_hist(exits, 10, min_samples=0)
+        want = first_passage_hist(exits.tau, exits.censored_count, 10, min_samples=0)
     assert (row.n_resolved, row.n_censored) == (len(exits), exits.censored_count)
     for name in ("edges", "densities", "counts"):
         assert getattr(hist, name).tobytes() == getattr(want, name).tobytes()
@@ -526,8 +526,8 @@ def test_exit_times_match_exact_walk_law():
 def test_first_passage_hist_enforces_min_samples():
     exits = exit_times([0, 1, 2, 3], UP1)
     with pytest.raises(TooFewSamples):
-        first_passage_hist(exits, 10)
-    hist = first_passage_hist(exits, 10, min_samples=3)
+        first_passage_hist(exits.tau, exits.censored_count, 10)
+    hist = first_passage_hist(exits.tau, exits.censored_count, 10, min_samples=3)
     # censored entry stays in the normalization
     assert hist.total_count == 4
     assert hist.censored_count == 1

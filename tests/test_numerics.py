@@ -19,7 +19,6 @@ from tickphys import (
     DegenerateX,
     EmptyInput,
     MaxDepthExceeded,
-    NonFiniteObjective,
     TooManyBins,
     linfit,
     log_bin,
@@ -172,8 +171,17 @@ def rosenbrock(v):
     return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
 
 
+FREE = [-math.inf] * 2, [math.inf] * 2  # clipping to these changes no bit
+
+
+def minimize_one(objective, x0, lo, hi, **kwargs):
+    """``minimize`` of one start: its ``(x, f)``, or None."""
+    (fit,) = minimize(lambda points: [objective(p) for p in points], [x0], lo, hi, **kwargs)
+    return fit
+
+
 def test_minimize_rosenbrock():
-    x, fx = minimize(rosenbrock, [-1.2, 1.0])
+    x, fx = minimize_one(rosenbrock, [-1.2, 1.0], *FREE)
     assert np.allclose(x, [1.0, 1.0], atol=1e-3)
     assert fx < 1e-7
 
@@ -182,36 +190,42 @@ def test_minimize_respects_bounds():
     # unconstrained optimum (3, -2) sits outside the box; the constrained
     # optimum is the nearest corner
     obj = lambda v: (v[0] - 3.0) ** 2 + (v[1] + 2.0) ** 2
-    x, _ = minimize(obj, [0.0, 0.0], bounds=[(-1.0, 1.0), (-1.0, 1.0)])
+    x, _ = minimize_one(obj, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
     assert np.allclose(x, [1.0, -1.0], atol=1e-6)
 
 
 def test_minimize_bounded_rosenbrock_reaches_interior_optimum():
-    x, fx = minimize(rosenbrock, [-1.2, 1.0], bounds=[(-2.0, 2.0), (-2.0, 2.0)])
+    x, fx = minimize_one(rosenbrock, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0])
     assert np.allclose(x, [1.0, 1.0], atol=1e-3)
     assert fx < 1e-7
 
 
 def test_minimize_is_deterministic():
-    a = minimize(rosenbrock, [0.3, -0.7])
-    b = minimize(rosenbrock, [0.3, -0.7])
-    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+    a = minimize_one(rosenbrock, [0.3, -0.7], *FREE)
+    b = minimize_one(rosenbrock, [0.3, -0.7], *FREE)
+    assert a == b
 
 
 def test_minimize_never_returns_worse_than_start():
-    obj = lambda v: float(np.sum(v * v))
-    x0 = np.array([5.0, -3.0])
-    _, fx = minimize(obj, x0, max_evals=4)
+    obj = lambda v: v[0] * v[0] + v[1] * v[1]
+    x0 = [5.0, -3.0]
+    _, fx = minimize_one(obj, x0, *FREE, max_evals=4)
     assert fx <= obj(x0)
 
 
 def test_minimize_validates_bounds_and_objective():
+    """Malformed bounds raise; a start whose objective is not finite gives
+    None and leaves the other starts' searches alone."""
     with pytest.raises(ValueError):
-        minimize(rosenbrock, [0.0, 0.0], bounds=[(0.0, 1.0)])
+        minimize_one(rosenbrock, [0.0, 0.0], [0.0], [1.0])
     with pytest.raises(ValueError):
-        minimize(rosenbrock, [0.0, 0.0], bounds=[(1.0, 0.0), (0.0, 1.0)])
-    with pytest.raises(NonFiniteObjective):
-        minimize(lambda v: math.nan, [0.0])
+        minimize_one(rosenbrock, [0.0, 0.0], [0.0, 0.0], [1.0])
+    with pytest.raises(ValueError):
+        minimize_one(rosenbrock, [0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+    assert minimize_one(lambda v: math.nan, [0.0], [-math.inf], [math.inf]) is None
+    half_nan = lambda points: [math.nan if p[0] < 0 else p[0] ** 2 for p in points]
+    fits = minimize(half_nan, [[-1.0], [1.0]], [-2.0], [2.0])
+    assert fits[0] is None and fits[1][1] < 1e-12
 
 
 def nan_capped_rosenbrock(cut, step):
@@ -253,14 +267,17 @@ zeros = st.sampled_from([0.0, -0.0])  # np.clip and a numpy mean decide the sign
     max_evals=st.integers(1, 300),
 )
 def test_lockstep_searches_match_separate_reference_runs(box, starts, cut, step, xtol, max_evals):
+    """``minimize`` runs every start's search in lockstep: each round holds
+    the next trial point of each live search, in start order, and each
+    search is the reference's run from its start alone, point for point."""
     if box is None:
-        bounds, lo, hi = None, [-math.inf] * 2, [math.inf] * 2
+        bounds, (lo, hi) = None, FREE
     else:
         bounds = [(a, a + width) for a, width in box]
         lo, hi = (list(side) for side in zip(*bounds))
     f = nan_capped_rosenbrock(cut, step)
 
-    def run(search, start):
+    def reference_run(start):
         """Result (None where the start is not finite) and trial points."""
         trials = []
 
@@ -269,31 +286,26 @@ def test_lockstep_searches_match_separate_reference_runs(box, starts, cut, step,
             return f(v)
 
         try:
-            x, fx = search(logged, start, bounds, xtol=xtol, max_evals=max_evals)
-        except NonFiniteObjective:
+            x, fx = reference.minimize(logged, start, bounds, xtol=xtol, max_evals=max_evals)
+        except reference.NonFiniteObjective:
             return None, trials
         return (np.array(x).tobytes(), fx), trials
 
-    lockstep_evals = 0
+    rounds = []
 
     def evaluate(points):
-        nonlocal lockstep_evals
-        lockstep_evals += len(points)
+        rounds.append([np.array(p).tobytes() for p in points])
         return [f(p) for p in points]
 
-    got = numerics._minimize_all(
-        evaluate, [list(s) for s in starts], lo, hi, xtol=xtol, max_evals=max_evals
-    )
+    got = minimize(evaluate, [list(s) for s in starts], lo, hi, xtol=xtol, max_evals=max_evals)
     assert len(got) == len(starts)
-    reference_evals = 0
-    for start, fit in zip(starts, got):
-        want, trials = run(reference.minimize, start)
-        reference_evals += len(trials)
+    runs = [reference_run(start) for start in starts]
+    for fit, (want, _) in zip(got, runs):
         if fit is not None:  # bit for bit, so the sign of a zero counts too
             fit = (np.array(fit[0]).tobytes(), fit[1])
         assert fit == want
-        assert run(minimize, start) == (want, trials)
-    assert lockstep_evals == reference_evals
+    longest = max(len(trials) for _, trials in runs)
+    assert rounds == [[trials[r] for _, trials in runs if r < len(trials)] for r in range(longest)]
 
 
 def test_power_by_row_is_each_rows_scalar_power():

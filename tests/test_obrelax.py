@@ -46,13 +46,12 @@ def book(bids, asks, ts=1, tcd=0):
 
 
 def imbalance(snaps, depth):
-    return imbalance_series(book_of(snaps), depth=depth)
+    return imbalance_series([book_of(snaps)], depth=depth)
 
 
 def test_imbalance_sixty_forty():
     sig = imbalance([book([(99, 60)], [(101, 40)])], depth=1)
     assert sig.values[0] == 0.2  # exact, not approximate
-    assert sig.depth == 1
 
 
 def test_imbalance_depth_slicing_and_trades():
@@ -130,7 +129,7 @@ def _imbalance_outcome(call):
         sig = call()
     except (EmptySide, ValueError) as exc:
         return type(exc), str(exc)
-    return sig.timestamps_ns.tobytes(), sig.trades.tobytes(), sig.values.tobytes(), sig.depth
+    return sig.timestamps_ns.tobytes(), sig.trades.tobytes(), sig.values.tobytes()
 
 
 def _reference_imbalance(snaps, depth):
@@ -146,7 +145,7 @@ def _reference_imbalance(snaps, depth):
         return EmptySide, f"snapshot {empty}: no volume within depth {depth}"
     stamps = np.array([s.timestamp_ns for s in snaps], dtype=np.int64)
     trades = np.cumsum(np.array([s.trade_count_delta for s in snaps], dtype=np.int64))
-    return stamps.tobytes(), trades.tobytes(), values.tobytes(), depth
+    return stamps.tobytes(), trades.tobytes(), values.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,7 +162,7 @@ def test_book_blocks_reduce_to_the_imbalance_of_the_whole_book(data, block):
     with mock.patch.object(market_data, "_BLOCK_LINES", block):
         for depth in range(1, file_depth + 1):
             got = _imbalance_outcome(lambda: cli._book_imbalance(iter(chunks), depth, "book.csv"))
-            whole = _imbalance_outcome(lambda: imbalance_series(parse_book(iter(chunks))[0], depth))
+            whole = _imbalance_outcome(lambda: imbalance_series([parse_book(iter(chunks))[0]], depth))
             assert got == whole == _reference_imbalance(snaps, depth), depth
 
 
